@@ -31,12 +31,13 @@ from .core import (
 )
 from .errors import (
     EndpointOneSided,
+    InvalidArgument,
     NotPRational,
     NotShiftInvariant,
     PrefixTooShort,
     RankTooLarge,
 )
-from .flips import FlipKind, FlipSet, FlipSystem, eval_flip, flip_image
+from .flips import FlipKind, FlipSet, FlipSystem, cylinder_images, eval_flip, flip_image
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +123,7 @@ def monotone_witness(system: FlipSystem, rank: int) -> MonotoneWitness | None:
     The pair agrees on the first m-1 digits and differs at the first flipped
     position m; returns None when no position up to rank is flipped."""
     if rank < 1:
-        raise ValueError("rank must be >= 1")
+        raise InvalidArgument(f"rank must be >= 1, got {rank}")
     m = system.flips.min_position()
     if m is None or m > rank:
         return None
@@ -189,7 +190,7 @@ def integral_series(system: FlipSystem, tol=Fraction(1, 10**12)) -> Enclosure:
     enclosure adds the geometric tail bound and has width <= tol."""
     tol = as_fraction(tol)
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise InvalidArgument(f"tol must be positive, got {tol}")
     pv = system.pv
     q = pv.q
     v_plain = sum(pv.beta[c] * pv.p[c] for c in range(q))
@@ -221,29 +222,17 @@ def integral_riemann(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET
     hull, so the enclosure always contains the true integral and its width is
     the measure-weighted sum of image widths."""
     if rank < 1:
-        raise ValueError("rank must be >= 1")
+        raise InvalidArgument(f"rank must be >= 1, got {rank}")
     pv = system.pv
     if pv.q ** rank > budget:
         raise RankTooLarge(f"{pv.q}**{rank} exceeds budget {budget}")
-    lower = Fraction(0)
-    upper = Fraction(0)
-
-    def walk(k: int, measure: Fraction, img_lo: Fraction, img_w: Fraction):
-        nonlocal lower, upper
-        if k > rank:
-            lower += measure * img_lo
-            upper += measure * (img_lo + img_w)
-            return
-        for c in range(pv.q):
-            walk(
-                k + 1,
-                measure * pv.p[c],
-                img_lo + img_w * system.offset(k, c),
-                img_w * system.weight(k, c),
-            )
-
-    walk(1, Fraction(1), Fraction(0), Fraction(1))
-    return Enclosure(lower, upper)
+    lower = 0
+    upper = 0
+    for _, x_w, y_lo, y_w in cylinder_images(system, rank):
+        lower += x_w * y_lo
+        upper += x_w * (y_lo + y_w)
+    scale = pv.den ** (2 * rank)
+    return Enclosure(Fraction(lower, scale), Fraction(upper, scale))
 
 
 def cylinder_image(base: Sequence[int], system: FlipSystem) -> tuple[Cylinder, Enclosure]:

@@ -24,7 +24,6 @@ from .analysis import (
     p_rationals,
 )
 from .core import (
-    DigitSeq,
     classify,
     cylinder_bounds,
     encode,
@@ -188,19 +187,7 @@ def cmd_jumps(args):
 
 
 def cmd_graph(args):
-    pv = args.p
-    system = FlipSystem(pv, args.flips)
-    if system.shift_invariant:
-        points = ifs_graph_points(system, args.depth)
-    else:
-        # positional flips: same x grid, values straight from the series
-        points = []
-        stack = [()]
-        for _ in range(args.depth):
-            stack = [w + (c,) for w in stack for c in range(pv.q)]
-        for word in stack:
-            seq = DigitSeq(word, pv.q)
-            points.append((eval_digits(seq, pv), eval_flip(seq, system).value))
+    points = ifs_graph_points(FlipSystem(args.p, args.flips), args.depth)
     header = ["x", "y"]
     if args.exact:
         rows = [[q_str(x), q_str(y)] for x, y in points]

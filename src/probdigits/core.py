@@ -23,11 +23,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import (
     BaseTooSmall,
     DigitOutOfRange,
+    InvalidArgument,
     NonPositiveWeight,
     OutOfUnitInterval,
     ShiftPastPrefix,
@@ -69,6 +71,11 @@ class ProbVector:
     @property
     def max_p(self) -> Fraction:
         return max(self.p)
+
+    @property
+    def den(self) -> int:
+        """Least common denominator D of the weights: every p[c] and beta[c] is an integer over D."""
+        return lcm(*(v.denominator for v in self.p))
 
     @classmethod
     def uniform(cls, q: int) -> "ProbVector":
@@ -252,6 +259,8 @@ def encode(x, pv: ProbVector, depth: int = 32) -> DigitSeq:
     If the shift orbit hits 0 the prefix stops there and the result is exact;
     otherwise the returned prefix names the depth-rank cylinder containing x.
     """
+    if depth < 0:
+        raise InvalidArgument(f"depth must be >= 0, got {depth}")
     x = as_fraction(x)
     if x < 0 or x > 1:
         raise OutOfUnitInterval(f"{x} not in [0, 1]")
@@ -271,7 +280,7 @@ def encode(x, pv: ProbVector, depth: int = 32) -> DigitSeq:
 def shift_digits(seq: DigitSeq, n: int = 1) -> DigitSeq:
     """Drop the first n explicit digits; the tail is shift-invariant."""
     if n < 0:
-        raise ValueError("shift count must be >= 0")
+        raise InvalidArgument(f"shift count must be >= 0, got {n}")
     if n > len(seq.digits):
         raise ShiftPastPrefix(f"cannot drop {n} digits from a prefix of length {len(seq.digits)}")
     return DigitSeq(seq.digits[n:], seq.q, seq.tail)

@@ -59,3 +59,7 @@ class EmptyAlphabet(ProbDigitsError):
 
 class FlipSpecError(ProbDigitsError, ValueError):
     """A textual flip-set spec could not be parsed; message points at the offending token."""
+
+
+class InvalidArgument(ProbDigitsError, ValueError):
+    """An argument lies outside its domain: a negative depth or offset, a rank below 1, a non-positive tolerance."""

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .core import DigitSeq, Enclosure, ProbVector, horner_sum
-from .errors import DigitOutOfRange, FlipSpecError
+from .core import DigitSeq, Enclosure, ProbVector, eval_digits, horner_sum
+from .errors import DigitOutOfRange, FlipSpecError, InvalidArgument
 
 
 class FlipKind(Enum):
@@ -99,7 +99,7 @@ class FlipSet:
 
     def contains(self, k: int) -> bool:
         if k < 1:
-            raise ValueError(f"positions are 1-based, got {k}")
+            raise InvalidArgument(f"positions are 1-based, got {k}")
         if self.kind is FlipKind.NONE:
             return False
         if self.kind is FlipKind.ALL:
@@ -133,7 +133,7 @@ class FlipSet:
     def pattern_from(self, start: int) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
         """Flip bits for positions start, start+1, ... as (preperiod, period)."""
         if start < 1:
-            raise ValueError(f"positions are 1-based, got {start}")
+            raise InvalidArgument(f"positions are 1-based, got {start}")
         if self.kind is FlipKind.NONE:
             return (), (False,)
         if self.kind is FlipKind.ALL:
@@ -175,9 +175,6 @@ class FlipSystem:
 
     pv: ProbVector
     flips: FlipSet
-
-    def flipped(self, k: int) -> bool:
-        return self.flips.contains(k)
 
     def digit(self, k: int, d: int) -> int:
         self.pv.check_digit(d)
@@ -232,33 +229,6 @@ def nega_to_digits(seq: DigitSeq) -> DigitSeq:
 # Value-level map
 # ---------------------------------------------------------------------------
 
-def _series_terms(seq: DigitSeq, system: FlipSystem, offset: int):
-    """(prefix, cycle) of (offset, weight) pairs for the flipped series of seq,
-    with position k of seq read as absolute position k + offset."""
-    if seq.q != system.pv.q:
-        raise DigitOutOfRange(f"sequence alphabet {seq.q} != vector alphabet {system.pv.q}")
-    m = len(seq.digits)
-    pre = [
-        (system.offset(k + offset, d), system.weight(k + offset, d))
-        for k, d in enumerate(seq.digits, start=1)
-    ]
-    fpre, fper = system.flips.pattern_from(m + 1 + offset)
-    block = seq.tail
-    pv = system.pv
-    top = pv.q - 1
-
-    def term(bit: bool, d: int):
-        dd = top - d if bit else d
-        return pv.beta[dd], pv.p[dd]
-
-    for i, bit in enumerate(fpre):
-        pre.append(term(bit, block[i % len(block)]))
-    span = lcm(len(block), len(fper))
-    phase = len(fpre) % len(block)
-    cycle = [term(fper[i % len(fper)], block[(phase + i) % len(block)]) for i in range(span)]
-    return pre, cycle
-
-
 def eval_flip(seq: DigitSeq, system: FlipSystem, offset: int = 0) -> Enclosure:
     """Exact value of the flipped series of seq (a degenerate enclosure).
 
@@ -267,9 +237,11 @@ def eval_flip(seq: DigitSeq, system: FlipSystem, offset: int = 0) -> Enclosure:
     functional system f(shift^{n-1} x) = offset_n + weight_n * f(shift^n x).
     """
     if offset < 0:
-        raise ValueError("offset must be >= 0")
-    pre, cycle = _series_terms(seq, system, offset)
-    return Enclosure.point(horner_sum(pre, cycle))
+        raise InvalidArgument(f"offset must be >= 0, got {offset}")
+    flips = system.flips
+    if offset > 0:
+        flips = FlipSet.mask(*flips.pattern_from(offset + 1))
+    return Enclosure.point(eval_digits(flip_digits(seq, flips), system.pv))
 
 
 def flip_image(base: Sequence[int], system: FlipSystem, offset: int = 0) -> Enclosure:
@@ -282,6 +254,40 @@ def flip_image(base: Sequence[int], system: FlipSystem, offset: int = 0) -> Encl
         total += weight * system.offset(k + offset, d)
         weight *= system.weight(k + offset, d)
     return Enclosure(total, total + weight)
+
+
+def cylinder_images(system: FlipSystem, rank: int) -> Iterator[tuple[int, int, int, int]]:
+    """Every rank-r cylinder [x_lo, x_lo + x_w] with the hull [y_lo, y_lo + y_w]
+    of its flip image, in lexicographic base order.
+
+    All four values are integer numerators over D**rank, D = system.pv.den, so
+    the walk does no Fraction arithmetic.  Depth-first over an explicit stack:
+    O(rank * q) memory.
+    """
+    pv = system.pv
+    den = pv.den
+    cells = [(int(pv.beta[c] * den), int(pv.p[c] * den)) for c in range(pv.q)]
+    # rows[k][c]: (x offset, x weight, y offset, y weight) of digit c at position k + 1;
+    # a flipped position reads the complement q-1-c, i.e. the cells in reverse
+    rows = []
+    for k in range(1, rank + 1):
+        image = cells[::-1] if system.flips.contains(k) else cells
+        rows.append([x + y for x, y in zip(cells, image)])
+    if rank == 0:
+        yield 0, 1, 0, 1
+        return
+    last = rank - 1
+    stack = [(0, 0, 1, 0, 1)]
+    while stack:
+        k, x_lo, x_w, y_lo, y_w = stack.pop()
+        x_lo *= den
+        y_lo *= den
+        if k == last:
+            for bx, px, by, py in rows[k]:
+                yield x_lo + x_w * bx, x_w * px, y_lo + y_w * by, y_w * py
+        else:
+            stack.extend((k + 1, x_lo + x_w * bx, x_w * px, y_lo + y_w * by, y_w * py)
+                         for bx, px, by, py in reversed(rows[k]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DEFAULT_BUDGET, DigitSeq, ProbVector
-from .errors import BudgetExceeded, EmptyAlphabet, NotShiftInvariant
-from .flips import FlipSystem, eval_flip
+from .errors import BudgetExceeded, EmptyAlphabet, InvalidArgument, NotShiftInvariant
+from .flips import FlipSystem, cylinder_images, eval_flip
 
 #: Fixed crossing level for the dimension bisection.  At alpha = 1 the
 #: entropy sum is exactly sqrt(2) whenever the horizontal and vertical
@@ -60,38 +60,24 @@ def ifs_maps(system: FlipSystem) -> list[AffineMap2D]:
 
 
 def ifs_graph_points(system: FlipSystem, depth: int, budget: int = DEFAULT_BUDGET) -> list[tuple[Fraction, Fraction]]:
-    """All q**depth depth-fold compositions applied to the seed (0, g(0)).
+    """The q**depth graph points over the rank-depth cylinder left endpoints.
 
-    The x coordinates are exactly the rank-depth cylinder left endpoints and
-    every point lies on the graph."""
+    For flips none or all these are the depth-fold compositions of the affine
+    maps applied to the seed (0, g(0)).  Any flip set works: the point over a
+    cylinder is its image's lower end plus the image width times the value
+    of the flipped zero tail from position depth + 1."""
     if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if not system.shift_invariant:
-        raise NotShiftInvariant("the affine system needs flips none or all")
+        raise InvalidArgument(f"depth must be >= 0, got {depth}")
     pv = system.pv
     if pv.q ** depth > budget:
         raise BudgetExceeded(f"{pv.q}**{depth} points exceed budget {budget}")
-    g0 = eval_flip(DigitSeq((), pv.q), system).value
-    one = Fraction(1)
-    zero = Fraction(0)
-    points: list[tuple[Fraction, Fraction]] = []
-
-    def walk(k: int, ax: Fraction, bx: Fraction, ay: Fraction, by: Fraction):
-        # composed transform z -> (ax z + bx, ay z + by), outermost map first
-        if k == depth:
-            points.append((bx, ay * g0 + by))
-            return
-        for c in range(pv.q):
-            walk(
-                k + 1,
-                ax * pv.p[c],
-                ax * pv.beta[c] + bx,
-                ay * system.weight(1, c),
-                ay * system.offset(1, c) + by,
-            )
-
-    walk(0, one, zero, one, zero)
-    return points
+    tail = eval_flip(DigitSeq((), pv.q), system, offset=depth).value
+    t_num, t_den = tail.numerator, tail.denominator
+    scale = pv.den ** depth
+    return [
+        (Fraction(x_lo, scale), Fraction(y_lo * t_den + y_w * t_num, scale * t_den))
+        for x_lo, _, y_lo, y_w in cylinder_images(system, depth)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +96,8 @@ def _compositions(total: int, parts: int):
 def rectangle_diagonals_sq(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET):
     """Exact squared diagonals of the occupied rank-r covering rectangles,
     as (multiplicity, diag_sq) pairs."""
+    if rank < 0:
+        raise InvalidArgument(f"rank must be >= 0, got {rank}")
     pv = system.pv
     q = pv.q
     if q ** rank > budget:
@@ -128,17 +116,8 @@ def rectangle_diagonals_sq(system: FlipSystem, rank: int, budget: int = DEFAULT_
                 wy *= system.weight(1, c) ** n
             out.append((mult, wx * wx + wy * wy))
         return out
-    out = []
-
-    def walk(k: int, wx: Fraction, wy: Fraction):
-        if k > rank:
-            out.append((1, wx * wx + wy * wy))
-            return
-        for c in range(q):
-            walk(k + 1, wx * pv.p[c], wy * system.weight(k, c))
-
-    walk(1, Fraction(1), Fraction(1))
-    return out
+    scale = pv.den ** (2 * rank)
+    return [(1, Fraction(x_w * x_w + y_w * y_w, scale)) for _, x_w, _, y_w in cylinder_images(system, rank)]
 
 
 def entropy_sum(system: FlipSystem, alpha, rank: int, budget: int = DEFAULT_BUDGET) -> float:
@@ -149,9 +128,9 @@ def entropy_sum(system: FlipSystem, alpha, rank: int, budget: int = DEFAULT_BUDG
     in alpha."""
     alpha = float(alpha)
     if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+        raise InvalidArgument(f"alpha must be >= 0, got {alpha}")
     if rank < 1:
-        raise ValueError("rank must be >= 1")
+        raise InvalidArgument(f"rank must be >= 1, got {rank}")
     half = alpha / 2.0
     return math.fsum(mult * float(d2) ** half for mult, d2 in rectangle_diagonals_sq(system, rank, budget))
 
@@ -164,8 +143,10 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
     if not system.shift_invariant:
         raise NotShiftInvariant("dimension estimation needs flips none or all")
     ranks = list(ranks)
+    if any(rank < 1 for rank in ranks):
+        raise InvalidArgument(f"ranks must be >= 1, got {ranks}")
     if any(b <= a for a, b in zip(ranks, ranks[1:])):
-        raise ValueError("ranks must be strictly increasing")
+        raise InvalidArgument(f"ranks must be strictly increasing, got {ranks}")
     out: dict[int, float] = {}
     for rank in ranks:
         diags = rectangle_diagonals_sq(system, rank, budget)
@@ -222,7 +203,7 @@ def moran_dimension(spec: MoranSpec, tol: float = 1e-12) -> float:
     degenerate alphabets (empty product mass) return 0.  Stops when the
     residual |F(alpha) - 1| is within tol."""
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise InvalidArgument(f"tol must be positive, got {tol}")
     weights = [float(w) for w in spec.block_weights().values()]
     if not weights:
         raise EmptyAlphabet(f"no admissible block digits for q={spec.pv.q}, u={spec.u}")
@@ -249,7 +230,7 @@ def moran_set_cylinders(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET
     walk tracks the current run length of u and either extends the run (while
     some longer block allows it) or closes it with the digit run+1."""
     if rank < 1:
-        raise ValueError("rank must be >= 1")
+        raise InvalidArgument(f"rank must be >= 1, got {rank}")
     alphabet = set(spec.alphabet)
     if not alphabet:
         return []

@@ -8,6 +8,7 @@ from probdigits import (
     EndpointOneSided,
     FlipSet,
     FlipSystem,
+    InvalidArgument,
     NotPRational,
     NotShiftInvariant,
     PrefixTooShort,
@@ -21,6 +22,7 @@ from probdigits import (
     integral_riemann,
     integral_series,
     jump_at,
+    make_prob_vector,
     monotone_witness,
     p_rationals,
 )
@@ -126,6 +128,8 @@ def test_witness_examples(uniform2):
 def test_witness_out_of_rank(uniform2):
     assert monotone_witness(FlipSystem(uniform2, FlipSet.finite([5])), 4) is None
     assert monotone_witness(FlipSystem(uniform2, FlipSet.finite([5])), 5) is not None
+    with pytest.raises(InvalidArgument):
+        monotone_witness(FlipSystem(uniform2, FlipSet.finite([5])), 0)
 
 
 def test_witness_all_variants_and_vectors():
@@ -212,6 +216,8 @@ def test_integral_riemann_examples(uniform2, asym2):
     assert enc.contains(Fraction(1, 10))
     with pytest.raises(RankTooLarge):
         integral_riemann(FlipSystem(uniform2, FlipSet.none()), 21)
+    with pytest.raises(InvalidArgument):
+        integral_riemann(FlipSystem(uniform2, FlipSet.none()), 0)
 
 
 def test_integral_triple_agreement(pv3, asym2, uniform2):
@@ -237,18 +243,27 @@ def test_integral_riemann_oracle_against_direct_sum(asym2):
 
     from probdigits import cylinder_image
 
-    system = FlipSystem(asym2, FlipSet.all())
-    lower = Fraction(0)
-    upper = Fraction(0)
-    for base in product(range(2), repeat=6):
-        cyl, image = cylinder_image(base, system)
-        lower += cyl.width * image.lo
-        upper += cyl.width * image.hi
-    enc = integral_riemann(system, 6)
-    assert (enc.lo, enc.hi) == (lower, upper)
+    coprime = make_prob_vector(["2/7", "3/11", "34/77"])
+    for system, rank in (
+        (FlipSystem(asym2, FlipSet.all()), 6),
+        (FlipSystem(asym2, FlipSet.finite([2])), 6),
+        (FlipSystem(asym2, FlipSet.mask((True,), (False, True))), 6),
+        (FlipSystem(coprime, FlipSet.mask((True,), (False, True))), 4),
+    ):
+        lower = Fraction(0)
+        upper = Fraction(0)
+        for base in product(range(system.pv.q), repeat=rank):
+            cyl, image = cylinder_image(base, system)
+            lower += cyl.width * image.lo
+            upper += cyl.width * image.hi
+        enc = integral_riemann(system, rank)
+        assert (enc.lo, enc.hi) == (lower, upper)
 
 
 def test_integral_series_respects_tolerance(asym2):
     for tol in (Fraction(1, 10**3), Fraction(1, 10**9)):
         enc = integral_series(FlipSystem(asym2, FlipSet.all()), tol)
         assert enc.width <= tol
+    for tol in (0, Fraction(-1, 10)):
+        with pytest.raises(InvalidArgument):
+            integral_series(FlipSystem(asym2, FlipSet.all()), tol)

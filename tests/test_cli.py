@@ -148,6 +148,12 @@ def test_graph_positional_flips_float(capsys):
     assert all(0.0 <= float(y) <= 1.0 for _, y in rows)
 
 
+def test_graph_positional_flips_budget(capsys):
+    code, out, err = run_cli(capsys, "graph", "--p", "1/2,1/2", "--flips", "mask:;01", "--depth", "21")
+    assert code == 2 and out == ""
+    assert err.startswith("error: BudgetExceeded: ")
+
+
 def test_graph_deterministic(capsys):
     _, rows1 = run_csv(capsys, "graph", "--p", "1/4,3/4", "--flips", "all", "--depth", "5")
     _, rows2 = run_csv(capsys, "graph", "--p", "1/4,3/4", "--flips", "all", "--depth", "5")
@@ -181,6 +187,25 @@ def test_scan_derivative_seeded(capsys):
     assert len(rows1) == 15
     _, rows3 = run_csv(capsys, *args[:-1], "12")
     assert rows3 != rows1
+
+
+# ---------------------------------------------------------------------------
+# argument domains
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["integral", "--p", "1/2,1/2", "--rank", "0"],
+    ["integral", "--p", "1/2,1/2", "--tol", "0"],
+    ["graph", "--p", "1/2,1/2", "--flips", "all", "--depth", "-1"],
+    ["dimension", "--p", "1/2,1/2", "--flips", "all", "--rank", "0"],
+    ["dimension", "--p", "1/4,1/4,1/4,1/4", "--rank", "2", "--u", "1", "--tol", "0"],
+    ["convert", "--p", "1/2,1/2", "--x", "1/3", "--depth", "-5"],
+], ids=lambda argv: " ".join(argv))
+def test_argument_out_of_domain_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: InvalidArgument: ")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from probdigits import (
     BaseTooSmall,
     DigitOutOfRange,
     DigitSeq,
+    InvalidArgument,
     NonPositiveWeight,
     OutOfUnitInterval,
     PointKind,
@@ -43,6 +44,13 @@ def test_make_prob_vector_cumulative_oracle(pv3):
         expected.append(expected[-1] + w)
     assert list(pv3.beta) == expected
     assert pv3.beta == (0, Fraction(1, 5), Fraction(1, 2), 1)
+
+
+def test_prob_vector_common_denominator(pv3):
+    coprime = make_prob_vector(["2/7", "3/11", "34/77"])
+    for pv, den in ((pv3, 10), (coprime, 77), (ProbVector.uniform(4), 4)):
+        assert pv.den == den
+        assert all((v * den).denominator == 1 for v in pv.p + pv.beta)
 
 
 def test_make_prob_vector_rejections():
@@ -147,6 +155,9 @@ def test_encode_one_and_bounds(pv3):
     assert eval_digits(one, pv3) == 1
     with pytest.raises(OutOfUnitInterval):
         encode(Fraction(3, 2), pv3, 4)
+    with pytest.raises(InvalidArgument):
+        encode(Fraction(1, 3), pv3, -5)
+    assert encode(Fraction(1, 3), pv3, 0).digits == ()
 
 
 def test_encode_round_trip():
@@ -283,6 +294,8 @@ def test_shift_past_prefix():
     assert shift_digits(seq, 2).digits == ()
     with pytest.raises(ShiftPastPrefix):
         shift_digits(seq, 3)
+    with pytest.raises(InvalidArgument):
+        shift_digits(seq, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from probdigits import (
     FlipSet,
     FlipSpecError,
     FlipSystem,
+    InvalidArgument,
     ProbVector,
     encode,
     eval_digits,
@@ -17,6 +18,7 @@ from probdigits import (
     eval_nega,
     flip_digits,
     flip_image,
+    make_prob_vector,
     nega_to_digits,
     shift_digits,
 )
@@ -40,6 +42,10 @@ def test_flipset_membership():
     assert [k in fs for k in range(1, 7)] == [False, True, False, False, True, False]
     mask = FlipSet.mask((True,), (False, True))
     assert [mask.contains(k) for k in range(1, 8)] == [True, False, True, False, True, False, True]
+    with pytest.raises(InvalidArgument):
+        mask.contains(0)
+    with pytest.raises(InvalidArgument):
+        mask.pattern_from(0)
 
 
 def test_flipset_normalization():
@@ -172,6 +178,8 @@ def test_offset_zero_is_plain_eval():
         for _ in range(10):
             seq = random_seq(rng, 2)
             assert eval_flip(seq, system, offset=0) == eval_flip(seq, system)
+        with pytest.raises(InvalidArgument):
+            eval_flip(seq, system, offset=-1)
 
 
 def test_offset_irrelevant_for_shift_invariant_flips():
@@ -227,6 +235,28 @@ def test_flip_image_contains_values(pv3):
             for k, d in enumerate(base, start=1):
                 width *= system.weight(k, d)
             assert hull.width == width
+
+
+def test_cylinder_images_match_per_base_fractions():
+    # the integer walk against per-base Fraction arithmetic, in lexicographic order
+    from itertools import product
+
+    from probdigits import cylinder_bounds
+    from probdigits.flips import cylinder_images
+
+    coprime = make_prob_vector(["2/7", "3/11", "34/77"])
+    for pv in (ASYM_VECTORS[2], coprime):
+        for fs in ALL_VARIANTS:
+            system = FlipSystem(pv, fs)
+            for rank in range(5):
+                scale = pv.den ** rank
+                walked = [tuple(Fraction(v, scale) for v in row) for row in cylinder_images(system, rank)]
+                expected = []
+                for base in product(range(pv.q), repeat=rank):
+                    cyl = cylinder_bounds(base, pv)
+                    hull = flip_image(base, system)
+                    expected.append((cyl.lo, cyl.width, hull.lo, hull.width))
+                assert walked == expected
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ from probdigits import (
     EmptyAlphabet,
     FlipSet,
     FlipSystem,
+    InvalidArgument,
     MoranSpec,
     NotShiftInvariant,
     ProbVector,
     covering_measure,
     cylinder_bounds,
+    cylinder_image,
     entropy_sum,
     eval_flip,
     graph_dimension_estimate,
@@ -63,20 +65,28 @@ def test_graph_points_identity_and_complement(uniform2, pv3):
     assert all(y == 1 - x for x, y in pts)
 
 
-def test_graph_points_membership_and_completeness(asym2):
-    system = FlipSystem(asym2, FlipSet.all())
-    depth = 8
-    pts = ifs_graph_points(system, depth)
-    words = list(product(range(2), repeat=depth))
-    assert len(pts) == len(words)
-    for word, (x, y) in zip(words, pts):
-        assert x == cylinder_bounds(word, asym2).lo
-        assert eval_flip(DigitSeq(word, 2), system).contains(y)
+def test_graph_points_membership_and_completeness(asym2, pv3):
+    for system, depth in (
+        (FlipSystem(asym2, FlipSet.all()), 8),
+        (FlipSystem(asym2, FlipSet.mask((), (False, True))), 8),
+        (FlipSystem(pv3, FlipSet.finite([2, 5])), 4),
+    ):
+        q = system.pv.q
+        pts = ifs_graph_points(system, depth)
+        words = list(product(range(q), repeat=depth))
+        assert len(pts) == len(words)
+        for word, (x, y) in zip(words, pts):
+            assert x == cylinder_bounds(word, system.pv).lo
+            assert y == eval_flip(DigitSeq(word, q), system).value
 
 
 def test_graph_points_budget(uniform2):
     with pytest.raises(BudgetExceeded):
         ifs_graph_points(FlipSystem(uniform2, FlipSet.none()), 8, budget=100)
+    with pytest.raises(BudgetExceeded):
+        ifs_graph_points(FlipSystem(uniform2, FlipSet.finite([2])), 8, budget=100)
+    with pytest.raises(InvalidArgument):
+        ifs_graph_points(FlipSystem(uniform2, FlipSet.none()), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +104,10 @@ def test_entropy_alpha_zero_counts(pv3):
     system = FlipSystem(pv3, FlipSet.all())
     for rank in (1, 3, 6):
         assert entropy_sum(system, 0, rank) == 3**rank
+    with pytest.raises(InvalidArgument):
+        entropy_sum(system, -1, 3)
+    with pytest.raises(InvalidArgument):
+        entropy_sum(system, 0, 0)
 
 
 def test_entropy_identity_telescopes(asym2):
@@ -138,6 +152,19 @@ def test_entropy_positional_flips_use_positions(pv3):
     assert entropy_sum(system, 1, 2) == pytest.approx(total, rel=1e-12)
 
 
+def test_rectangle_diagonals_positional_match_cylinder_images(pv3):
+    # independent route: per-base Fraction widths of each cylinder and its image
+    system = FlipSystem(pv3, FlipSet.mask((True,), (False, True)))
+    rank = 4
+    expected = []
+    for base in product(range(3), repeat=rank):
+        cyl, image = cylinder_image(base, system)
+        expected.append((1, cyl.width ** 2 + image.width ** 2))
+    assert rectangle_diagonals_sq(system, rank) == expected
+    with pytest.raises(InvalidArgument):
+        rectangle_diagonals_sq(system, -1)
+
+
 def test_entropy_sandwich_bounds(asym2):
     a, b = min(asym2.p), max(asym2.p)
     for fs in (FlipSet.none(), FlipSet.all()):
@@ -157,6 +184,9 @@ def test_dimension_estimates(uniform2, asym2):
     est = graph_dimension_estimate(FlipSystem(asym2, FlipSet.all()), [6, 10, 14])
     assert est[6] > est[10] > est[14] > 1.0  # trend toward 1 from above
     assert est[14] < 1.05
+    for ranks in ([0, 2], [4, 2]):
+        with pytest.raises(InvalidArgument):
+            graph_dimension_estimate(FlipSystem(uniform2, FlipSet.all()), ranks)
 
 
 def test_dimension_needs_invariant_flips(uniform2):
@@ -189,6 +219,8 @@ def test_moran_degenerate_cases():
     assert moran_dimension(MoranSpec(ProbVector.uniform(2), 0)) == 0.0
     with pytest.raises(EmptyAlphabet):
         moran_dimension(MoranSpec(ProbVector.uniform(2), 1))
+    with pytest.raises(InvalidArgument):
+        moran_dimension(MoranSpec(ProbVector.uniform(4), 1), 0.0)
 
 
 def test_moran_asymmetric_residual():
@@ -217,6 +249,8 @@ def test_moran_blocks_match_weights():
 def test_moran_set_cylinders_rank2():
     spec = MoranSpec(ProbVector.uniform(4), 1)
     assert moran_set_cylinders(spec, 2) == [(1, 1), (1, 2)]
+    with pytest.raises(InvalidArgument):
+        moran_set_cylinders(spec, 0)
 
 
 def test_moran_set_cylinders_empty_alphabet():
