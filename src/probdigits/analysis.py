@@ -37,7 +37,7 @@ from .errors import (
     PrefixTooShort,
     RankTooLarge,
 )
-from .flips import FlipKind, FlipSet, FlipSystem, cylinder_images, eval_flip, flip_image
+from .flips import FlipKind, FlipSet, FlipSystem, eval_flip, flip_image
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +93,8 @@ def p_rationals(pv, count: int) -> list[Fraction]:
 
     Each such point has a unique terminating address whose last digit is
     nonzero; enumerating (rank, head, last digit) therefore never repeats."""
+    if count < 0:
+        raise InvalidArgument(f"count must be >= 0, got {count}")
     out: list[Fraction] = []
     rank = 1
     while len(out) < count:
@@ -154,6 +156,8 @@ def derivative_estimate(prefix: Sequence[int], system: FlipSystem, max_rank: int
 
     The rank-m ratio is the product over t <= m of weight(t, c_t)/p[c_t]; its
     decay along Lebesgue-typical prefixes is the singularity diagnostic."""
+    if max_rank < 1:
+        raise InvalidArgument(f"max_rank must be >= 1, got {max_rank}")
     digits = tuple(system.pv.check_digit(d) for d in prefix)
     if len(digits) < max_rank:
         raise PrefixTooShort(f"prefix of length {len(digits)} cannot reach rank {max_rank}")
@@ -183,6 +187,21 @@ def integral_closed_form(system: FlipSystem) -> Fraction:
     return u / (1 - w)
 
 
+def _expected_terms(pv) -> tuple[int, int, int, int]:
+    """Expected offset and weight of one digit drawn with law p, read from the
+    plain and the flipped column: (v_plain, v_flip, w_plain, w_flip), as
+    integer numerators over D**2 with D = pv.den."""
+    den = pv.den
+    beta = [int(b * den) for b in pv.beta[:-1]]
+    p = [int(w * den) for w in pv.p]
+    return (
+        sum(b * w for b, w in zip(beta, p)),
+        sum(b * w for b, w in zip(reversed(beta), p)),
+        sum(w * w for w in p),
+        sum(a * w for a, w in zip(reversed(p), p)),
+    )
+
+
 def integral_series(system: FlipSystem, tol=Fraction(1, 10**12)) -> Enclosure:
     """Positional-expectation series: under Lebesgue measure the digits are
     independent with law p, so the integral is sum_k v_k prod_{j<k} w_j with
@@ -191,12 +210,8 @@ def integral_series(system: FlipSystem, tol=Fraction(1, 10**12)) -> Enclosure:
     tol = as_fraction(tol)
     if tol <= 0:
         raise InvalidArgument(f"tol must be positive, got {tol}")
-    pv = system.pv
-    q = pv.q
-    v_plain = sum(pv.beta[c] * pv.p[c] for c in range(q))
-    v_flip = sum(pv.beta[q - 1 - c] * pv.p[c] for c in range(q))
-    w_plain = sum(pv.p[c] * pv.p[c] for c in range(q))
-    w_flip = sum(pv.p[q - 1 - c] * pv.p[c] for c in range(q))
+    den_sq = system.pv.den ** 2
+    v_plain, v_flip, w_plain, w_flip = (Fraction(n, den_sq) for n in _expected_terms(system.pv))
     v_max = max(v_plain, v_flip)
     w_max = max(w_plain, w_flip)
     total = Fraction(0)
@@ -220,19 +235,26 @@ def integral_riemann(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET
 
     Each cylinder contributes its width times the endpoints of the flip-image
     hull, so the enclosure always contains the true integral and its width is
-    the measure-weighted sum of image widths."""
+    the measure-weighted sum of image widths.  The digits are independent
+    with law p, so the sums are the rank-r partial sums of the series:
+    lower = sum_{k<=r} v_k prod_{j<k} w_j, upper = lower + prod_{k<=r} w_k.
+    The cost is O(rank); the budget still caps q**rank."""
     if rank < 1:
         raise InvalidArgument(f"rank must be >= 1, got {rank}")
     pv = system.pv
     if pv.q ** rank > budget:
         raise RankTooLarge(f"{pv.q}**{rank} exceeds budget {budget}")
+    v_plain, v_flip, w_plain, w_flip = _expected_terms(pv)
+    den_sq = pv.den ** 2
+    # Horner over D**2: term k picks up one factor D**2 per later position
     lower = 0
-    upper = 0
-    for _, x_w, y_lo, y_w in cylinder_images(system, rank):
-        lower += x_w * y_lo
-        upper += x_w * (y_lo + y_w)
-    scale = pv.den ** (2 * rank)
-    return Enclosure(Fraction(lower, scale), Fraction(upper, scale))
+    weight = 1
+    for k in range(1, rank + 1):
+        v, w = (v_flip, w_flip) if system.flips.contains(k) else (v_plain, w_plain)
+        lower = lower * den_sq + v * weight
+        weight *= w
+    scale = den_sq ** rank
+    return Enclosure(Fraction(lower, scale), Fraction(lower + weight, scale))
 
 
 def cylinder_image(base: Sequence[int], system: FlipSystem) -> tuple[Cylinder, Enclosure]:

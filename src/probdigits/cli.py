@@ -31,7 +31,7 @@ from .core import (
     make_prob_vector,
     sample_digits,
 )
-from .errors import ProbDigitsError
+from .errors import InvalidArgument, ProbDigitsError
 from .flips import FlipSet, FlipSystem, eval_flip, flip_image
 from .fractal import MoranSpec, graph_dimension_estimate, ifs_graph_points, moran_dimension
 
@@ -212,6 +212,8 @@ def cmd_dimension(args):
 
 
 def cmd_scan_derivative(args):
+    if args.points < 0:
+        raise InvalidArgument(f"--points must be >= 0, got {args.points}")
     system = FlipSystem(args.p, args.flips)
     rng = random.Random(args.seed)
     header = ["sample", "m", "ratio", "ratio_float"]

@@ -417,9 +417,11 @@ def bernoulli_cdf(x, pv: ProbVector) -> Fraction:
 
 
 def sample_digits(pv: ProbVector, length: int, rng: random.Random) -> tuple[int, ...]:
-    """Digit prefix drawn i.i.d. with law p (i.e. a Lebesgue-random point)."""
-    thresholds = [float(b) for b in pv.beta[1:-1]]
-    return tuple(bisect_right(thresholds, rng.random()) for _ in range(length))
+    """Digit prefix drawn i.i.d. with law p exactly (i.e. a Lebesgue-random point):
+    a uniform integer in [0, D) picks the digit whose cell holds it, D = pv.den."""
+    den = pv.den
+    thresholds = [int(b * den) for b in pv.beta[1:-1]]
+    return tuple(bisect_right(thresholds, rng.randrange(den)) for _ in range(length))
 
 
 # ---------------------------------------------------------------------------

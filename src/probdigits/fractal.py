@@ -102,21 +102,25 @@ def rectangle_diagonals_sq(system: FlipSystem, rank: int, budget: int = DEFAULT_
     q = pv.q
     if q ** rank > budget:
         raise BudgetExceeded(f"{q}**{rank} rectangles exceed budget {budget}")
+    den = pv.den
+    scale = den ** (2 * rank)
     if system.shift_invariant:
-        # sides depend only on the digit multiset: group by digit counts
+        # sides depend only on the digit multiset: group by digit counts;
+        # the side products are integers over D**rank
+        px = [int(w * den) for w in pv.p]
+        py = px[::-1] if system.flips.contains(1) else px
         fact = math.factorial
         out = []
         for counts in _compositions(rank, q):
             mult = fact(rank)
-            wx = Fraction(1)
-            wy = Fraction(1)
-            for c, n in enumerate(counts):
+            wx = 1
+            wy = 1
+            for n, x, y in zip(counts, px, py):
                 mult //= fact(n)
-                wx *= pv.p[c] ** n
-                wy *= system.weight(1, c) ** n
-            out.append((mult, wx * wx + wy * wy))
+                wx *= x ** n
+                wy *= y ** n
+            out.append((mult, Fraction(wx * wx + wy * wy, scale)))
         return out
-    scale = pv.den ** (2 * rank)
     return [(1, Fraction(x_w * x_w + y_w * y_w, scale)) for _, x_w, _, y_w in cylinder_images(system, rank)]
 
 
@@ -149,11 +153,11 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
         raise InvalidArgument(f"ranks must be strictly increasing, got {ranks}")
     out: dict[int, float] = {}
     for rank in ranks:
-        diags = rectangle_diagonals_sq(system, rank, budget)
+        diags = [(mult, float(d2)) for mult, d2 in rectangle_diagonals_sq(system, rank, budget)]
 
         def total(alpha: float) -> float:
             half = alpha / 2.0
-            return math.fsum(mult * float(d2) ** half for mult, d2 in diags)
+            return math.fsum(mult * d2 ** half for mult, d2 in diags)
 
         lo, hi = 0.0, 1.0
         while total(hi) > ENTROPY_THRESHOLD and hi < 64.0:
@@ -223,19 +227,36 @@ def moran_dimension(spec: MoranSpec, tol: float = 1e-12) -> float:
     return mid
 
 
+def _moran_automaton(spec: MoranSpec) -> list[list[tuple[int, int]]]:
+    """The run-length automaton of the block set.  Entry `run` lists, by digit,
+    the (digit, next run) steps after `run` copies of the marker: extend the
+    run while some longer block allows it, or close the block with the digit
+    run + 1.  Every state has a step; the table is empty with the alphabet."""
+    alphabet = spec.alphabet
+    if not alphabet:
+        return []
+    max_sym = max(alphabet)
+    table = []
+    for run in range(max_sym):
+        moves = []
+        if run < max_sym - 1:
+            moves.append((spec.u, run + 1))
+        if run + 1 in alphabet:
+            moves.append((run + 1, 0))
+        table.append(sorted(moves))
+    return table
+
+
 def moran_set_cylinders(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
     """All rank-length digit bases consistent with membership in the block set.
 
     A base is consistent iff it is a prefix of some block concatenation; the
-    walk tracks the current run length of u and either extends the run (while
-    some longer block allows it) or closes it with the digit run+1."""
+    walk follows the run-length automaton from run length 0."""
     if rank < 1:
         raise InvalidArgument(f"rank must be >= 1, got {rank}")
-    alphabet = set(spec.alphabet)
-    if not alphabet:
+    automaton = _moran_automaton(spec)
+    if not automaton:
         return []
-    max_sym = max(alphabet)
-    u = spec.u
     out: list[tuple[int, ...]] = []
 
     def walk(path: list[int], run: int):
@@ -244,12 +265,7 @@ def moran_set_cylinders(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET
                 raise BudgetExceeded(f"more than {budget} consistent bases at rank {rank}")
             out.append(tuple(path))
             return
-        moves = []
-        if run < max_sym - 1:
-            moves.append((u, run + 1))  # extend the marker run
-        if run + 1 in alphabet:
-            moves.append((run + 1, 0))  # close the block
-        for digit, next_run in sorted(moves):
+        for digit, next_run in automaton[run]:
             path.append(digit)
             walk(path, next_run)
             path.pop()
@@ -260,12 +276,30 @@ def moran_set_cylinders(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET
 
 def covering_measure(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Total length of the rank-r cylinders covering the block set; decreases
-    to 0, certifying zero Lebesgue measure."""
+    to 0, certifying zero Lebesgue measure.
+
+    A DP over the run-length automaton: per run length, the number of
+    consistent bases ending there and their total width as an integer over
+    D**k (D = pv.den), so no base is built.  Refuses more than `budget`
+    consistent bases, as `moran_set_cylinders` does."""
+    if rank < 1:
+        raise InvalidArgument(f"rank must be >= 1, got {rank}")
+    automaton = _moran_automaton(spec)
+    if not automaton:
+        return Fraction(0)
     pv = spec.pv
-    total = Fraction(0)
-    for base in moran_set_cylinders(spec, rank, budget):
-        w = Fraction(1)
-        for d in base:
-            w *= pv.p[d]
-        total += w
-    return total
+    p = [int(w * pv.den) for w in pv.p]
+    counts = [1] + [0] * (len(automaton) - 1)
+    widths = counts[:]
+    for _ in range(rank):
+        next_counts = [0] * len(automaton)
+        next_widths = [0] * len(automaton)
+        for run, moves in enumerate(automaton):
+            for digit, next_run in moves:
+                next_counts[next_run] += counts[run]
+                next_widths[next_run] += widths[run] * p[digit]
+        counts, widths = next_counts, next_widths
+        # every state has a step, so the count never falls: refuse as soon as it is over
+        if sum(counts) > budget:
+            raise BudgetExceeded(f"more than {budget} consistent bases at rank {rank}")
+    return Fraction(sum(widths), pv.den ** rank)

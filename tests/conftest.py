@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from probdigits import DigitSeq, ProbVector, make_prob_vector
+from probdigits.flips import cylinder_images
 
 #: the three asymmetric vectors used across the suite
 ASYM_VECTORS = {
@@ -36,3 +37,15 @@ def random_seq(rng: random.Random, q: int, max_len: int = 12, tails=("zero", "ma
 def random_fraction(rng: random.Random, max_den: int = 10**6) -> Fraction:
     den = rng.randint(1, max_den)
     return Fraction(rng.randint(0, den), den)
+
+
+def riemann_by_walk(system, rank: int) -> tuple[Fraction, Fraction]:
+    """Lower and upper Riemann sums by walking every rank-r cylinder: the sum of
+    width * image lower end and of width * image upper end."""
+    lower = 0
+    upper = 0
+    for _, x_w, y_lo, y_w in cylinder_images(system, rank):
+        lower += x_w * y_lo
+        upper += x_w * (y_lo + y_w)
+    scale = system.pv.den ** (2 * rank)
+    return Fraction(lower, scale), Fraction(upper, scale)

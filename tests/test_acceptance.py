@@ -35,7 +35,7 @@ from probdigits import (
     sample_digits,
     shift_digits,
 )
-from conftest import ASYM_VECTORS, random_seq
+from conftest import ASYM_VECTORS, random_seq, riemann_by_walk
 
 UNIFORM2 = ProbVector.uniform(2)
 ASYM2 = ASYM_VECTORS[2]        # (1/4, 3/4)
@@ -165,10 +165,12 @@ def test_criterion_5_integral_triple_agreement():
         assert series.width <= tol and series.contains(Fraction(1, 10))
         riemann = integral_riemann(flipped, 14)
         assert riemann.contains(Fraction(1, 10))
+        assert (riemann.lo, riemann.hi) == riemann_by_walk(flipped, 14)
 
         one_flip = FlipSystem(UNIFORM2, FlipSet.finite([1]))
         series1 = integral_series(one_flip, tol)
         riemann1 = integral_riemann(one_flip, 14)
+        assert (riemann1.lo, riemann1.hi) == riemann_by_walk(one_flip, 14)
         half = Fraction(1, 2)
         assert series1.contains(half) and riemann1.contains(half)
         assert series1.intersects(riemann1)

@@ -106,6 +106,9 @@ def test_p_rationals_enumeration(uniform2):
     assert first == [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4),
                      Fraction(1, 8), Fraction(3, 8), Fraction(5, 8), Fraction(7, 8)]
     assert len(set(first)) == 7
+    assert p_rationals(uniform2, 0) == []
+    with pytest.raises(InvalidArgument):
+        p_rationals(uniform2, -3)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +177,9 @@ def test_derivative_identity_and_symmetric(uniform2, asym2):
 def test_derivative_prefix_too_short(asym2):
     with pytest.raises(PrefixTooShort):
         derivative_estimate((1, 0), FlipSystem(asym2, FlipSet.all()), 3)
+    for max_rank in (0, -2):
+        with pytest.raises(InvalidArgument):
+            derivative_estimate((), FlipSystem(asym2, FlipSet.all()), max_rank)
 
 
 def test_derivative_matches_image_over_cylinder_width(pv3):
@@ -237,7 +243,7 @@ def test_integral_triple_agreement(pv3, asym2, uniform2):
             assert riemann.contains(exact)
 
 
-def test_integral_riemann_oracle_against_direct_sum(asym2):
+def test_integral_riemann_oracle_against_direct_sum(asym2, pv3):
     # independent route: sum cylinder width * image endpoints over explicit bases
     from itertools import product
 
@@ -248,6 +254,7 @@ def test_integral_riemann_oracle_against_direct_sum(asym2):
         (FlipSystem(asym2, FlipSet.all()), 6),
         (FlipSystem(asym2, FlipSet.finite([2])), 6),
         (FlipSystem(asym2, FlipSet.mask((True,), (False, True))), 6),
+        (FlipSystem(pv3, FlipSet.none()), 5),
         (FlipSystem(coprime, FlipSet.mask((True,), (False, True))), 4),
     ):
         lower = Fraction(0)

@@ -200,6 +200,9 @@ def test_scan_derivative_seeded(capsys):
     ["dimension", "--p", "1/2,1/2", "--flips", "all", "--rank", "0"],
     ["dimension", "--p", "1/4,1/4,1/4,1/4", "--rank", "2", "--u", "1", "--tol", "0"],
     ["convert", "--p", "1/2,1/2", "--x", "1/3", "--depth", "-5"],
+    ["jumps", "--p", "1/2,1/2", "--flips", "finite:1", "--count", "-3"],
+    ["scan-derivative", "--p", "1/4,3/4", "--flips", "all", "--points", "-2"],
+    ["scan-derivative", "--p", "1/4,3/4", "--flips", "all", "--rank", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_argument_out_of_domain_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

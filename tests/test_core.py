@@ -21,6 +21,7 @@ from probdigits import (
     encode,
     eval_digits,
     make_prob_vector,
+    sample_digits,
     shift_digits,
     shift_value,
 )
@@ -363,6 +364,21 @@ def test_bernoulli_cdf_monotone(asym2):
     xs = [Fraction(k, 17) for k in range(18)]
     vals = [bernoulli_cdf(x, asym2) for x in xs]
     assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def test_sample_digits_exact_law(pv3):
+    # one pass over every integer draw in [0, D) hits digit c exactly p[c]*D times
+    class EveryDraw:
+        def __init__(self):
+            self.next = 0
+
+        def randrange(self, n):
+            assert n == pv3.den
+            self.next += 1
+            return self.next - 1
+
+    digits = sample_digits(pv3, pv3.den, EveryDraw())
+    assert [digits.count(c) for c in range(3)] == [p * pv3.den for p in pv3.p]
 
 
 # ---------------------------------------------------------------------------

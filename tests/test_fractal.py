@@ -22,10 +22,12 @@ from probdigits import (
     graph_dimension_estimate,
     ifs_graph_points,
     ifs_maps,
+    make_prob_vector,
     moran_dimension,
     moran_set_cylinders,
     rectangle_diagonals_sq,
 )
+from conftest import ASYM_VECTORS
 
 
 # ---------------------------------------------------------------------------
@@ -122,23 +124,29 @@ def test_entropy_decreasing_in_alpha(asym2):
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_entropy_grouped_matches_enumeration(asym2):
+def test_entropy_grouped_matches_enumeration(asym2, pv3):
     # the multiset grouping must agree with direct q**rank enumeration
-    system = FlipSystem(asym2, FlipSet.all())
-    rank = 6
-    grouped: dict = {}
-    for mult, d2 in rectangle_diagonals_sq(system, rank):
-        grouped[d2] = grouped.get(d2, 0) + mult
-    direct: dict = {}
-    for word in product(range(2), repeat=rank):
-        wx = Fraction(1)
-        wy = Fraction(1)
-        for d in word:
-            wx *= asym2.p[d]
-            wy *= asym2.p[1 - d]
-        key = wx * wx + wy * wy
-        direct[key] = direct.get(key, 0) + 1
-    assert grouped == direct
+    coprime = make_prob_vector(["2/7", "3/11", "34/77"])
+    for pv, flips, rank in (
+        (asym2, FlipSet.all(), 6),
+        (asym2, FlipSet.none(), 6),
+        (pv3, FlipSet.all(), 5),
+        (coprime, FlipSet.none(), 4),
+    ):
+        system = FlipSystem(pv, flips)
+        grouped: dict = {}
+        for mult, d2 in rectangle_diagonals_sq(system, rank):
+            grouped[d2] = grouped.get(d2, 0) + mult
+        direct: dict = {}
+        for word in product(range(pv.q), repeat=rank):
+            wx = Fraction(1)
+            wy = Fraction(1)
+            for d in word:
+                wx *= pv.p[d]
+                wy *= pv.p[pv.q - 1 - d] if flips.contains(1) else pv.p[d]
+            key = wx * wx + wy * wy
+            direct[key] = direct.get(key, 0) + 1
+        assert grouped == direct
 
 
 def test_entropy_positional_flips_use_positions(pv3):
@@ -291,3 +299,21 @@ def test_moran_budget():
     spec = MoranSpec(ProbVector.uniform(4), 1)
     with pytest.raises(BudgetExceeded):
         moran_set_cylinders(spec, 10, budget=3)
+
+
+def test_covering_measure_matches_cylinder_widths():
+    # independent route: sum the exact widths of the enumerated consistent bases
+    specs = [
+        MoranSpec(ProbVector.uniform(4), 1),
+        MoranSpec(ASYM_VECTORS[5], 2),
+        MoranSpec(make_prob_vector(["2/7", "3/11", "34/77"]), 0),
+    ]
+    for spec in specs:
+        for rank in range(1, 9):
+            widths = [cylinder_bounds(base, spec.pv).width for base in moran_set_cylinders(spec, rank)]
+            assert covering_measure(spec, rank) == sum(widths, Fraction(0))
+    with pytest.raises(BudgetExceeded):
+        covering_measure(specs[0], 10, budget=3)
+    with pytest.raises(InvalidArgument):
+        covering_measure(specs[0], 0)
+    assert covering_measure(MoranSpec(ProbVector.uniform(2), 1), 4) == 0
