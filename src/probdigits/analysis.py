@@ -37,7 +37,7 @@ from .errors import (
     PrefixTooShort,
     RankTooLarge,
 )
-from .flips import FlipKind, FlipSet, FlipSystem, eval_flip, flip_image
+from .flips import FlipSet, FlipSystem, eval_flip, flip_image, flip_prefix
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +83,7 @@ def continuity_class(flips: FlipSet) -> ContinuityClass:
     jumps at two-expansion points, finitely many iff the flip set is finite."""
     if flips.shift_invariant:
         return ContinuityClass(continuous_everywhere=True)
-    if flips.kind is FlipKind.FINITE:
+    if not any(flips.period):
         return ContinuityClass(continuous_everywhere=False, jump_count="finite")
     return ContinuityClass(continuous_everywhere=False, jump_count="countable")
 
@@ -154,17 +154,20 @@ class DerivativeTrace:
 def derivative_estimate(prefix: Sequence[int], system: FlipSystem, max_rank: int) -> DerivativeTrace:
     """Ratio of the flip-image width to the cylinder width along a digit prefix.
 
-    The rank-m ratio is the product over t <= m of weight(t, c_t)/p[c_t]; its
-    decay along Lebesgue-typical prefixes is the singularity diagnostic."""
+    The rank-m ratio is the product over t <= m of p[f_t]/p[c_t], with f_t
+    the flipped digit at position t; its decay along Lebesgue-typical
+    prefixes is the singularity diagnostic."""
     if max_rank < 1:
         raise InvalidArgument(f"max_rank must be >= 1, got {max_rank}")
     digits = tuple(system.pv.check_digit(d) for d in prefix)
     if len(digits) < max_rank:
         raise PrefixTooShort(f"prefix of length {len(digits)} cannot reach rank {max_rank}")
+    flipped = flip_prefix(DigitSeq(digits, system.pv.q), system.flips, max_rank)
+    p = system.pv.p
     ratios = []
     ratio = Fraction(1)
-    for t, d in enumerate(digits[:max_rank], start=1):
-        ratio *= system.weight(t, d) / system.pv.p[d]
+    for d, f in zip(digits, flipped):
+        ratio *= p[f] / p[d]
         ratios.append(ratio)
     return DerivativeTrace(digits=digits, ratios=tuple(ratios))
 

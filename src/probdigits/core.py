@@ -28,6 +28,7 @@ from typing import Iterable, Sequence, Union
 
 from .errors import (
     BaseTooSmall,
+    BudgetExceeded,
     DigitOutOfRange,
     InvalidArgument,
     NonPositiveWeight,
@@ -121,10 +122,10 @@ def _normalize_tail(tail, q: int) -> tuple[int, ...]:
             return (0,)
         if tail == "max":
             return (q - 1,)
-        raise ValueError(f"tail must be 'zero', 'max' or a digit block, got {tail!r}")
+        raise InvalidArgument(f"tail must be 'zero', 'max' or a digit block, got {tail!r}")
     block = tuple(tail)
     if not block:
-        raise ValueError("tail block must be nonempty")
+        raise InvalidArgument("tail block must be nonempty")
     # reduce to the primitive period so equal streams compare equal
     n = len(block)
     for length in range(1, n + 1):
@@ -394,7 +395,8 @@ def bernoulli_cdf(x, pv: ProbVector) -> Fraction:
 
     Exact: the base-q digits of a rational are eventually periodic, so the
     weighted series closes in rational arithmetic.  Cost is the digit period
-    of x, which can reach its denominator.
+    of x, which can reach its denominator; a period above DEFAULT_BUDGET is
+    refused with BudgetExceeded.
     """
     x = as_fraction(x)
     if x < 0:
@@ -406,10 +408,15 @@ def bernoulli_cdf(x, pv: ProbVector) -> Fraction:
     num = x.numerator
     digits: list[int] = []
     seen: dict[int, int] = {}
-    while num not in seen:
+    # the preperiod has at most den.bit_length() digits, so a longer run
+    # without a repeat has a period above the budget
+    cap = DEFAULT_BUDGET + den.bit_length()
+    while num not in seen and len(digits) <= cap:
         seen[num] = len(digits)
         d, num = divmod(q * num, den)
         digits.append(d)
+    if num not in seen or len(digits) - seen[num] > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"base-{q} digit period of {x} exceeds budget {DEFAULT_BUDGET}")
     start = seen[num]
     prefix = [(pv.beta[d], pv.p[d]) for d in digits[:start]]
     cycle = [(pv.beta[d], pv.p[d]) for d in digits[start:]]
@@ -419,6 +426,8 @@ def bernoulli_cdf(x, pv: ProbVector) -> Fraction:
 def sample_digits(pv: ProbVector, length: int, rng: random.Random) -> tuple[int, ...]:
     """Digit prefix drawn i.i.d. with law p exactly (i.e. a Lebesgue-random point):
     a uniform integer in [0, D) picks the digit whose cell holds it, D = pv.den."""
+    if length < 0:
+        raise InvalidArgument(f"length must be >= 0, got {length}")
     den = pv.den
     thresholds = [int(b * den) for b in pv.beta[1:-1]]
     return tuple(bisect_right(thresholds, rng.randrange(den)) for _ in range(length))

@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .core import DigitSeq, Enclosure, ProbVector, eval_digits, horner_sum
-from .errors import DigitOutOfRange, FlipSpecError, InvalidArgument
+from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, ProbVector, cylinder_bounds, eval_digits, horner_sum
+from .errors import BudgetExceeded, DigitOutOfRange, FlipSpecError, InvalidArgument
 
 
 class FlipKind(Enum):
@@ -29,12 +29,16 @@ class FlipKind(Enum):
 
 @dataclass(frozen=True)
 class FlipSet:
-    """The set of flipped positions; total membership test for every k >= 1."""
+    """The set of flipped positions; total membership test for every k >= 1.
+
+    Every kind is stored as one eventually periodic bit stream: bit k is
+    preperiod[k-1] for k <= len(preperiod), then period repeats.  `kind`
+    only records how the set is spelled (see __str__).
+    """
 
     kind: FlipKind
-    positions: tuple[int, ...] = ()
     preperiod: tuple[bool, ...] = ()
-    period: tuple[bool, ...] = ()
+    period: tuple[bool, ...] = (False,)
 
     # -- constructors -------------------------------------------------------
 
@@ -44,7 +48,7 @@ class FlipSet:
 
     @classmethod
     def all(cls) -> "FlipSet":
-        return cls(FlipKind.ALL)
+        return cls(FlipKind.ALL, period=(True,))
 
     @classmethod
     def finite(cls, positions: Iterable[int]) -> "FlipSet":
@@ -53,7 +57,13 @@ class FlipSet:
             raise FlipSpecError(f"flip positions must be >= 1, got {pos}")
         if not pos:
             return cls.none()
-        return cls(FlipKind.FINITE, positions=pos)
+        # the bits cost one entry per position up to the largest
+        if pos[-1] > DEFAULT_BUDGET:
+            raise BudgetExceeded(f"flip position {pos[-1]} exceeds budget {DEFAULT_BUDGET}")
+        bits = [False] * pos[-1]
+        for k in pos:
+            bits[k - 1] = True
+        return cls(FlipKind.FINITE, preperiod=tuple(bits))
 
     @classmethod
     def mask(cls, preperiod: Iterable[bool], period: Iterable[bool]) -> "FlipSet":
@@ -100,12 +110,6 @@ class FlipSet:
     def contains(self, k: int) -> bool:
         if k < 1:
             raise InvalidArgument(f"positions are 1-based, got {k}")
-        if self.kind is FlipKind.NONE:
-            return False
-        if self.kind is FlipKind.ALL:
-            return True
-        if self.kind is FlipKind.FINITE:
-            return k in self.positions
         if k <= len(self.preperiod):
             return self.preperiod[k - 1]
         return self.period[(k - len(self.preperiod) - 1) % len(self.period)]
@@ -117,32 +121,22 @@ class FlipSet:
     def shift_invariant(self) -> bool:
         return self.kind in (FlipKind.NONE, FlipKind.ALL)
 
+    @property
+    def positions(self) -> tuple[int, ...]:
+        """The flipped positions of a finite set; () for an infinite one."""
+        if any(self.period):
+            return ()
+        return tuple(k for k, bit in enumerate(self.preperiod, start=1) if bit)
+
     def min_position(self) -> int | None:
         """Smallest flipped position, or None for the empty set."""
-        if self.kind is FlipKind.NONE:
-            return None
-        if self.kind is FlipKind.ALL:
-            return 1
-        if self.kind is FlipKind.FINITE:
-            return self.positions[0]
-        for i, bit in enumerate(self.preperiod):
-            if bit:
-                return i + 1
-        return len(self.preperiod) + 1 + self.period.index(True)
+        bits = self.preperiod + self.period
+        return bits.index(True) + 1 if True in bits else None
 
     def pattern_from(self, start: int) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
         """Flip bits for positions start, start+1, ... as (preperiod, period)."""
         if start < 1:
             raise InvalidArgument(f"positions are 1-based, got {start}")
-        if self.kind is FlipKind.NONE:
-            return (), (False,)
-        if self.kind is FlipKind.ALL:
-            return (), (True,)
-        if self.kind is FlipKind.FINITE:
-            top = self.positions[-1]
-            if start > top:
-                return (), (False,)
-            return tuple(k in self.positions for k in range(start, top + 1)), (False,)
         npre = len(self.preperiod)
         if start <= npre:
             return self.preperiod[start - 1:], self.period
@@ -195,28 +189,26 @@ class FlipSystem:
 # Digit-level map
 # ---------------------------------------------------------------------------
 
+def flip_prefix(seq: DigitSeq, flips: FlipSet, length: int) -> tuple[int, ...]:
+    """The digits of flip_digits(seq, flips) at positions 1..length."""
+    top = seq.q - 1
+    # a list, not a generator: tuple() over a generator grows by reallocation,
+    # which left the heap fragmented and peak RSS climbing pass after pass
+    return tuple([top - seq.digit_at(k) if flips.contains(k) else seq.digit_at(k)
+                  for k in range(1, length + 1)])
+
+
 def flip_digits(seq: DigitSeq, flips: FlipSet) -> DigitSeq:
     """Complement the digits of seq at the flipped positions, exactly.
 
-    Constant tails survive only when the flip schedule is eventually constant
-    over them; otherwise the prefix is extended through the schedule's
-    preperiod and the tail becomes the periodic block of flipped digits.
+    Both streams are eventually periodic, so positions 1..n+span spell the
+    result: the prefix runs through both preperiods (n) and the tail is one
+    common period of the digit tail and the flip bits (span).
     """
-    q = seq.q
-    top = q - 1
-    prefix = [top - d if flips.contains(k) else d for k, d in enumerate(seq.digits, start=1)]
-    fpre, fper = flips.pattern_from(len(seq.digits) + 1)
-    block = seq.tail
-    for i, bit in enumerate(fpre):
-        d = block[i % len(block)]
-        prefix.append(top - d if bit else d)
-    span = lcm(len(block), len(fper))
-    phase = len(fpre) % len(block)
-    new_block = tuple(
-        top - block[(phase + i) % len(block)] if fper[i % len(fper)] else block[(phase + i) % len(block)]
-        for i in range(span)
-    )
-    return DigitSeq(tuple(prefix), q, new_block)
+    n = max(len(seq.digits), len(flips.preperiod))
+    span = lcm(len(seq.tail), len(flips.period))
+    stream = flip_prefix(seq, flips, n + span)
+    return DigitSeq(stream[:n], seq.q, stream[n:])
 
 
 def nega_to_digits(seq: DigitSeq) -> DigitSeq:
@@ -229,6 +221,15 @@ def nega_to_digits(seq: DigitSeq) -> DigitSeq:
 # Value-level map
 # ---------------------------------------------------------------------------
 
+def _shifted(flips: FlipSet, offset: int) -> FlipSet:
+    """The flip set seen from position offset + 1: bit k is bit k + offset of flips."""
+    if offset < 0:
+        raise InvalidArgument(f"offset must be >= 0, got {offset}")
+    if offset == 0:
+        return flips
+    return FlipSet.mask(*flips.pattern_from(offset + 1))
+
+
 def eval_flip(seq: DigitSeq, system: FlipSystem, offset: int = 0) -> Enclosure:
     """Exact value of the flipped series of seq (a degenerate enclosure).
 
@@ -236,24 +237,17 @@ def eval_flip(seq: DigitSeq, system: FlipSystem, offset: int = 0) -> Enclosure:
     absolute position k + offset, which is the n-th unknown of the
     functional system f(shift^{n-1} x) = offset_n + weight_n * f(shift^n x).
     """
-    if offset < 0:
-        raise InvalidArgument(f"offset must be >= 0, got {offset}")
-    flips = system.flips
-    if offset > 0:
-        flips = FlipSet.mask(*flips.pattern_from(offset + 1))
-    return Enclosure.point(eval_digits(flip_digits(seq, flips), system.pv))
+    flipped = flip_digits(seq, _shifted(system.flips, offset))
+    return Enclosure.point(eval_digits(flipped, system.pv))
 
 
 def flip_image(base: Sequence[int], system: FlipSystem, offset: int = 0) -> Enclosure:
-    """Interval hull of the flip map over the cylinder with the given base."""
-    pv = system.pv
-    total = Fraction(0)
-    weight = Fraction(1)
-    for k, d in enumerate(base, start=1):
-        pv.check_digit(d)
-        total += weight * system.offset(k + offset, d)
-        weight *= system.weight(k + offset, d)
-    return Enclosure(total, total + weight)
+    """Interval hull of the flip map over the cylinder with the given base,
+    which is the cylinder of the flipped base; offset is as in eval_flip."""
+    seq = DigitSeq(base, system.pv.q)
+    flipped = flip_prefix(seq, _shifted(system.flips, offset), len(seq.digits))
+    cyl = cylinder_bounds(flipped, system.pv)
+    return Enclosure(cyl.lo, cyl.hi)
 
 
 def cylinder_images(system: FlipSystem, rank: int) -> Iterator[tuple[int, int, int, int]]:

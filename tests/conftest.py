@@ -6,6 +6,16 @@ import pytest
 from probdigits import DigitSeq, ProbVector, make_prob_vector
 from probdigits.flips import cylinder_images
 
+try:
+    from hypothesis import settings
+except ImportError:  # test_properties.py skips itself without Hypothesis
+    pass
+else:
+    # the same examples on every run, no time limit on a shared host, and no
+    # example database written to .hypothesis/
+    settings.register_profile("probdigits", derandomize=True, deadline=None, database=None)
+    settings.load_profile("probdigits")
+
 #: the three asymmetric vectors used across the suite
 ASYM_VECTORS = {
     2: make_prob_vector([Fraction(1, 4), Fraction(3, 4)]),

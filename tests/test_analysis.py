@@ -99,6 +99,8 @@ def test_continuity_class():
     assert not finite.continuous_everywhere and finite.jump_count == "finite"
     mask = continuity_class(FlipSet.mask((), (False, True)))
     assert not mask.continuous_everywhere and mask.jump_count == "countable"
+    # an eventually-zero mask flips finitely many positions
+    assert continuity_class(FlipSet.mask((True,), (False,))).jump_count == "finite"
 
 
 def test_p_rationals_enumeration(uniform2):

@@ -66,6 +66,13 @@ def test_bad_weight_vector_rejected(capsys):
         assert exc_info.value.code == 2
 
 
+def test_flip_spec_over_budget_rejected(capsys):
+    # a finite flip set stores one bit per position up to its largest
+    with pytest.raises(SystemExit) as exc_info:
+        main(["eval", "--p", "1/2,1/2", "--flips", "finite:2000000", "--x", "1/3"])
+    assert exc_info.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from probdigits import (
     BaseTooSmall,
+    BudgetExceeded,
     DigitOutOfRange,
     DigitSeq,
     InvalidArgument,
@@ -25,6 +26,7 @@ from probdigits import (
     shift_digits,
     shift_value,
 )
+from probdigits import core
 from conftest import ASYM_VECTORS, random_fraction, random_seq
 
 
@@ -360,6 +362,20 @@ def test_bernoulli_cdf_values(asym2):
     assert bernoulli_cdf(Fraction(1, 3), asym2) == eval_digits(seq, asym2)
 
 
+def test_bernoulli_cdf_period_budget(monkeypatch, uniform2):
+    # 2 is a primitive root of the prime 1048589, so 1/1048589 has period 1048588 > 2**20
+    with pytest.raises(BudgetExceeded):
+        bernoulli_cdf(Fraction(1, 1048589), uniform2)
+    # 1/7 = 0.(001) and 1/14 = 0.0(010): the budget bounds the period, not the preperiod
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 3)
+    assert bernoulli_cdf(Fraction(1, 7), uniform2) == Fraction(1, 7)
+    assert bernoulli_cdf(Fraction(1, 14), uniform2) == Fraction(1, 14)
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 2)
+    for x in (Fraction(1, 7), Fraction(1, 14)):
+        with pytest.raises(BudgetExceeded):
+            bernoulli_cdf(x, uniform2)
+
+
 def test_bernoulli_cdf_monotone(asym2):
     xs = [Fraction(k, 17) for k in range(18)]
     vals = [bernoulli_cdf(x, asym2) for x in xs]
@@ -379,6 +395,8 @@ def test_sample_digits_exact_law(pv3):
 
     digits = sample_digits(pv3, pv3.den, EveryDraw())
     assert [digits.count(c) for c in range(3)] == [p * pv3.den for p in pv3.p]
+    with pytest.raises(InvalidArgument):
+        sample_digits(pv3, -1, EveryDraw())
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +431,12 @@ def test_digitseq_validation():
         DigitSeq((0,), 3, ())
     with pytest.raises(ValueError):
         DigitSeq((0,), 3, "sometimes")
+
+
+def test_digitseq_bad_tail_is_invalid_argument():
+    for tail in ((), "sometimes"):
+        with pytest.raises(InvalidArgument):
+            DigitSeq((0,), 3, tail)
 
 
 def test_digitseq_tail_block_reduces_to_primitive():

@@ -5,6 +5,7 @@ import pytest
 
 from probdigits import (
     EVEN_POSITIONS,
+    BudgetExceeded,
     DigitSeq,
     FlipKind,
     FlipSet,
@@ -46,6 +47,17 @@ def test_flipset_membership():
         mask.contains(0)
     with pytest.raises(InvalidArgument):
         mask.pattern_from(0)
+    # the same set spelled as a mask reads the same bits
+    spelled = FlipSet.mask((False, True, False, False, True), (False,))
+    assert [spelled.contains(k) for k in range(1, 9)] == [fs.contains(k) for k in range(1, 9)]
+    assert [spelled.pattern_from(k) for k in range(1, 9)] == [fs.pattern_from(k) for k in range(1, 9)]
+    assert spelled.min_position() == fs.min_position() == 2
+
+
+def test_flipset_finite_budget():
+    assert FlipSet.finite([2**20]).contains(2**20)
+    with pytest.raises(BudgetExceeded):
+        FlipSet.finite([2**20 + 1])
 
 
 def test_flipset_normalization():
@@ -180,6 +192,8 @@ def test_offset_zero_is_plain_eval():
             assert eval_flip(seq, system, offset=0) == eval_flip(seq, system)
         with pytest.raises(InvalidArgument):
             eval_flip(seq, system, offset=-1)
+        with pytest.raises(InvalidArgument):
+            flip_image((), system, offset=-1)
 
 
 def test_offset_irrelevant_for_shift_invariant_flips():
