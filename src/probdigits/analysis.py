@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Sequence
+from itertools import count, islice, product
+from typing import Iterator, Sequence
 
 from .core import (
     DEFAULT_BUDGET,
@@ -194,15 +194,34 @@ def _expected_terms(pv) -> tuple[int, int, int, int]:
     """Expected offset and weight of one digit drawn with law p, read from the
     plain and the flipped column: (v_plain, v_flip, w_plain, w_flip), as
     integer numerators over D**2 with D = pv.den."""
-    den = pv.den
-    beta = [int(b * den) for b in pv.beta[:-1]]
-    p = [int(w * den) for w in pv.p]
+    _, beta, p = pv.int_table
+    beta = beta[:-1]
     return (
         sum(b * w for b, w in zip(beta, p)),
         sum(b * w for b, w in zip(reversed(beta), p)),
         sum(w * w for w in p),
         sum(a * w for a, w in zip(reversed(p), p)),
     )
+
+
+def _partial_sums(system: FlipSystem, terms: tuple[int, int, int, int]) -> Iterator[tuple[int, int, int]]:
+    """Partial sums of the positional-expectation series, in integers.
+
+    For k = 1, 2, ... yields (total, weight, scale) with scale = D**(2k):
+    sum_{j<=k} v_j prod_{i<j} w_i = total / scale and prod_{j<=k} w_j =
+    weight / scale, where terms are the _expected_terms numerators.  Horner
+    over D**2: term k picks up one factor D**2 per later position."""
+    v_plain, v_flip, w_plain, w_flip = terms
+    den_sq = system.pv.den ** 2
+    total = 0
+    weight = 1
+    scale = 1
+    for k in count(1):
+        v, w = (v_flip, w_flip) if system.flips.contains(k) else (v_plain, w_plain)
+        total = total * den_sq + v * weight
+        weight *= w
+        scale *= den_sq
+        yield total, weight, scale
 
 
 def integral_series(system: FlipSystem, tol=Fraction(1, 10**12)) -> Enclosure:
@@ -213,24 +232,15 @@ def integral_series(system: FlipSystem, tol=Fraction(1, 10**12)) -> Enclosure:
     tol = as_fraction(tol)
     if tol <= 0:
         raise InvalidArgument(f"tol must be positive, got {tol}")
-    den_sq = system.pv.den ** 2
-    v_plain, v_flip, w_plain, w_flip = (Fraction(n, den_sq) for n in _expected_terms(system.pv))
-    v_max = max(v_plain, v_flip)
-    w_max = max(w_plain, w_flip)
-    total = Fraction(0)
-    weight = Fraction(1)
-    k = 1
-    while True:
-        if system.flips.contains(k):
-            total += weight * v_flip
-            weight *= w_flip
-        else:
-            total += weight * v_plain
-            weight *= w_plain
-        tail = v_max * weight / (1 - w_max)
-        if tail <= tol:
-            return Enclosure(total, total + tail)
-        k += 1
+    terms = _expected_terms(system.pv)
+    v_max = max(terms[:2])
+    # (1 - w_max) * D**2, positive: every weight sum of squares is below 1
+    closure = system.pv.den ** 2 - max(terms[2:])
+    for total, weight, scale in _partial_sums(system, terms):
+        # the tail bound v_max * W / (1 - w_max) is v_max * weight / (scale * closure)
+        tail = v_max * weight
+        if tail * tol.denominator <= tol.numerator * scale * closure:
+            return Enclosure(Fraction(total, scale), Fraction(total * closure + tail, scale * closure))
 
 
 def integral_riemann(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET) -> Enclosure:
@@ -247,16 +257,8 @@ def integral_riemann(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET
     pv = system.pv
     if pv.q ** rank > budget:
         raise RankTooLarge(f"{pv.q}**{rank} exceeds budget {budget}")
-    v_plain, v_flip, w_plain, w_flip = _expected_terms(pv)
-    den_sq = pv.den ** 2
-    # Horner over D**2: term k picks up one factor D**2 per later position
-    lower = 0
-    weight = 1
-    for k in range(1, rank + 1):
-        v, w = (v_flip, w_flip) if system.flips.contains(k) else (v_plain, w_plain)
-        lower = lower * den_sq + v * weight
-        weight *= w
-    scale = den_sq ** rank
+    sums = _partial_sums(system, _expected_terms(pv))
+    lower, weight, scale = next(islice(sums, rank - 1, None))
     return Enclosure(Fraction(lower, scale), Fraction(lower + weight, scale))
 
 

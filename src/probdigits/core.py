@@ -23,8 +23,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Sequence, Union
+from functools import cached_property
+from math import gcd, lcm
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
     BaseTooSmall,
@@ -54,6 +55,15 @@ def as_fraction(x) -> Fraction:
 # Probability vectors
 # ---------------------------------------------------------------------------
 
+class IntTable(NamedTuple):
+    """A vector's offsets and weights as integer numerators over one
+    denominator: ProbVector.beta[c] == beta[c] / den, ProbVector.p[c] == p[c] / den."""
+
+    den: int
+    beta: tuple[int, ...]  # q + 1 numerators, from 0 to den
+    p: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class ProbVector:
     """Digit weights p (all positive, summing to 1) plus their cumulative sums.
@@ -73,10 +83,16 @@ class ProbVector:
     def max_p(self) -> Fraction:
         return max(self.p)
 
-    @property
+    @cached_property
     def den(self) -> int:
         """Least common denominator D of the weights: every p[c] and beta[c] is an integer over D."""
         return lcm(*(v.denominator for v in self.p))
+
+    @cached_property
+    def int_table(self) -> IntTable:
+        """The numerators of beta and p over D = den, computed once per vector."""
+        den = self.den
+        return IntTable(den, tuple(int(b * den) for b in self.beta), tuple(int(w * den) for w in self.p))
 
     @classmethod
     def uniform(cls, q: int) -> "ProbVector":
@@ -239,13 +255,39 @@ def horner_sum(prefix_terms, cycle_terms) -> Fraction:
     return value
 
 
+def _forward(pv: ProbVector, digits: Sequence[int]) -> tuple[int, int]:
+    """Integer Horner numerators of a digit block over D**m (D = pv.den, m its
+    length): its zero-tail value is num / D**m and its weight product
+    weight / D**m.  One step per digit, left to right."""
+    den, beta, p = pv.int_table
+    num = 0
+    weight = 1
+    for d in digits:
+        num = num * den + beta[d] * weight
+        weight *= p[d]
+    return num, weight
+
+
+def _horner(pv: ProbVector, prefix: Sequence[int], cycle: Sequence[int]) -> Fraction:
+    """Exact value of the digit stream `prefix` followed by `cycle` forever.
+
+    The cycle closes geometrically: its value is c_num / (D**L - c_weight)
+    for a cycle of length L, so the stream's value is one integer fraction
+    over D**m * (D**L - c_weight), reduced once."""
+    num, weight = _forward(pv, prefix)
+    scale = pv.den ** len(prefix)
+    c_num, c_weight = _forward(pv, cycle)
+    if c_num == 0:  # a cycle of zeros adds nothing
+        return Fraction(num, scale)
+    closure = pv.den ** len(cycle) - c_weight
+    return Fraction(num * closure + weight * c_num, scale * closure)
+
+
 def eval_digits(seq: DigitSeq, pv: ProbVector) -> Fraction:
     """Exact value of a digit sequence under the weights of pv."""
     if seq.q != pv.q:
         raise DigitOutOfRange(f"sequence alphabet {seq.q} != vector alphabet {pv.q}")
-    prefix = [(pv.beta[d], pv.p[d]) for d in seq.digits]
-    cycle = [(pv.beta[d], pv.p[d]) for d in seq.tail]
-    return horner_sum(prefix, cycle)
+    return _horner(pv, seq.digits, seq.tail)
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +373,9 @@ def cylinder_bounds(base: Sequence[int], pv: ProbVector) -> Cylinder:
     """Endpoints of the rank-m cylinder: lo is the zero-tail value of the base,
     and hi - lo equals the product of the base digit weights."""
     digits = tuple(pv.check_digit(d) for d in base)
-    lo = Fraction(0)
-    width = Fraction(1)
-    for d in reversed(digits):
-        lo = pv.beta[d] + pv.p[d] * lo
-    for d in digits:
-        width *= pv.p[d]
-    return Cylinder(base=digits, pv=pv, lo=lo, hi=lo + width)
+    num, weight = _forward(pv, digits)
+    scale = pv.den ** len(digits)
+    return Cylinder(base=digits, pv=pv, lo=Fraction(num, scale), hi=Fraction(num + weight, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +432,12 @@ def bernoulli_cdf(x, pv: ProbVector) -> Fraction:
     """CDF at x of a random number whose base-q digits are i.i.d. with law p.
 
     Exact: the base-q digits of a rational are eventually periodic, so the
-    weighted series closes in rational arithmetic.  Cost is the digit period
-    of x, which can reach its denominator; a period above DEFAULT_BUDGET is
-    refused with BudgetExceeded.
+    weighted series closes in rational arithmetic.  Both lengths are read
+    from the denominator before any digit is made: the preperiod is the
+    number of times gcd(den, q) divides out of den, and the period is the
+    order of q modulo what is left.  Cost is that period, which can reach
+    the denominator; a period above DEFAULT_BUDGET is refused with
+    BudgetExceeded in O(1) memory.
     """
     x = as_fraction(x)
     if x < 0:
@@ -404,23 +445,25 @@ def bernoulli_cdf(x, pv: ProbVector) -> Fraction:
     if x >= 1:
         return Fraction(1)
     q = pv.q
-    den = x.denominator
-    num = x.numerator
-    digits: list[int] = []
-    seen: dict[int, int] = {}
-    # the preperiod has at most den.bit_length() digits, so a longer run
-    # without a repeat has a period above the budget
-    cap = DEFAULT_BUDGET + den.bit_length()
-    while num not in seen and len(digits) <= cap:
-        seen[num] = len(digits)
+    num, den = x.numerator, x.denominator
+    rest = den
+    preperiod = 0
+    while (g := gcd(rest, q)) > 1:
+        rest //= g
+        preperiod += 1
+    # power = q**period mod rest; it is 0 only when rest == 1, whose period is 1
+    period = 1
+    power = q % rest
+    while power > 1:
+        if period == DEFAULT_BUDGET:
+            raise BudgetExceeded(f"base-{q} digit period of {x} exceeds budget {DEFAULT_BUDGET}")
+        power = power * q % rest
+        period += 1
+    digits = []
+    for _ in range(preperiod + period):
         d, num = divmod(q * num, den)
         digits.append(d)
-    if num not in seen or len(digits) - seen[num] > DEFAULT_BUDGET:
-        raise BudgetExceeded(f"base-{q} digit period of {x} exceeds budget {DEFAULT_BUDGET}")
-    start = seen[num]
-    prefix = [(pv.beta[d], pv.p[d]) for d in digits[:start]]
-    cycle = [(pv.beta[d], pv.p[d]) for d in digits[start:]]
-    return horner_sum(prefix, cycle)
+    return _horner(pv, digits[:preperiod], digits[preperiod:])
 
 
 def sample_digits(pv: ProbVector, length: int, rng: random.Random) -> tuple[int, ...]:
@@ -428,8 +471,8 @@ def sample_digits(pv: ProbVector, length: int, rng: random.Random) -> tuple[int,
     a uniform integer in [0, D) picks the digit whose cell holds it, D = pv.den."""
     if length < 0:
         raise InvalidArgument(f"length must be >= 0, got {length}")
-    den = pv.den
-    thresholds = [int(b * den) for b in pv.beta[1:-1]]
+    den, beta, _ = pv.int_table
+    thresholds = beta[1:-1]
     return tuple(bisect_right(thresholds, rng.randrange(den)) for _ in range(length))
 
 

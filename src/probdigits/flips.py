@@ -258,9 +258,8 @@ def cylinder_images(system: FlipSystem, rank: int) -> Iterator[tuple[int, int, i
     the walk does no Fraction arithmetic.  Depth-first over an explicit stack:
     O(rank * q) memory.
     """
-    pv = system.pv
-    den = pv.den
-    cells = [(int(pv.beta[c] * den), int(pv.p[c] * den)) for c in range(pv.q)]
+    den, beta, p = system.pv.int_table
+    cells = list(zip(beta, p))
     # rows[k][c]: (x offset, x weight, y offset, y weight) of digit c at position k + 1;
     # a flipped position reads the complement q-1-c, i.e. the cells in reverse
     rows = []

@@ -95,19 +95,20 @@ def _compositions(total: int, parts: int):
 
 def rectangle_diagonals_sq(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET):
     """Exact squared diagonals of the occupied rank-r covering rectangles,
-    as (multiplicity, diag_sq) pairs."""
+    as (multiplicity, diag_sq) pairs.  The budget caps the pairs built:
+    C(rank+q-1, q-1) digit-count groups for flips none or all, q**rank
+    rectangles otherwise."""
     if rank < 0:
         raise InvalidArgument(f"rank must be >= 0, got {rank}")
-    pv = system.pv
-    q = pv.q
-    if q ** rank > budget:
-        raise BudgetExceeded(f"{q}**{rank} rectangles exceed budget {budget}")
-    den = pv.den
+    q = system.pv.q
+    pairs = math.comb(rank + q - 1, q - 1) if system.shift_invariant else q ** rank
+    if pairs > budget:
+        raise BudgetExceeded(f"{pairs} rectangle pairs at rank {rank} exceed budget {budget}")
+    den, _, px = system.pv.int_table
     scale = den ** (2 * rank)
     if system.shift_invariant:
         # sides depend only on the digit multiset: group by digit counts;
         # the side products are integers over D**rank
-        px = [int(w * den) for w in pv.p]
         py = px[::-1] if system.flips.contains(1) else px
         fact = math.factorial
         out = []
@@ -287,8 +288,7 @@ def covering_measure(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET) -
     automaton = _moran_automaton(spec)
     if not automaton:
         return Fraction(0)
-    pv = spec.pv
-    p = [int(w * pv.den) for w in pv.p]
+    den, _, p = spec.pv.int_table
     counts = [1] + [0] * (len(automaton) - 1)
     widths = counts[:]
     for _ in range(rank):
@@ -302,4 +302,4 @@ def covering_measure(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET) -
         # every state has a step, so the count never falls: refuse as soon as it is over
         if sum(counts) > budget:
             raise BudgetExceeded(f"more than {budget} consistent bases at rank {rank}")
-    return Fraction(sum(widths), pv.den ** rank)
+    return Fraction(sum(widths), den ** rank)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from probdigits import DigitSeq, ProbVector, make_prob_vector
+from probdigits import DigitSeq, ProbVector, horner_sum, make_prob_vector
 from probdigits.flips import cylinder_images
 
 try:
@@ -59,3 +59,70 @@ def riemann_by_walk(system, rank: int) -> tuple[Fraction, Fraction]:
         upper += x_w * (y_lo + y_w)
     scale = system.pv.den ** (2 * rank)
     return Fraction(lower, scale), Fraction(upper, scale)
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles for the integer Horner kernel in core
+# ---------------------------------------------------------------------------
+
+def cylinder_by_fractions(base, pv) -> tuple[Fraction, Fraction]:
+    """Cylinder endpoints in Fractions: lo by reversed Horner over the base,
+    hi = lo + the product of the base digit weights."""
+    lo = Fraction(0)
+    width = Fraction(1)
+    for d in reversed(base):
+        lo = pv.beta[d] + pv.p[d] * lo
+    for d in base:
+        width *= pv.p[d]
+    return lo, lo + width
+
+
+def eval_digits_by_horner(seq: DigitSeq, pv) -> Fraction:
+    """Value of a digit stream through the Fraction horner_sum."""
+    return horner_sum([(pv.beta[d], pv.p[d]) for d in seq.digits],
+                      [(pv.beta[d], pv.p[d]) for d in seq.tail])
+
+
+def bernoulli_cdf_by_digits(x: Fraction, pv) -> Fraction:
+    """The weighted CDF by long division: base-q digits of x until a remainder
+    repeats, then horner_sum over the preperiod and the period."""
+    if x < 0:
+        return Fraction(0)
+    if x >= 1:
+        return Fraction(1)
+    num, den = x.numerator, x.denominator
+    digits: list[int] = []
+    seen: dict[int, int] = {}
+    while num not in seen:
+        seen[num] = len(digits)
+        d, num = divmod(pv.q * num, den)
+        digits.append(d)
+    terms = [(pv.beta[d], pv.p[d]) for d in digits]
+    return horner_sum(terms[:seen[num]], terms[seen[num]:])
+
+
+def integral_series_by_fractions(system, tol: Fraction) -> tuple[Fraction, Fraction]:
+    """The positional-expectation series summed in Fractions until the
+    geometric tail bound v_max * W / (1 - w_max) is at most tol."""
+    pv = system.pv
+    flipped = pv.p[::-1]
+    v_plain = sum(b * w for b, w in zip(pv.beta, pv.p))
+    v_flip = sum(b * w for b, w in zip(pv.beta[-2::-1], pv.p))
+    w_plain = sum(w * w for w in pv.p)
+    w_flip = sum(a * w for a, w in zip(flipped, pv.p))
+    v_max = max(v_plain, v_flip)
+    w_max = max(w_plain, w_flip)
+    total = Fraction(0)
+    weight = Fraction(1)
+    k = 1
+    while True:
+        if system.flips.contains(k):
+            total += weight * v_flip
+            weight *= w_flip
+        else:
+            total += weight * v_plain
+            weight *= w_plain
+        tail = v_max * weight / (1 - w_max)
+        if tail <= tol:
+            return total, total + tail
+        k += 1

@@ -180,6 +180,13 @@ def test_dimension_payload(capsys):
     assert abs(payload["moran_residual"]) <= 1e-12
 
 
+def test_dimension_high_rank_groups_by_digit_counts(capsys):
+    # 2**40 rectangles, but rank 40 builds only 41 digit-count groups
+    payload = run_json(capsys, "dimension", "--p", "1/2,1/2", "--flips", "all", "--rank", "40")
+    assert len(payload["entropy_estimates"]) == 20
+    assert payload["entropy_estimates"]["40"] == pytest.approx(1.0, abs=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # scan-derivative
 # ---------------------------------------------------------------------------
@@ -230,6 +237,17 @@ def test_out_file(tmp_path, capsys):
     rows = list(csv.reader(target.open()))
     assert rows[0] == ["x", "y"]
     assert len(rows) == 5
+
+
+@pytest.mark.parametrize("target, error", [
+    ("missing/x.json", "FileNotFoundError"),
+    (".", "IsADirectoryError"),
+])
+def test_out_unwritable_exits_2(tmp_path, capsys, target, error):
+    code, out, err = run_cli(capsys, "convert", "--p", "1/2,1/2", "--x", "1/3",
+                             "--out", str(tmp_path / target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
 
 
 def test_csv_command_as_json(capsys):

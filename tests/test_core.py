@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -374,6 +375,21 @@ def test_bernoulli_cdf_period_budget(monkeypatch, uniform2):
     for x in (Fraction(1, 7), Fraction(1, 14)):
         with pytest.raises(BudgetExceeded):
             bernoulli_cdf(x, uniform2)
+
+
+def test_bernoulli_cdf_refuses_in_constant_memory(monkeypatch, uniform2):
+    # the period is bounded from the denominator before any digit is made; a
+    # budget of 2**16 keeps the traced loop short, and a dict of 2**16 seen
+    # remainders alone would take several MiB
+    monkeypatch.setattr(core, "DEFAULT_BUDGET", 1 << 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            bernoulli_cdf(Fraction(1, 1048589), uniform2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_bernoulli_cdf_monotone(asym2):

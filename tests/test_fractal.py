@@ -173,6 +173,19 @@ def test_rectangle_diagonals_positional_match_cylinder_images(pv3):
         rectangle_diagonals_sq(system, -1)
 
 
+def test_rectangle_diagonals_budget_counts_what_is_built(uniform2, pv3):
+    # flips none or all build one pair per digit-count vector, not q**rank rectangles
+    pairs = rectangle_diagonals_sq(FlipSystem(uniform2, FlipSet.all()), 40)
+    assert len(pairs) == 41
+    assert sum(mult for mult, _ in pairs) == 2**40
+    with pytest.raises(BudgetExceeded):
+        rectangle_diagonals_sq(FlipSystem(uniform2, FlipSet.all()), 40, budget=40)
+    assert len(rectangle_diagonals_sq(FlipSystem(pv3, FlipSet.none()), 4, budget=15)) == 15
+    # the positional walk still builds one rectangle per cylinder
+    with pytest.raises(BudgetExceeded):
+        rectangle_diagonals_sq(FlipSystem(pv3, FlipSet.finite([1])), 4, budget=80)
+
+
 def test_entropy_sandwich_bounds(asym2):
     a, b = min(asym2.p), max(asym2.p)
     for fs in (FlipSet.none(), FlipSet.all()):

@@ -2,7 +2,8 @@
 
 Each property compares the library against a direct per-position reading of
 the same object: the flip set's membership test, the stream's digit_at, or
-the per-position weights and offsets of FlipSystem.
+the per-position weights and offsets of FlipSystem.  The integer Horner
+kernel is compared with the Fraction forms kept in conftest as oracles.
 """
 
 from fractions import Fraction
@@ -20,13 +21,25 @@ from probdigits import (
     Enclosure,
     FlipSet,
     FlipSystem,
+    bernoulli_cdf,
+    cylinder_bounds,
     derivative_estimate,
     encode,
     eval_digits,
     eval_flip,
     flip_digits,
     flip_image,
+    integral_closed_form,
+    integral_riemann,
+    integral_series,
+    jump_at,
     make_prob_vector,
+)
+from conftest import (
+    bernoulli_cdf_by_digits,
+    cylinder_by_fractions,
+    eval_digits_by_horner,
+    integral_series_by_fractions,
 )
 
 bits = st.lists(st.booleans(), max_size=5).map(tuple)
@@ -174,3 +187,87 @@ def test_encode_round_trips_on_p_rationals(case):
     encoded = encode(x, pv, len(seq.digits))
     assert encoded == terminating
     assert eval_digits(encoded, pv) == x
+
+
+# ---------------------------------------------------------------------------
+# integer Horner kernel against the Fraction oracles
+# ---------------------------------------------------------------------------
+
+@st.composite
+def family_vectors(draw):
+    """q in 2..5 weights over a dyadic denominator or a product of odd primes."""
+    q = draw(st.integers(2, 5))
+    den = draw(st.sampled_from((16, 64, 256, 77, 91, 143, 1001)))
+    cuts = draw(st.lists(st.integers(1, den - 1), min_size=q - 1, max_size=q - 1, unique=True))
+    edges = [0, *sorted(cuts), den]
+    return make_prob_vector([Fraction(b - a, den) for a, b in zip(edges, edges[1:])])
+
+
+@st.composite
+def long_seqs(draw, q):
+    digit = st.integers(0, q - 1)
+    digits = draw(st.lists(digit, max_size=64))
+    tail = draw(st.one_of(st.sampled_from(("zero", "max")), st.lists(digit, min_size=1, max_size=6)))
+    return DigitSeq(digits, q, tail)
+
+
+vectors_and_seqs = family_vectors().flatmap(lambda pv: st.tuples(st.just(pv), long_seqs(pv.q)))
+# the series needs about log(1/tol) / (1 - w_max) terms, so a weight near 1
+# (w_max near 1) would make the Fraction oracle run for minutes at tol 1e-30
+series_vectors = family_vectors().filter(lambda pv: pv.max_p <= Fraction(3, 4))
+tolerances = st.integers(1, 30).map(lambda e: Fraction(1, 10**e))
+
+
+@given(vectors_and_seqs)
+def test_kernel_eval_digits_matches_horner_sum(case):
+    pv, seq = case
+    assert eval_digits(seq, pv) == eval_digits_by_horner(seq, pv)
+
+
+@given(vectors_and_seqs)
+def test_kernel_cylinder_matches_reversed_horner(case):
+    pv, seq = case
+    cyl = cylinder_bounds(seq.digits, pv)
+    assert cyl.base == seq.digits
+    assert (cyl.lo, cyl.hi) == cylinder_by_fractions(seq.digits, pv)
+
+
+@given(family_vectors(), st.integers(1, 3000), st.integers(-1, 3001))
+def test_kernel_bernoulli_cdf_matches_long_division(pv, den, num):
+    x = Fraction(num, den)
+    assert bernoulli_cdf(x, pv) == bernoulli_cdf_by_digits(x, pv)
+
+
+@given(series_vectors, flip_sets(), tolerances)
+def test_kernel_integral_series_matches_fraction_loop(pv, flips, tol):
+    system = FlipSystem(pv, flips)
+    enc = integral_series(system, tol)
+    assert (enc.lo, enc.hi) == integral_series_by_fractions(system, tol)
+
+
+# ---------------------------------------------------------------------------
+# analysis
+# ---------------------------------------------------------------------------
+
+@given(series_vectors, flip_sets(), st.integers(1, 8), tolerances)
+def test_riemann_and_series_enclosures_intersect(pv, flips, rank, tol):
+    system = FlipSystem(pv, flips)
+    series = integral_series(system, tol)
+    riemann = integral_riemann(system, rank)
+    assert series.intersects(riemann)
+    if system.shift_invariant:
+        exact = integral_closed_form(system)
+        assert series.contains(exact) and riemann.contains(exact)
+
+
+@given(prob_vectors().flatmap(lambda pv: st.tuples(st.just(pv), digit_seqs(pv.q))),
+       flip_sets(), st.integers(0, 4), st.integers(1, 4))
+def test_jump_limits_lie_in_the_flip_images_of_both_addresses(case, flips, k, last):
+    pv, seq = case
+    # a two-expansion point: a terminating address with a nonzero last digit
+    digits = seq.digits + (min(last, pv.q - 1),)
+    system = FlipSystem(pv, flips)
+    report = jump_at(eval_digits(DigitSeq(digits, pv.q), pv), system)
+    max_base = digits[:-1] + (digits[-1] - 1,)
+    assert flip_image(digits + (0,) * k, system).contains(report.right_limit)
+    assert flip_image(max_base + (pv.q - 1,) * k, system).contains(report.left_limit)
