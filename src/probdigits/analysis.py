@@ -12,10 +12,9 @@ rank-r cylinder partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, product
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     DEFAULT_BUDGET,
@@ -44,8 +43,7 @@ from .flips import FlipSet, FlipSystem, eval_flip, flip_image, flip_prefix
 # Jumps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JumpReport:
+class JumpReport(NamedTuple):
     point: Fraction
     left_limit: Fraction
     right_limit: Fraction
@@ -72,8 +70,7 @@ def jump_at(x0, system: FlipSystem, max_depth: int = 128) -> JumpReport:
     return JumpReport(point=x0, left_limit=left, right_limit=right, jump=right - left)
 
 
-@dataclass(frozen=True)
-class ContinuityClass:
+class ContinuityClass(NamedTuple):
     continuous_everywhere: bool
     jump_count: str | None = None  # "finite" | "countable" when jumps exist
 
@@ -111,8 +108,7 @@ def p_rationals(pv, count: int) -> list[Fraction]:
 # Monotonicity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonotoneWitness:
+class MonotoneWitness(NamedTuple):
     x1: Fraction
     x2: Fraction
     g1: Enclosure
@@ -145,8 +141,7 @@ def monotone_witness(system: FlipSystem, rank: int) -> MonotoneWitness | None:
 # Derivative scan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DerivativeTrace:
+class DerivativeTrace(NamedTuple):
     digits: tuple[int, ...]
     ratios: tuple[Fraction, ...]  # image width / cylinder width at ranks 1..M
 
@@ -216,8 +211,9 @@ def _partial_sums(system: FlipSystem, terms: tuple[int, int, int, int]) -> Itera
     total = 0
     weight = 1
     scale = 1
+    flipped = system.flips.contains
     for k in count(1):
-        v, w = (v_flip, w_flip) if system.flips.contains(k) else (v_plain, w_plain)
+        v, w = (v_flip, w_flip) if flipped(k) else (v_plain, w_plain)
         total = total * den_sq + v * weight
         weight *= w
         scale *= den_sq

@@ -3,37 +3,21 @@
 Rationals cross this boundary as "num/den" strings so scripts can keep the
 exact values; *_float fields are presentation only.  JSON goes to stdout
 with stable keys; CSV columns are fixed per subcommand (see README).
+
+One process answers one command, so start-up is part of every answer: the
+parser needs only core and flips, and each command body imports the rest of
+what it calls (analysis, fractal, the output encoders) when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
-import random
 import sys
 from fractions import Fraction
 
-from .analysis import (
-    derivative_estimate,
-    integral_closed_form,
-    integral_riemann,
-    integral_series,
-    jump_at,
-    p_rationals,
-)
-from .core import (
-    classify,
-    cylinder_bounds,
-    encode,
-    eval_digits,
-    make_prob_vector,
-    sample_digits,
-)
+from .core import make_prob_vector
 from .errors import InvalidArgument, ProbDigitsError
-from .flips import FlipSet, FlipSystem, eval_flip, flip_image
-from .fractal import MoranSpec, graph_dimension_estimate, ifs_graph_points, moran_dimension
+from .flips import FlipSet, FlipSystem
 
 
 def _rational(text: str) -> Fraction:
@@ -61,14 +45,35 @@ def q_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: Each subcommand: its help, its defaults for the shared options, and its own options.
+SUBCOMMANDS = {
+    "convert": ("digit expansion, classification and cylinder of x", {},
+                {"--x": dict(type=_rational, required=True)}),
+    "eval": ("certified value of the flip map at x", {},
+             {"--x": dict(type=_rational, required=True)}),
+    "integral": ("the Lebesgue integral three ways", {}, {}),
+    "jumps": ("jump reports at the first COUNT two-expansion points", {},
+              {"--count": dict(type=int, default=10)}),
+    "graph": ("exact points on the graph of the flip map", {"depth": 6},
+              {"--exact": dict(action="store_true", help="emit exact rationals instead of floats")}),
+    "dimension": ("entropy-sum dimension estimates (and Moran root with --u)", {},
+                  {"--u": dict(type=int, default=None, help="marker digit for the block-set Moran equation")}),
+    "scan-derivative": ("derivative-ratio traces at seeded random prefixes", {"rank": 16},
+                        {"--points": dict(type=int, default=10)}),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with `command` of that one only:
+    a process runs one command, and building all seven costs milliseconds."""
     parser = argparse.ArgumentParser(
         prog="probdigits",
         description="Exact arithmetic for probability-weighted digit expansions and digit-flip maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, **extra_defaults):
+    for name, (help_text, defaults, options) in SUBCOMMANDS.items():
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--p", type=_prob_vector, required=True, metavar="P",
                        help="comma-separated digit weights, e.g. 1/5,3/10,1/2")
@@ -80,29 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.set_defaults(**extra_defaults)
-        return p
-
-    p = add("convert", "digit expansion, classification and cylinder of x")
-    p.add_argument("--x", type=_rational, required=True)
-
-    p = add("eval", "certified value of the flip map at x")
-    p.add_argument("--x", type=_rational, required=True)
-
-    add("integral", "the Lebesgue integral three ways")
-
-    p = add("jumps", "jump reports at the first COUNT two-expansion points")
-    p.add_argument("--count", type=int, default=10)
-
-    p = add("graph", "exact points on the graph of the flip map", depth=6)
-    p.add_argument("--exact", action="store_true", help="emit exact rationals instead of floats")
-
-    p = add("dimension", "entropy-sum dimension estimates (and Moran root with --u)")
-    p.add_argument("--u", type=int, default=None, help="marker digit for the block-set Moran equation")
-
-    p = add("scan-derivative", "derivative-ratio traces at seeded random prefixes", rank=16)
-    p.add_argument("--points", type=int, default=10)
-
+        p.set_defaults(**defaults)
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
     return parser
 
 
@@ -120,6 +105,8 @@ def _enclosure_json(enc) -> dict:
 
 
 def cmd_convert(args):
+    from .core import classify, cylinder_bounds, encode, eval_digits
+
     pv = args.p
     seq = encode(args.x, pv, args.depth)
     cyl = cylinder_bounds(seq.digits, pv)
@@ -145,6 +132,9 @@ def cmd_convert(args):
 
 
 def cmd_eval(args):
+    from .core import encode, eval_digits
+    from .flips import eval_flip, flip_image
+
     pv = args.p
     system = FlipSystem(pv, args.flips)
     seq = encode(args.x, pv, args.depth)
@@ -158,6 +148,8 @@ def cmd_eval(args):
 
 
 def cmd_integral(args):
+    from .analysis import integral_closed_form, integral_riemann, integral_series
+
     system = FlipSystem(args.p, args.flips)
     series = integral_series(system, args.tol)
     riemann = integral_riemann(system, args.rank)
@@ -174,6 +166,8 @@ def cmd_integral(args):
 
 
 def cmd_jumps(args):
+    from .analysis import jump_at, p_rationals
+
     system = FlipSystem(args.p, args.flips)
     header = ["point", "left_limit", "right_limit", "jump", "point_float", "jump_float"]
     rows = []
@@ -187,6 +181,8 @@ def cmd_jumps(args):
 
 
 def cmd_graph(args):
+    from .fractal import ifs_graph_points
+
     points = ifs_graph_points(FlipSystem(args.p, args.flips), args.depth)
     header = ["x", "y"]
     if args.exact:
@@ -197,6 +193,8 @@ def cmd_graph(args):
 
 
 def cmd_dimension(args):
+    from .fractal import MoranSpec, graph_dimension_estimate, moran_dimension
+
     system = FlipSystem(args.p, args.flips)
     ranks = list(range(2, args.rank + 1, 2)) or [args.rank]
     estimates = graph_dimension_estimate(system, ranks)
@@ -212,6 +210,11 @@ def cmd_dimension(args):
 
 
 def cmd_scan_derivative(args):
+    import random
+
+    from .analysis import derivative_estimate
+    from .core import sample_digits
+
     if args.points < 0:
         raise InvalidArgument(f"--points must be >= 0, got {args.points}")
     system = FlipSystem(args.p, args.flips)
@@ -239,27 +242,32 @@ COMMANDS = {
 
 def _render(shape, payload, fmt: str | None) -> str:
     if shape == "json":
-        if fmt == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(["key", "value"])
-            flat = json.loads(json.dumps(payload))  # normalize nested values
+        import json
 
-            def walk(prefix, node):
-                if isinstance(node, dict):
-                    for k, v in node.items():
-                        walk(f"{prefix}.{k}" if prefix else k, v)
-                elif isinstance(node, list):
-                    writer.writerow([prefix, json.dumps(node)])
-                else:
-                    writer.writerow([prefix, node])
+        if fmt != "csv":
+            return json.dumps(payload, indent=2) + "\n"
+        # one key,value row per leaf, keys dotted; a list stays one JSON cell
+        header, rows = ["key", "value"], []
 
-            walk("", flat)
-            return buf.getvalue()
-        return json.dumps(payload, indent=2) + "\n"
-    header, rows = payload
-    if fmt == "json":
-        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+        def walk(prefix, node):
+            if isinstance(node, dict):
+                for k, v in node.items():
+                    walk(f"{prefix}.{k}" if prefix else k, v)
+            elif isinstance(node, list):
+                rows.append([prefix, json.dumps(node)])
+            else:
+                rows.append([prefix, node])
+
+        walk("", json.loads(json.dumps(payload)))  # normalize nested values
+    else:
+        header, rows = payload
+        if fmt == "json":
+            import json
+
+            return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
@@ -268,7 +276,21 @@ def _render(shape, payload, fmt: str | None) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # exact output is the contract, so the interpreter's limit on int <-> str
+    # digits is lifted while main runs and restored for in-process callers
+    if not hasattr(sys, "get_int_max_str_digits"):  # before 3.10.7 there is no limit
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         shape, payload = COMMANDS[args.command](args)

@@ -18,14 +18,11 @@ with rational endpoints.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
     BaseTooSmall,
@@ -37,6 +34,9 @@ from .errors import (
     ShiftPastPrefix,
     SumNotOne,
 )
+
+if TYPE_CHECKING:
+    import random
 
 RationalLike = Union[int, str, Fraction]
 
@@ -64,16 +64,39 @@ class IntTable(NamedTuple):
     p: tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class ProbVector:
     """Digit weights p (all positive, summing to 1) plus their cumulative sums.
 
     beta has q+1 entries with beta[0] = 0 and beta[q] = 1; cell t of the
-    unit interval is [beta[t], beta[t+1]] and has length p[t].
+    unit interval is [beta[t], beta[t+1]] and has length p[t].  Immutable;
+    equal and hashed by (p, beta).
+
+    den and int_table are computed on first read and kept in slots of the
+    instance, so each is computed once per vector.
     """
 
-    p: tuple[Fraction, ...]
-    beta: tuple[Fraction, ...]
+    __slots__ = ("p", "beta", "_den", "_int_table")
+
+    def __init__(self, p: tuple[Fraction, ...], beta: tuple[Fraction, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "beta", beta)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ProbVector is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ProbVector is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self.beta == other.beta
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.beta))
+
+    def __reduce__(self):
+        return ProbVector, (self.p, self.beta)
 
     @property
     def q(self) -> int:
@@ -83,16 +106,26 @@ class ProbVector:
     def max_p(self) -> Fraction:
         return max(self.p)
 
-    @cached_property
+    @property
     def den(self) -> int:
         """Least common denominator D of the weights: every p[c] and beta[c] is an integer over D."""
-        return lcm(*(v.denominator for v in self.p))
+        try:
+            return self._den
+        except AttributeError:
+            den = lcm(*(v.denominator for v in self.p))
+            object.__setattr__(self, "_den", den)
+            return den
 
-    @cached_property
+    @property
     def int_table(self) -> IntTable:
-        """The numerators of beta and p over D = den, computed once per vector."""
-        den = self.den
-        return IntTable(den, tuple(int(b * den) for b in self.beta), tuple(int(w * den) for w in self.p))
+        """The numerators of beta and p over D = den."""
+        try:
+            return self._int_table
+        except AttributeError:
+            den = self.den
+            table = IntTable(den, tuple(int(b * den) for b in self.beta), tuple(int(w * den) for w in self.p))
+            object.__setattr__(self, "_int_table", table)
+            return table
 
     @classmethod
     def uniform(cls, q: int) -> "ProbVector":
@@ -344,8 +377,7 @@ def shift_value(x, pv: ProbVector) -> Fraction:
 # Cylinders
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(NamedTuple):
     """The closed interval of all points whose expansion starts with `base`."""
 
     base: tuple[int, ...]
@@ -364,6 +396,10 @@ class Cylinder:
     def contains(self, x) -> bool:
         x = as_fraction(x)
         return self.lo <= x <= self.hi
+
+    def __contains__(self, x) -> bool:
+        # a point in the interval, not tuple membership
+        return self.contains(x)
 
     def child(self, c: int) -> "Cylinder":
         return cylinder_bounds(self.base + (c,), self.pv)
@@ -388,8 +424,7 @@ class PointKind(Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class PointClass:
+class PointClass(NamedTuple):
     kind: PointKind
     depth: int | None = None
 
@@ -480,16 +515,25 @@ def sample_digits(pv: ProbVector, length: int, rng: random.Random) -> tuple[int,
 # Certified intervals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Enclosure:
-    """A rational interval [lo, hi] certified to contain an exact value."""
-
+class _EnclosureFields(NamedTuple):
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty enclosure [{self.lo}, {self.hi}]")
+
+class Enclosure(_EnclosureFields):
+    """A rational interval [lo, hi] certified to contain an exact value."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: Fraction, hi: Fraction):
+        if lo > hi:
+            raise ValueError(f"empty enclosure [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi))
+
+    @classmethod
+    def _make(cls, iterable) -> "Enclosure":
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
     @classmethod
     def point(cls, value) -> "Enclosure":

@@ -10,11 +10,10 @@ alternating (nega) expansion is the mask that flips every even position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, ProbVector, cylinder_bounds, eval_digits, horner_sum
 from .errors import BudgetExceeded, DigitOutOfRange, FlipSpecError, InvalidArgument
@@ -27,8 +26,7 @@ class FlipKind(Enum):
     MASK = "mask"
 
 
-@dataclass(frozen=True)
-class FlipSet:
+class FlipSet(NamedTuple):
     """The set of flipped positions; total membership test for every k >= 1.
 
     Every kind is stored as one eventually periodic bit stream: bit k is
@@ -110,9 +108,11 @@ class FlipSet:
     def contains(self, k: int) -> bool:
         if k < 1:
             raise InvalidArgument(f"positions are 1-based, got {k}")
-        if k <= len(self.preperiod):
-            return self.preperiod[k - 1]
-        return self.period[(k - len(self.preperiod) - 1) % len(self.period)]
+        preperiod = self.preperiod
+        if k <= len(preperiod):
+            return preperiod[k - 1]
+        period = self.period
+        return period[(k - len(preperiod) - 1) % len(period)]
 
     def __contains__(self, k: int) -> bool:
         return self.contains(k)
@@ -158,8 +158,7 @@ class FlipSet:
 EVEN_POSITIONS = FlipSet.mask((), (False, True))
 
 
-@dataclass(frozen=True)
-class FlipSystem:
+class FlipSystem(NamedTuple):
     """A probability vector paired with a flip schedule.
 
     weight/offset at position k are those of the complemented digit whenever

@@ -12,8 +12,8 @@ given by the root of a Moran equation over the block weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import DEFAULT_BUDGET, DigitSeq, ProbVector
 from .errors import BudgetExceeded, EmptyAlphabet, InvalidArgument, NotShiftInvariant
@@ -31,8 +31,7 @@ ENTROPY_THRESHOLD = math.sqrt(2.0)
 # Iterated affine maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AffineMap2D:
+class AffineMap2D(NamedTuple):
     x_scale: Fraction
     x_offset: Fraction
     y_scale: Fraction
@@ -177,17 +176,26 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
 # Block fractals and the Moran equation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MoranSpec:
+class _MoranFields(NamedTuple):
+    pv: ProbVector
+    u: int
+
+
+class MoranSpec(_MoranFields):
     """The block fractal built from runs of the marker digit u: admissible
     streams are concatenations of blocks (u repeated i-1 times, then the
     digit i), with i ranging over the nonzero non-u digits."""
 
-    pv: ProbVector
-    u: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.pv.check_digit(self.u)
+    def __new__(cls, pv: ProbVector, u: int):
+        pv.check_digit(u)
+        return tuple.__new__(cls, (pv, u))
+
+    @classmethod
+    def _make(cls, iterable) -> "MoranSpec":
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
     @property
     def alphabet(self) -> tuple[int, ...]:

@@ -1,11 +1,19 @@
 import csv
 import json
 import io
+import os
+import shlex
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from probdigits.cli import main
+from probdigits import FlipSet, FlipSystem, ifs_graph_points, make_prob_vector
+from probdigits.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -264,3 +272,108 @@ def test_json_command_as_csv(capsys):
     rows = dict((r[0], r[1]) for r in list(csv.reader(io.StringIO(out)))[1:])
     assert rows["x"] == "1/4"
     assert rows["classification"] == "p-rational"
+
+
+# ---------------------------------------------------------------------------
+# large exact outputs
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def int_digit_limit():
+    """The interpreter's int <-> str digit limit, restored after the test."""
+    limit = sys.get_int_max_str_digits()
+    yield limit
+    sys.set_int_max_str_digits(limit)
+
+
+def test_graph_large_exact_output(capsys, int_digit_limit):
+    # the flipped zero tail from position 4 to 20000 gives y denominators of about 12000 digits
+    header, rows = run_csv(capsys, "graph", "--p", "1/4,3/4", "--flips", "finite:20000",
+                           "--depth", "3", "--exact")
+    assert sys.get_int_max_str_digits() == int_digit_limit
+    assert header == ["x", "y"] and len(rows) == 8
+    assert max(len(y) for _, y in rows) > 4300
+    sys.set_int_max_str_digits(0)  # parsing the cells back needs the limit lifted too
+    system = FlipSystem(make_prob_vector(["1/4", "3/4"]), FlipSet.finite([20000]))
+    assert [(Fraction(x), Fraction(y)) for x, y in rows] == ifs_graph_points(system, 3)
+
+
+def test_integral_large_exact_output(capsys, int_digit_limit):
+    code, out, err = run_cli(capsys, "integral", "--p", "1/1001,1000/1001", "--rank", "10")
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == int_digit_limit
+    payload = json.loads(out)
+    assert len(payload["series"]["lo"]) > 4300
+    sys.set_int_max_str_digits(0)
+    series, riemann = payload["series"], payload["riemann"]
+    assert Fraction(series["lo"]) <= Fraction(series["hi"])
+    assert Fraction(riemann["lo"]) <= Fraction(series["hi"]) and Fraction(series["lo"]) <= Fraction(riemann["hi"])
+
+
+def test_main_restores_int_digit_limit(capsys, int_digit_limit):
+    sys.set_int_max_str_digits(5000)
+    assert run_cli(capsys, "convert", "--p", "1/2,1/2", "--x", "1/3")[0] == 0
+    assert run_cli(capsys, "convert", "--p", "1/2,1/2", "--x", "3/2")[0] == 2
+    with pytest.raises(SystemExit):
+        main(["convert", "--p", "1/2,1/2", "--x", "one-half"])
+    assert sys.get_int_max_str_digits() == 5000
+
+
+# ---------------------------------------------------------------------------
+# README examples and start-up cost
+# ---------------------------------------------------------------------------
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every command line in the README's "Command line" code block."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("probdigits ")]
+
+
+def test_readme_command_examples(capsys, tmp_path):
+    commands = readme_commands()
+    assert len(commands) == 7
+    for argv in commands:
+        out_file = None
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            out_file = argv[i] = str(tmp_path / argv[i])
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert err == ""
+        if out_file:
+            assert out == "" and Path(out_file).read_text()
+        else:
+            assert out
+
+
+def test_cli_loads_only_what_a_command_runs():
+    # what is loaded, not how long it takes: a fresh interpreter reports sys.modules
+    script = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m in ("dataclasses", "inspect") or m.startswith("probdigits."))
+stages = {}
+import probdigits
+stages["package"] = loaded()
+import probdigits.cli
+stages["cli"] = loaded()
+probdigits.cli.main(["convert", "--p", "1/2,1/2", "--x", "1/3", "--out", sys.argv[1]])
+stages["convert"] = loaded()
+print(json.dumps(stages))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, os.devnull], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    stages = json.loads(proc.stdout)
+    assert stages["package"] == []
+    assert stages["cli"] == ["probdigits.cli", "probdigits.core", "probdigits.errors", "probdigits.flips"]
+    assert not {"probdigits.analysis", "probdigits.fractal", "dataclasses", "inspect"} & set(stages["convert"])
+
+
+def test_parser_built_for_the_invoked_subcommand_only():
+    # main builds the one subparser its argv names; help and errors see all seven
+    assert "{convert} ..." in build_parser("convert").format_usage()
+    assert "{convert,eval,integral,jumps,graph,dimension,scan-derivative}" in build_parser().format_usage()
