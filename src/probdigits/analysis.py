@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, islice, product
+from math import ceil, log
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
@@ -29,6 +30,7 @@ from .core import (
     eval_digits,
 )
 from .errors import (
+    BudgetExceeded,
     EndpointOneSided,
     InvalidArgument,
     NotPRational,
@@ -220,18 +222,29 @@ def _partial_sums(system: FlipSystem, terms: tuple[int, int, int, int]) -> Itera
         yield total, weight, scale
 
 
-def integral_series(system: FlipSystem, tol=Fraction(1, 10**12)) -> Enclosure:
+def integral_series(system: FlipSystem, tol=Fraction(1, 10**12), budget: int = DEFAULT_BUDGET) -> Enclosure:
     """Positional-expectation series: under Lebesgue measure the digits are
     independent with law p, so the integral is sum_k v_k prod_{j<k} w_j with
     v_k, w_k the expected offset/weight at position k.  The returned
-    enclosure adds the geometric tail bound and has width <= tol."""
+    enclosure adds the geometric tail bound and has width <= tol.
+
+    The sum stops by the first k with v_max * w_max**k / (1 - w_max) <= tol;
+    when that k (found with floating-point logs) exceeds the budget, the
+    call refuses before summing."""
     tol = as_fraction(tol)
     if tol <= 0:
         raise InvalidArgument(f"tol must be positive, got {tol}")
     terms = _expected_terms(system.pv)
     v_max = max(terms[:2])
+    w_max = max(terms[2:])
+    den_sq = system.pv.den ** 2
     # (1 - w_max) * D**2, positive: every weight sum of squares is below 1
-    closure = system.pv.den ** 2 - max(terms[2:])
+    closure = den_sq - w_max
+    # v_max * w_max**k / (closure * D**(2k)) <= tol, solved for k in logs (every int here is > 0)
+    need = log(v_max) - log(closure) - log(tol.numerator) + log(tol.denominator)
+    bound = max(1, ceil(need / (log(den_sq) - log(w_max))))
+    if bound > budget:
+        raise BudgetExceeded(f"about {bound} series terms to reach tol {tol} exceed budget {budget}")
     for total, weight, scale in _partial_sums(system, terms):
         # the tail bound v_max * W / (1 - w_max) is v_max * weight / (scale * closure)
         tail = v_max * weight

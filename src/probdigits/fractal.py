@@ -64,7 +64,12 @@ def ifs_graph_points(system: FlipSystem, depth: int, budget: int = DEFAULT_BUDGE
     For flips none or all these are the depth-fold compositions of the affine
     maps applied to the seed (0, g(0)).  Any flip set works: the point over a
     cylinder is its image's lower end plus the image width times the value
-    of the flipped zero tail from position depth + 1."""
+    of the flipped zero tail from position depth + 1.
+
+    Every coordinate is an integer over D**depth * t_den (D = pv.den, t_den
+    the tail's denominator), and each distinct value is built as a Fraction
+    once: for flips none y is x, and for flips all every y is the x of
+    another cylinder or 1, so equal coordinates may be the same object."""
     if depth < 0:
         raise InvalidArgument(f"depth must be >= 0, got {depth}")
     pv = system.pv
@@ -72,11 +77,20 @@ def ifs_graph_points(system: FlipSystem, depth: int, budget: int = DEFAULT_BUDGE
         raise BudgetExceeded(f"{pv.q}**{depth} points exceed budget {budget}")
     tail = eval_flip(DigitSeq((), pv.q), system, offset=depth).value
     t_num, t_den = tail.numerator, tail.denominator
-    scale = pv.den ** depth
-    return [
-        (Fraction(x_lo, scale), Fraction(y_lo * t_den + y_w * t_num, scale * t_den))
-        for x_lo, _, y_lo, y_w in cylinder_images(system, depth)
-    ]
+    scale = pv.den ** depth * t_den
+    built: dict[int, Fraction] = {}
+    points = []
+    for x_lo, _, y_lo, y_w in cylinder_images(system, depth):
+        x_num = x_lo * t_den
+        y_num = y_lo * t_den + y_w * t_num
+        x = built.get(x_num)
+        if x is None:
+            x = built[x_num] = Fraction(x_num, scale)
+        y = built.get(y_num)
+        if y is None:
+            y = built[y_num] = Fraction(y_num, scale)
+        points.append((x, y))
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -92,51 +106,70 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def rectangle_diagonals_sq(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET):
-    """Exact squared diagonals of the occupied rank-r covering rectangles,
-    as (multiplicity, diag_sq) pairs.  The budget caps the pairs built:
-    C(rank+q-1, q-1) digit-count groups for flips none or all, q**rank
-    rectangles otherwise."""
+def _count_groups(total: int, px, py) -> list[tuple[int, int, int]]:
+    """(multinomial(total; n), prod px[c]**n_c, prod py[c]**n_c) for every
+    digit-count vector n of total positions, in _compositions order."""
+    fact = math.factorial
+    out = []
+    for counts in _compositions(total, len(px)):
+        mult = fact(total)
+        wx = 1
+        wy = 1
+        for n, x, y in zip(counts, px, py):
+            mult //= fact(n)
+            wx *= x ** n
+            wy *= y ** n
+        out.append((mult, wx, wy))
+    return out
+
+
+def _rectangle_groups(system: FlipSystem, rank: int, budget: int) -> tuple[list[tuple[int, int]], int]:
+    """The rank-r rectangles grouped by digit counts, as (multiplicity,
+    diag_sq numerator) pairs over the common denominator D**(2*rank).
+
+    A rectangle's sides depend only on the digit counts m over the a flipped
+    positions up to the rank and n over the b = rank - a unflipped ones:
+    x = prod p_c**(m_c+n_c), y = prod p_{q-1-c}**m_c * p_c**n_c, so
+    diag_sq = w_n**2 * (x_m**2 + y_m**2) with w_n = prod p_c**n_c.  The two
+    group lists are built once and crossed, flipped groups outermost; the
+    budget caps the C(a+q-1, q-1) * C(b+q-1, q-1) groups."""
     if rank < 0:
         raise InvalidArgument(f"rank must be >= 0, got {rank}")
     q = system.pv.q
-    pairs = math.comb(rank + q - 1, q - 1) if system.shift_invariant else q ** rank
-    if pairs > budget:
-        raise BudgetExceeded(f"{pairs} rectangle pairs at rank {rank} exceed budget {budget}")
-    den, _, px = system.pv.int_table
-    scale = den ** (2 * rank)
-    if system.shift_invariant:
-        # sides depend only on the digit multiset: group by digit counts;
-        # the side products are integers over D**rank
-        py = px[::-1] if system.flips.contains(1) else px
-        fact = math.factorial
-        out = []
-        for counts in _compositions(rank, q):
-            mult = fact(rank)
-            wx = 1
-            wy = 1
-            for n, x, y in zip(counts, px, py):
-                mult //= fact(n)
-                wx *= x ** n
-                wy *= y ** n
-            out.append((mult, Fraction(wx * wx + wy * wy, scale)))
-        return out
-    return [(1, Fraction(x_w * x_w + y_w * y_w, scale)) for _, x_w, _, y_w in cylinder_images(system, rank)]
+    flipped = sum(1 for k in range(1, rank + 1) if system.flips.contains(k))
+    groups = math.comb(flipped + q - 1, q - 1) * math.comb(rank - flipped + q - 1, q - 1)
+    if groups > budget:
+        raise BudgetExceeded(f"{groups} rectangle groups at rank {rank} exceed budget {budget}")
+    den, _, p = system.pv.int_table
+    # side products are integers over D**rank; a flipped position reads the complement's weight
+    sides = [(mult, x * x + y * y) for mult, x, y in _count_groups(flipped, p, p[::-1])]
+    plain = [(mult, w * w) for mult, w, _ in _count_groups(rank - flipped, p, p)]
+    return [(m * n, s * w) for m, s in sides for n, w in plain], den ** (2 * rank)
+
+
+def rectangle_diagonals_sq(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, Fraction]]:
+    """Exact squared diagonals of the occupied rank-r covering rectangles,
+    as (multiplicity, diag_sq) pairs, one per digit-count group (see
+    _rectangle_groups): the multiplicities add up to q**rank.  A diagonal may
+    recur across groups.  The budget caps the groups built."""
+    groups, scale = _rectangle_groups(system, rank, budget)
+    return [(mult, Fraction(num, scale)) for mult, num in groups]
 
 
 def entropy_sum(system: FlipSystem, alpha, rank: int, budget: int = DEFAULT_BUDGET) -> float:
     """Sum over the q**rank occupied rank-r rectangles of diagonal**alpha.
 
     Diagonals squared are exact rationals; only the alpha/2 power is floating
-    point.  alpha = 0 counts rectangles, and the sum is strictly decreasing
-    in alpha."""
+    point (num / den is correctly rounded, so it equals float(Fraction)).
+    alpha = 0 counts rectangles, and the sum is strictly decreasing in alpha."""
     alpha = float(alpha)
     if alpha < 0:
         raise InvalidArgument(f"alpha must be >= 0, got {alpha}")
     if rank < 1:
         raise InvalidArgument(f"rank must be >= 1, got {rank}")
     half = alpha / 2.0
-    return math.fsum(mult * float(d2) ** half for mult, d2 in rectangle_diagonals_sq(system, rank, budget))
+    groups, scale = _rectangle_groups(system, rank, budget)
+    return math.fsum(mult * (num / scale) ** half for mult, num in groups)
 
 
 def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BUDGET) -> dict[int, float]:
@@ -153,7 +186,8 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
         raise InvalidArgument(f"ranks must be strictly increasing, got {ranks}")
     out: dict[int, float] = {}
     for rank in ranks:
-        diags = [(mult, float(d2)) for mult, d2 in rectangle_diagonals_sq(system, rank, budget)]
+        groups, scale = _rectangle_groups(system, rank, budget)
+        diags = [(mult, num / scale) for mult, num in groups]
 
         def total(alpha: float) -> float:
             half = alpha / 2.0

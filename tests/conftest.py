@@ -61,6 +61,21 @@ def riemann_by_walk(system, rank: int) -> tuple[Fraction, Fraction]:
     return Fraction(lower, scale), Fraction(upper, scale)
 
 
+def diagonals_by_walk(system, rank: int) -> list[tuple[int, Fraction]]:
+    """Squared diagonals of the rank-r rectangles by walking every cylinder:
+    one (1, x_w**2 + y_w**2) pair per cylinder, in lexicographic base order."""
+    scale = system.pv.den ** (2 * rank)
+    return [(1, Fraction(x_w * x_w + y_w * y_w, scale)) for _, x_w, _, y_w in cylinder_images(system, rank)]
+
+
+def diagonal_multiset(pairs) -> dict[Fraction, int]:
+    """Squared diagonal -> total multiplicity over (multiplicity, diag_sq) pairs."""
+    out: dict[Fraction, int] = {}
+    for mult, d2 in pairs:
+        out[d2] = out.get(d2, 0) + mult
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Fraction oracles for the integer Horner kernel in core
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from probdigits import (
+    BudgetExceeded,
     DigitSeq,
     EndpointOneSided,
     FlipSet,
@@ -215,6 +217,20 @@ def test_integral_series_examples(uniform2, asym2, pv3):
     # hand geometric sum for a single flipped position
     enc = integral_series(FlipSystem(uniform2, FlipSet.finite([1])))
     assert enc.contains(Fraction(1, 2))
+
+
+def test_integral_series_budget_refuses_before_summing():
+    # w_max = 1000001/1002001: about 34 000 terms to reach 1e-30, refused without summing
+    system = FlipSystem(make_prob_vector(["1/1001", "1000/1001"]), FlipSet.none())
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        integral_series(system, Fraction(1, 10**30), budget=10**4)
+    assert time.perf_counter() - start < 0.2
+    # for flips none the bound is the count summed: 58 terms reach 1e-12 on 1/4,3/4
+    asym = FlipSystem(make_prob_vector(["1/4", "3/4"]), FlipSet.none())
+    assert integral_series(asym, budget=58) == integral_series(asym)
+    with pytest.raises(BudgetExceeded):
+        integral_series(asym, budget=57)
 
 
 def test_integral_riemann_examples(uniform2, asym2):

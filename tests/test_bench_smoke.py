@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 #: and CHANGES.md must then name the change and the new digests.
 SEED2_DIGESTS = {
     "pointwise": "d9f48152c00ac86bf211a00e5628b61eb55c9e285031272559b33f7a16ef5c70",
-    "enumerate": "abd07de57b454d7b9a6e7e517baaff83a6ad717b431b6b345a3663eb86f1f410",
+    "enumerate": "1641427cf6b71234dcaa5c2345652f8ca510469531ecf22d205b77feb9e22e90",
 }
 
 

@@ -27,7 +27,7 @@ from probdigits import (
     moran_set_cylinders,
     rectangle_diagonals_sq,
 )
-from conftest import ASYM_VECTORS
+from conftest import ASYM_VECTORS, diagonal_multiset
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +80,14 @@ def test_graph_points_membership_and_completeness(asym2, pv3):
         for word, (x, y) in zip(words, pts):
             assert x == cylinder_bounds(word, system.pv).lo
             assert y == eval_flip(DigitSeq(word, q), system).value
+
+
+def test_graph_points_build_each_value_once(pv3):
+    # y is x for flips none; for flips all every y is another point's x or 1
+    pts = ifs_graph_points(FlipSystem(pv3, FlipSet.none()), 4)
+    assert all(y is x for x, y in pts)
+    pts = ifs_graph_points(FlipSystem(pv3, FlipSet.all()), 4)
+    assert len({id(value) for point in pts for value in point}) == 3**4 + 1
 
 
 def test_graph_points_budget(uniform2):
@@ -168,7 +176,10 @@ def test_rectangle_diagonals_positional_match_cylinder_images(pv3):
     for base in product(range(3), repeat=rank):
         cyl, image = cylinder_image(base, system)
         expected.append((1, cyl.width ** 2 + image.width ** 2))
-    assert rectangle_diagonals_sq(system, rank) == expected
+    pairs = rectangle_diagonals_sq(system, rank)
+    assert diagonal_multiset(pairs) == diagonal_multiset(expected)
+    # positions 1 and 3 flipped, 2 and 4 not: C(2+2, 2) * C(2+2, 2) digit-count groups
+    assert len(pairs) == 36
     with pytest.raises(InvalidArgument):
         rectangle_diagonals_sq(system, -1)
 
@@ -181,9 +192,14 @@ def test_rectangle_diagonals_budget_counts_what_is_built(uniform2, pv3):
     with pytest.raises(BudgetExceeded):
         rectangle_diagonals_sq(FlipSystem(uniform2, FlipSet.all()), 40, budget=40)
     assert len(rectangle_diagonals_sq(FlipSystem(pv3, FlipSet.none()), 4, budget=15)) == 15
-    # the positional walk still builds one rectangle per cylinder
+    # a positional set builds C(a+2, 2) * C(b+2, 2) groups: a = 1 flipped and
+    # b = 3 unflipped positions give 3 * 10
+    finite = FlipSystem(pv3, FlipSet.finite([1]))
     with pytest.raises(BudgetExceeded):
-        rectangle_diagonals_sq(FlipSystem(pv3, FlipSet.finite([1])), 4, budget=80)
+        rectangle_diagonals_sq(finite, 4, budget=29)
+    pairs = rectangle_diagonals_sq(finite, 4, budget=30)
+    assert len(pairs) == 30
+    assert sum(mult for mult, _ in pairs) == 3**4
 
 
 def test_entropy_sandwich_bounds(asym2):

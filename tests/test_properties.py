@@ -6,7 +6,9 @@ the per-position weights and offsets of FlipSystem.  The integer Horner
 kernel is compared with the Fraction forms kept in conftest as oracles.
 """
 
+import math
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -23,21 +25,28 @@ from probdigits import (
     FlipSystem,
     bernoulli_cdf,
     cylinder_bounds,
+    cylinder_image,
     derivative_estimate,
     encode,
+    entropy_sum,
     eval_digits,
     eval_flip,
     flip_digits,
     flip_image,
+    horner_sum,
+    ifs_graph_points,
     integral_closed_form,
     integral_riemann,
     integral_series,
     jump_at,
     make_prob_vector,
+    rectangle_diagonals_sq,
 )
 from conftest import (
     bernoulli_cdf_by_digits,
     cylinder_by_fractions,
+    diagonal_multiset,
+    diagonals_by_walk,
     eval_digits_by_horner,
     integral_series_by_fractions,
 )
@@ -271,3 +280,52 @@ def test_jump_limits_lie_in_the_flip_images_of_both_addresses(case, flips, k, la
     max_base = digits[:-1] + (digits[-1] - 1,)
     assert flip_image(digits + (0,) * k, system).contains(report.right_limit)
     assert flip_image(max_base + (pv.q - 1,) * k, system).contains(report.left_limit)
+
+
+# ---------------------------------------------------------------------------
+# q**rank enumerations against the cylinder walk
+# ---------------------------------------------------------------------------
+
+ranks = st.integers(0, 6)
+
+
+@given(prob_vectors(), flip_sets(), ranks)
+def test_grouped_diagonals_match_the_cylinder_walk(pv, flips, rank):
+    system = FlipSystem(pv, flips)
+    pairs = rectangle_diagonals_sq(system, rank)
+    assert diagonal_multiset(pairs) == diagonal_multiset(diagonals_by_walk(system, rank))
+    flipped = sum(flips.contains(k) for k in range(1, rank + 1))
+    q = pv.q
+    assert len(pairs) == math.comb(flipped + q - 1, q - 1) * math.comb(rank - flipped + q - 1, q - 1)
+
+
+@given(prob_vectors(), flip_sets(), st.integers(1, 6), st.floats(0, 3))
+def test_entropy_sum_matches_the_cylinder_walk(pv, flips, rank, alpha):
+    system = FlipSystem(pv, flips)
+    expected = math.fsum(float(d2) ** (alpha / 2) for _, d2 in diagonals_by_walk(system, rank))
+    assert entropy_sum(system, alpha, rank) == pytest.approx(expected, rel=1e-12)
+
+
+def zero_tail_image(system: FlipSystem, depth: int) -> Fraction:
+    """Value of the flipped zero tail from position depth + 1: digit q-1 at
+    the flipped positions and 0 elsewhere, summed per position."""
+    pv = system.pv
+    top = pv.q - 1
+    pre, per = system.flips.pattern_from(depth + 1)
+
+    def terms(pattern):
+        return [(pv.beta[top], pv.p[top]) if bit else (pv.beta[0], pv.p[0]) for bit in pattern]
+    return horner_sum(terms(pre), terms(per))
+
+
+@given(prob_vectors(), flip_sets(), st.integers(0, 4))
+def test_graph_points_match_per_base_fractions(pv, flips, depth):
+    # per point: the cylinder's lower end, and the image hull's lower end plus
+    # its width times the flipped zero tail, all in Fractions
+    system = FlipSystem(pv, flips)
+    tail = zero_tail_image(system, depth)
+    expected = []
+    for base in product(range(pv.q), repeat=depth):
+        cyl, image = cylinder_image(base, system)
+        expected.append((cyl.lo, image.lo + image.width * tail))
+    assert ifs_graph_points(system, depth) == expected
