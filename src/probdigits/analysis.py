@@ -13,7 +13,7 @@ rank-r cylinder partition.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, islice, product
+from itertools import count, cycle, islice, product
 from math import ceil, log
 from typing import Iterator, NamedTuple, Sequence
 
@@ -222,29 +222,54 @@ def _partial_sums(system: FlipSystem, terms: tuple[int, int, int, int]) -> Itera
         yield total, weight, scale
 
 
-def integral_series(system: FlipSystem, tol=Fraction(1, 10**12), budget: int = DEFAULT_BUDGET) -> Enclosure:
+def _series_length(system: FlipSystem, terms: tuple[int, int, int, int], need: float) -> int:
+    """Smallest k >= 1 with sum_{j<=k} log(D**2 / w_j) >= need, with w_j the
+    weight numerator _partial_sums uses at position j, found in floating
+    point in O(len(preperiod) + len(period)) steps from the flip bits."""
+    _, _, w_plain, w_flip = terms
+    log_den_sq = log(system.pv.den ** 2)
+    decay = {False: log_den_sq - log(w_plain), True: log_den_sq - log(w_flip)}
+    flips = system.flips
+    k = 0
+    for bit in flips.preperiod:
+        if need <= 0:
+            return max(k, 1)
+        need -= decay[bit]
+        k += 1
+    period = [decay[bit] for bit in flips.period]
+    whole = sum(period)
+    # skip the whole periods that still leave need > 0, then walk the last one
+    skip = max(0, ceil(need / whole) - 1)
+    need -= skip * whole
+    k += skip * len(period)
+    for step in cycle(period):
+        if need <= 0:
+            return max(k, 1)
+        need -= step
+        k += 1
+
+
+def integral_series(system: FlipSystem, tol=Fraction(1, 10**12)) -> Enclosure:
     """Positional-expectation series: under Lebesgue measure the digits are
     independent with law p, so the integral is sum_k v_k prod_{j<k} w_j with
     v_k, w_k the expected offset/weight at position k.  The returned
     enclosure adds the geometric tail bound and has width <= tol.
 
-    The sum stops by the first k with v_max * w_max**k / (1 - w_max) <= tol;
-    when that k (found with floating-point logs) exceeds the budget, the
-    call refuses before summing."""
+    The sum stops at the first k with v_max * prod_{j<=k} w_j / (1 - w_max)
+    <= tol; when that k (found with floating-point logs from the flip bits)
+    exceeds DEFAULT_BUDGET, the call refuses before summing."""
     tol = as_fraction(tol)
     if tol <= 0:
         raise InvalidArgument(f"tol must be positive, got {tol}")
     terms = _expected_terms(system.pv)
     v_max = max(terms[:2])
-    w_max = max(terms[2:])
-    den_sq = system.pv.den ** 2
     # (1 - w_max) * D**2, positive: every weight sum of squares is below 1
-    closure = den_sq - w_max
-    # v_max * w_max**k / (closure * D**(2k)) <= tol, solved for k in logs (every int here is > 0)
+    closure = system.pv.den ** 2 - max(terms[2:])
+    # the stop test below in logs: v_max / (closure * tol) <= prod_{j<=k} D**2 / w_j
     need = log(v_max) - log(closure) - log(tol.numerator) + log(tol.denominator)
-    bound = max(1, ceil(need / (log(den_sq) - log(w_max))))
-    if bound > budget:
-        raise BudgetExceeded(f"about {bound} series terms to reach tol {tol} exceed budget {budget}")
+    length = _series_length(system, terms, need)
+    if length > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"about {length} series terms to reach tol {tol} exceed budget {DEFAULT_BUDGET}")
     for total, weight, scale in _partial_sums(system, terms):
         # the tail bound v_max * W / (1 - w_max) is v_max * weight / (scale * closure)
         tail = v_max * weight

@@ -66,10 +66,12 @@ def ifs_graph_points(system: FlipSystem, depth: int, budget: int = DEFAULT_BUDGE
     cylinder is its image's lower end plus the image width times the value
     of the flipped zero tail from position depth + 1.
 
-    Every coordinate is an integer over D**depth * t_den (D = pv.den, t_den
-    the tail's denominator), and each distinct value is built as a Fraction
-    once: for flips none y is x, and for flips all every y is the x of
-    another cylinder or 1, so equal coordinates may be the same object."""
+    When the flipped zero tail is worth 0 or 1 (flips none or all, a finite
+    set ending by the depth, a mask constant from there) every y is an
+    integer over D**depth, the x of another cylinder or 1, and each distinct
+    value is built as a Fraction once, so equal coordinates may be the same
+    object.  Any other tail has a denominator t_den > 1, its y values are
+    almost never another coordinate, and each point is built on its own."""
     if depth < 0:
         raise InvalidArgument(f"depth must be >= 0, got {depth}")
     pv = system.pv
@@ -77,15 +79,19 @@ def ifs_graph_points(system: FlipSystem, depth: int, budget: int = DEFAULT_BUDGE
         raise BudgetExceeded(f"{pv.q}**{depth} points exceed budget {budget}")
     tail = eval_flip(DigitSeq((), pv.q), system, offset=depth).value
     t_num, t_den = tail.numerator, tail.denominator
-    scale = pv.den ** depth * t_den
+    scale = pv.den ** depth
+    if t_den != 1:
+        return [
+            (Fraction(x_lo, scale), Fraction(y_lo * t_den + y_w * t_num, scale * t_den))
+            for x_lo, _, y_lo, y_w in cylinder_images(system, depth)
+        ]
     built: dict[int, Fraction] = {}
     points = []
     for x_lo, _, y_lo, y_w in cylinder_images(system, depth):
-        x_num = x_lo * t_den
-        y_num = y_lo * t_den + y_w * t_num
-        x = built.get(x_num)
+        y_num = y_lo + y_w * t_num
+        x = built.get(x_lo)
         if x is None:
-            x = built[x_num] = Fraction(x_num, scale)
+            x = built[x_lo] = Fraction(x_lo, scale)
         y = built.get(y_num)
         if y is None:
             y = built[y_num] = Fraction(y_num, scale)
@@ -104,6 +110,15 @@ def _compositions(total: int, parts: int):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def _flipped_upto(flips, rank: int) -> int:
+    """Number of flipped positions among 1..rank, in O(len(preperiod) + len(period))."""
+    pre, per = flips.preperiod, flips.period
+    if rank <= len(pre):
+        return sum(pre[:rank])
+    whole, rest = divmod(rank - len(pre), len(per))
+    return sum(pre) + whole * sum(per) + sum(per[:rest])
 
 
 def _count_groups(total: int, px, py) -> list[tuple[int, int, int]]:
@@ -136,7 +151,7 @@ def _rectangle_groups(system: FlipSystem, rank: int, budget: int) -> tuple[list[
     if rank < 0:
         raise InvalidArgument(f"rank must be >= 0, got {rank}")
     q = system.pv.q
-    flipped = sum(1 for k in range(1, rank + 1) if system.flips.contains(k))
+    flipped = _flipped_upto(system.flips, rank)
     groups = math.comb(flipped + q - 1, q - 1) * math.comb(rank - flipped + q - 1, q - 1)
     if groups > budget:
         raise BudgetExceeded(f"{groups} rectangle groups at rank {rank} exceed budget {budget}")

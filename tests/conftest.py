@@ -119,6 +119,12 @@ def bernoulli_cdf_by_digits(x: Fraction, pv) -> Fraction:
 def integral_series_by_fractions(system, tol: Fraction) -> tuple[Fraction, Fraction]:
     """The positional-expectation series summed in Fractions until the
     geometric tail bound v_max * W / (1 - w_max) is at most tol."""
+    lo, hi, _ = series_by_fractions(system, tol)
+    return lo, hi
+
+
+def series_by_fractions(system, tol: Fraction) -> tuple[Fraction, Fraction, int]:
+    """integral_series_by_fractions with the number of terms it summed."""
     pv = system.pv
     flipped = pv.p[::-1]
     v_plain = sum(b * w for b, w in zip(pv.beta, pv.p))
@@ -139,5 +145,5 @@ def integral_series_by_fractions(system, tol: Fraction) -> tuple[Fraction, Fract
             weight *= w_plain
         tail = v_max * weight / (1 - w_max)
         if tail <= tol:
-            return total, total + tail
+            return total, total + tail, k
         k += 1

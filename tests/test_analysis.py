@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import probdigits.analysis as analysis
 from probdigits import (
     BudgetExceeded,
     DigitSeq,
@@ -28,7 +29,7 @@ from probdigits import (
     monotone_witness,
     p_rationals,
 )
-from conftest import ASYM_VECTORS
+from conftest import ASYM_VECTORS, integral_series_by_fractions
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +220,38 @@ def test_integral_series_examples(uniform2, asym2, pv3):
     assert enc.contains(Fraction(1, 2))
 
 
-def test_integral_series_budget_refuses_before_summing():
+def test_integral_series_budget_refuses_before_summing(monkeypatch):
     # w_max = 1000001/1002001: about 34 000 terms to reach 1e-30, refused without summing
     system = FlipSystem(make_prob_vector(["1/1001", "1000/1001"]), FlipSet.none())
+    monkeypatch.setattr(analysis, "DEFAULT_BUDGET", 10**4)
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded):
-        integral_series(system, Fraction(1, 10**30), budget=10**4)
+        integral_series(system, Fraction(1, 10**30))
     assert time.perf_counter() - start < 0.2
     # for flips none the bound is the count summed: 58 terms reach 1e-12 on 1/4,3/4
     asym = FlipSystem(make_prob_vector(["1/4", "3/4"]), FlipSet.none())
-    assert integral_series(asym, budget=58) == integral_series(asym)
+    monkeypatch.setattr(analysis, "DEFAULT_BUDGET", 58)
+    assert integral_series(asym) == integral_series_by_fractions(asym, Fraction(1, 10**12))
+    monkeypatch.setattr(analysis, "DEFAULT_BUDGET", 57)
     with pytest.raises(BudgetExceeded):
-        integral_series(asym, budget=57)
+        integral_series(asym)
+    # the unflipped preperiod is counted term by term: 10**4 slow terms, then fast flipped ones
+    skewed = make_prob_vector(["1/1000000", "999999/1000000"])
+    late = FlipSystem(skewed, FlipSet.mask((False,) * 10**4, (True,)))
+    monkeypatch.setattr(analysis, "DEFAULT_BUDGET", 10**4)
+    with pytest.raises(BudgetExceeded):
+        integral_series(late)
+
+
+@pytest.mark.parametrize("flips", [FlipSet.all(), FlipSet.mask((), (False, True)), FlipSet.finite(range(1, 40))])
+def test_integral_series_budget_reads_the_flipped_weights(flips):
+    # on 1e-6, 1-1e-6 the plain weight is 1 - 2e-6 but the flipped one about
+    # 2e-6: a few flipped positions reach the default tol, so nothing is refused
+    system = FlipSystem(make_prob_vector(["1/1000000", "999999/1000000"]), flips)
+    start = time.perf_counter()
+    enc = integral_series(system)
+    assert time.perf_counter() - start < 0.2
+    assert (enc.lo, enc.hi) == integral_series_by_fractions(system, Fraction(1, 10**12))
 
 
 def test_integral_riemann_examples(uniform2, asym2):

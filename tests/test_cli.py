@@ -129,6 +129,13 @@ def test_integral_omits_closed_form_for_positional_flips(capsys):
     assert Fraction(payload["series"]["lo"]) <= Fraction(1, 2) <= Fraction(payload["series"]["hi"])
 
 
+def test_integral_series_on_a_skewed_vector_with_flips_all(capsys):
+    # every position flipped: the series weight is about 2e-6 per term, so it is not refused
+    payload = run_json(capsys, "integral", "--p", "1/1000000,999999/1000000", "--flips", "all")
+    series = payload["series"]
+    assert Fraction(series["lo"]) <= Fraction(payload["closed_form"]) <= Fraction(series["hi"])
+
+
 # ---------------------------------------------------------------------------
 # jumps
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -200,6 +201,18 @@ def test_rectangle_diagonals_budget_counts_what_is_built(uniform2, pv3):
     pairs = rectangle_diagonals_sq(finite, 4, budget=30)
     assert len(pairs) == 30
     assert sum(mult for mult, _ in pairs) == 3**4
+
+
+@pytest.mark.parametrize("flips", [FlipSet.none(), FlipSet.all(), FlipSet.finite([3, 7]),
+                                   FlipSet.mask((True,), (False, True, True))])
+def test_rectangle_groups_refuse_a_huge_rank_at_once(uniform2, flips):
+    # the flipped positions up to the rank are counted from the flip bits, not position by position
+    system = FlipSystem(uniform2, flips)
+    start = time.perf_counter()
+    for call in (lambda: rectangle_diagonals_sq(system, 10**9), lambda: entropy_sum(system, 1, 10**9)):
+        with pytest.raises(BudgetExceeded):
+            call()
+    assert time.perf_counter() - start < 0.2
 
 
 def test_entropy_sandwich_bounds(asym2):

@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from unittest.mock import patch
 
 import pytest
 
@@ -18,7 +19,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
+import probdigits.analysis as analysis
 from probdigits import (
+    BudgetExceeded,
     DigitSeq,
     Enclosure,
     FlipSet,
@@ -49,6 +52,7 @@ from conftest import (
     diagonals_by_walk,
     eval_digits_by_horner,
     integral_series_by_fractions,
+    series_by_fractions,
 )
 
 bits = st.lists(st.booleans(), max_size=5).map(tuple)
@@ -254,6 +258,18 @@ def test_kernel_integral_series_matches_fraction_loop(pv, flips, tol):
     assert (enc.lo, enc.hi) == integral_series_by_fractions(system, tol)
 
 
+@given(series_vectors, flip_sets(), tolerances)
+def test_integral_series_budget_counts_the_terms_summed(pv, flips, tol):
+    # the term count is found in floating point before summing: within one of the Fraction loop's
+    system = FlipSystem(pv, flips)
+    terms = series_by_fractions(system, tol)[2]
+    with patch.object(analysis, "DEFAULT_BUDGET", terms + 1):
+        integral_series(system, tol)
+    if terms > 2:
+        with patch.object(analysis, "DEFAULT_BUDGET", terms - 2), pytest.raises(BudgetExceeded):
+            integral_series(system, tol)
+
+
 # ---------------------------------------------------------------------------
 # analysis
 # ---------------------------------------------------------------------------
@@ -297,6 +313,14 @@ def test_grouped_diagonals_match_the_cylinder_walk(pv, flips, rank):
     flipped = sum(flips.contains(k) for k in range(1, rank + 1))
     q = pv.q
     assert len(pairs) == math.comb(flipped + q - 1, q - 1) * math.comb(rank - flipped + q - 1, q - 1)
+
+
+@given(flip_sets(), st.integers(0, 40))
+def test_group_count_reads_the_flip_bits(flips, rank):
+    # past the preperiod too: q = 2 builds (a + 1) * (b + 1) groups
+    pairs = rectangle_diagonals_sq(FlipSystem(make_prob_vector(["1/3", "2/3"]), flips), rank)
+    flipped = sum(flips.contains(k) for k in range(1, rank + 1))
+    assert len(pairs) == (flipped + 1) * (rank - flipped + 1)
 
 
 @given(prob_vectors(), flip_sets(), st.integers(1, 6), st.floats(0, 3))
