@@ -5,8 +5,11 @@ exact values; *_float fields are presentation only.  JSON goes to stdout
 with stable keys; CSV columns are fixed per subcommand (see README).
 
 One process answers one command, so start-up is part of every answer: the
-parser needs only core and flips, and each command body imports the rest of
-what it calls (analysis, fractal, the output encoders) when it runs.
+parser needs only core, and each command body imports the rest of what it
+calls (flips, analysis, fractal, the output encoders) when it runs.
+
+SUBCOMMANDS is the one table of the interface: each subcommand's body, its
+help, and exactly the options that body reads, with this command's defaults.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from fractions import Fraction
 
 from .core import make_prob_vector
 from .errors import InvalidArgument, ProbDigitsError
-from .flips import FlipSet, FlipSystem
 
 
 def _rational(text: str) -> Fraction:
@@ -27,7 +29,9 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}") from None
 
 
-def _flipset(text: str) -> FlipSet:
+def _flipset(text: str):
+    from .flips import FlipSet
+
     try:
         return FlipSet.parse(text)
     except ProbDigitsError as exc:
@@ -45,55 +49,15 @@ def q_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-#: Each subcommand: its help, its defaults for the shared options, and its own options.
-SUBCOMMANDS = {
-    "convert": ("digit expansion, classification and cylinder of x", {},
-                {"--x": dict(type=_rational, required=True)}),
-    "eval": ("certified value of the flip map at x", {},
-             {"--x": dict(type=_rational, required=True)}),
-    "integral": ("the Lebesgue integral three ways", {}, {}),
-    "jumps": ("jump reports at the first COUNT two-expansion points", {},
-              {"--count": dict(type=int, default=10)}),
-    "graph": ("exact points on the graph of the flip map", {"depth": 6},
-              {"--exact": dict(action="store_true", help="emit exact rationals instead of floats")}),
-    "dimension": ("entropy-sum dimension estimates (and Moran root with --u)", {},
-                  {"--u": dict(type=int, default=None, help="marker digit for the block-set Moran equation")}),
-    "scan-derivative": ("derivative-ratio traces at seeded random prefixes", {"rank": 16},
-                        {"--points": dict(type=int, default=10)}),
-}
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or with `command` of that one only:
-    a process runs one command, and building all seven costs milliseconds."""
-    parser = argparse.ArgumentParser(
-        prog="probdigits",
-        description="Exact arithmetic for probability-weighted digit expansions and digit-flip maps.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, defaults, options) in SUBCOMMANDS.items():
-        if command not in (None, name):
-            continue
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--p", type=_prob_vector, required=True, metavar="P",
-                       help="comma-separated digit weights, e.g. 1/5,3/10,1/2")
-        p.add_argument("--flips", type=_flipset, default=FlipSet.none(), metavar="SPEC",
-                       help="none | all | finite:2,5 | mask:PRE;PERIOD (default none)")
-        p.add_argument("--depth", type=int, default=32)
-        p.add_argument("--rank", type=int, default=10)
-        p.add_argument("--tol", type=_rational, default=Fraction(1, 10**12))
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.set_defaults(**defaults)
-        for flag, spec in options.items():
-            p.add_argument(flag, **spec)
-    return parser
-
-
 # ---------------------------------------------------------------------------
 # Command bodies: each returns ("json", dict) or ("csv", (header, rows))
 # ---------------------------------------------------------------------------
+
+def _system(args):
+    from .flips import FlipSystem
+
+    return FlipSystem(args.p, args.flips)
+
 
 def _enclosure_json(enc) -> dict:
     return {
@@ -136,7 +100,7 @@ def cmd_eval(args):
     from .flips import eval_flip, flip_image
 
     pv = args.p
-    system = FlipSystem(pv, args.flips)
+    system = _system(args)
     seq = encode(args.x, pv, args.depth)
     if eval_digits(seq, pv) == args.x:
         enc = eval_flip(seq, system)
@@ -150,7 +114,7 @@ def cmd_eval(args):
 def cmd_integral(args):
     from .analysis import integral_closed_form, integral_riemann, integral_series
 
-    system = FlipSystem(args.p, args.flips)
+    system = _system(args)
     series = integral_series(system, args.tol)
     riemann = integral_riemann(system, args.rank)
     payload = {
@@ -168,7 +132,7 @@ def cmd_integral(args):
 def cmd_jumps(args):
     from .analysis import jump_at, p_rationals
 
-    system = FlipSystem(args.p, args.flips)
+    system = _system(args)
     header = ["point", "left_limit", "right_limit", "jump", "point_float", "jump_float"]
     rows = []
     for x0 in p_rationals(args.p, args.count):
@@ -183,7 +147,7 @@ def cmd_jumps(args):
 def cmd_graph(args):
     from .fractal import ifs_graph_points
 
-    points = ifs_graph_points(FlipSystem(args.p, args.flips), args.depth)
+    points = ifs_graph_points(_system(args), args.depth)
     header = ["x", "y"]
     if args.exact:
         rows = [[q_str(x), q_str(y)] for x, y in points]
@@ -195,7 +159,7 @@ def cmd_graph(args):
 def cmd_dimension(args):
     from .fractal import MoranSpec, graph_dimension_estimate, moran_dimension
 
-    system = FlipSystem(args.p, args.flips)
+    system = _system(args)
     ranks = list(range(2, args.rank + 1, 2)) or [args.rank]
     estimates = graph_dimension_estimate(system, ranks)
     payload = {"entropy_estimates": {str(r): a for r, a in estimates.items()}}
@@ -217,7 +181,7 @@ def cmd_scan_derivative(args):
 
     if args.points < 0:
         raise InvalidArgument(f"--points must be >= 0, got {args.points}")
-    system = FlipSystem(args.p, args.flips)
+    system = _system(args)
     rng = random.Random(args.seed)
     header = ["sample", "m", "ratio", "ratio_float"]
     rows = []
@@ -229,15 +193,60 @@ def cmd_scan_derivative(args):
     return "csv", (header, rows)
 
 
-COMMANDS = {
-    "convert": cmd_convert,
-    "eval": cmd_eval,
-    "integral": cmd_integral,
-    "jumps": cmd_jumps,
-    "graph": cmd_graph,
-    "dimension": cmd_dimension,
-    "scan-derivative": cmd_scan_derivative,
+#: Options several subcommands read, each declared once; a subcommand lists
+#: the flag with its own default.  --flips defaults to the spec text "none",
+#: which argparse parses through _flipset only when the flag is absent.
+SHARED = {
+    "--flips": dict(type=_flipset, metavar="SPEC", help="none | all | finite:2,5 | mask:PRE;PERIOD (default %(default)s)"),
+    "--depth": dict(type=int),
+    "--rank": dict(type=int),
+    "--tol": dict(type=_rational),
+    "--seed": dict(type=int),
 }
+
+#: Each subcommand: its body, its help, and the options the body reads.  A
+#: SHARED flag maps to its default here, any other flag to its argparse spec.
+SUBCOMMANDS = {
+    "convert": (cmd_convert, "digit expansion, classification and cylinder of x",
+                {"--x": dict(type=_rational, required=True), "--depth": 32}),
+    "eval": (cmd_eval, "certified value of the flip map at x",
+             {"--x": dict(type=_rational, required=True), "--flips": "none", "--depth": 32}),
+    "integral": (cmd_integral, "the Lebesgue integral three ways",
+                 {"--flips": "none", "--rank": 10, "--tol": Fraction(1, 10**12)}),
+    "jumps": (cmd_jumps, "jump reports at the first COUNT two-expansion points",
+              {"--flips": "none", "--depth": 32, "--count": dict(type=int, default=10)}),
+    "graph": (cmd_graph, "exact points on the graph of the flip map",
+              {"--flips": "none", "--depth": 6,
+               "--exact": dict(action="store_true", help="emit exact rationals instead of floats")}),
+    "dimension": (cmd_dimension, "entropy-sum dimension estimates (and Moran root with --u)",
+                  {"--flips": "none", "--rank": 10, "--tol": Fraction(1, 10**12),
+                   "--u": dict(type=int, default=None, help="marker digit for the block-set Moran equation")}),
+    "scan-derivative": (cmd_scan_derivative, "derivative-ratio traces at seeded random prefixes",
+                        {"--flips": "none", "--rank": 16, "--seed": 0, "--points": dict(type=int, default=10)}),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with `command` of that one only:
+    a process runs one command, and building all seven costs milliseconds."""
+    parser = argparse.ArgumentParser(
+        prog="probdigits",
+        description="Exact arithmetic for probability-weighted digit expansions and digit-flip maps.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, options) in SUBCOMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--p", type=_prob_vector, required=True, metavar="P",
+                       help="comma-separated digit weights, e.g. 1/5,3/10,1/2")
+        for flag, spec in options.items():
+            if flag in SHARED:
+                spec = {"help": "(default %(default)s)", **SHARED[flag], "default": spec}
+            p.add_argument(flag, **spec)
+        p.add_argument("--out", default=None, help="output file (default stdout)")
+        p.add_argument("--format", choices=("json", "csv"), default=None)
+    return parser
 
 
 def _render(shape, payload, fmt: str | None) -> str:
@@ -258,7 +267,7 @@ def _render(shape, payload, fmt: str | None) -> str:
             else:
                 rows.append([prefix, node])
 
-        walk("", json.loads(json.dumps(payload)))  # normalize nested values
+        walk("", payload)
     else:
         header, rows = payload
         if fmt == "json":
@@ -290,10 +299,10 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
-        shape, payload = COMMANDS[args.command](args)
+        shape, payload = SUBCOMMANDS[args.command][0](args)
         text = _render(shape, payload, args.format)
     except ProbDigitsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -45,10 +45,16 @@ DEFAULT_BUDGET = 1 << 20
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce ints, 'num/den' strings, floats and Fractions to Fraction."""
+    """Coerce ints, 'num/den' strings, finite floats and Fractions to Fraction.
+
+    An unparsable string, a non-finite float, a zero denominator or a
+    non-numeric type is InvalidArgument."""
     if isinstance(x, Fraction):
         return x
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (ValueError, OverflowError, ZeroDivisionError, TypeError):
+        raise InvalidArgument(f"not a rational number: {x!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +443,8 @@ def classify(x, pv: ProbVector, max_depth: int = 64) -> PointClass:
     shift states need not repeat (weights can grow the denominators), so
     UNDETERMINED with the reached depth is a legitimate outcome.
     """
+    if max_depth < 0:
+        raise InvalidArgument(f"max_depth must be >= 0, got {max_depth}")
     x = as_fraction(x)
     if x < 0 or x > 1:
         raise OutOfUnitInterval(f"{x} not in [0, 1]")

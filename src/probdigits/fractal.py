@@ -178,8 +178,8 @@ def entropy_sum(system: FlipSystem, alpha, rank: int, budget: int = DEFAULT_BUDG
     point (num / den is correctly rounded, so it equals float(Fraction)).
     alpha = 0 counts rectangles, and the sum is strictly decreasing in alpha."""
     alpha = float(alpha)
-    if alpha < 0:
-        raise InvalidArgument(f"alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < math.inf:
+        raise InvalidArgument(f"alpha must be finite and >= 0, got {alpha}")
     if rank < 1:
         raise InvalidArgument(f"rank must be >= 1, got {rank}")
     half = alpha / 2.0
@@ -264,7 +264,7 @@ def moran_dimension(spec: MoranSpec, tol: float = 1e-12) -> float:
     The sum is strictly decreasing with value |alphabet| at 0 and < 1 at 1;
     degenerate alphabets (empty product mass) return 0.  Stops when the
     residual |F(alpha) - 1| is within tol."""
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidArgument(f"tol must be positive, got {tol}")
     weights = [float(w) for w in spec.block_weights().values()]
     if not weights:

@@ -59,6 +59,8 @@ def test_jump_rejections(uniform2):
         jump_at(0, system)
     with pytest.raises(EndpointOneSided):
         jump_at(1, system)
+    with pytest.raises(InvalidArgument):
+        jump_at(Fraction(1, 2), system, max_depth=-3)
 
 
 def test_jump_limits_match_dual_representations(pv3):

@@ -1,7 +1,9 @@
+import argparse
 import csv
 import json
 import io
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -240,6 +242,28 @@ def test_argument_out_of_domain_exits_2(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: InvalidArgument: ")
 
 
+#: Options every subcommand took before each listed only what its body reads.
+UNREAD_OPTIONS = [
+    ("convert", "--flips", "all"), ("convert", "--rank", "12"), ("convert", "--tol", "1/1000"),
+    ("convert", "--seed", "3"),
+    ("eval", "--rank", "12"), ("eval", "--tol", "1/1000"), ("eval", "--seed", "3"),
+    ("integral", "--depth", "8"), ("integral", "--seed", "3"),
+    ("jumps", "--rank", "12"), ("jumps", "--tol", "1/1000"), ("jumps", "--seed", "3"),
+    ("graph", "--rank", "12"), ("graph", "--tol", "1/1000"), ("graph", "--seed", "3"),
+    ("dimension", "--depth", "8"), ("dimension", "--seed", "3"),
+    ("scan-derivative", "--depth", "8"), ("scan-derivative", "--tol", "1/1000"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", UNREAD_OPTIONS)
+def test_option_a_command_does_not_read_is_refused(capsys, command, flag, value):
+    x = ["--x", "1/3"] if command in ("convert", "eval") else []
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, "--p", "1/2,1/2", *x, flag, value])
+    assert exc_info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
@@ -273,10 +297,26 @@ def test_csv_command_as_json(capsys):
     assert payload[0]["point"] == "1/2"
 
 
+def dotted_rows(node, prefix=""):
+    """A JSON payload as key,value rows: keys dotted, a list one JSON cell."""
+    if isinstance(node, dict):
+        return [row for k, v in node.items() for row in dotted_rows(v, f"{prefix}.{k}" if prefix else k)]
+    return [[prefix, json.dumps(node) if isinstance(node, list) else str(node)]]
+
+
 def test_json_command_as_csv(capsys):
-    code, out, err = run_cli(capsys, "convert", "--p", "1/2,1/2", "--x", "1/4", "--format", "csv")
-    assert code == 0
-    rows = dict((r[0], r[1]) for r in list(csv.reader(io.StringIO(out)))[1:])
+    for argv in (
+        ["convert", "--p", "1/2,1/2", "--x", "1/4"],
+        ["convert", "--p", "1/5,3/10,1/2", "--x", "1/3", "--depth", "6"],
+        ["integral", "--p", "1/4,3/4", "--flips", "all", "--rank", "6"],
+        ["integral", "--p", "1/2,1/2", "--flips", "finite:1", "--rank", "4"],
+        ["dimension", "--p", "1/4,1/4,1/4,1/4", "--flips", "all", "--rank", "4", "--u", "1"],
+    ):
+        payload = run_json(capsys, *argv)
+        header, rows = run_csv(capsys, *argv, "--format", "csv")
+        assert header == ["key", "value"]
+        assert rows == dotted_rows(payload), argv
+    rows = dict(run_csv(capsys, "convert", "--p", "1/2,1/2", "--x", "1/4", "--format", "csv")[1])
     assert rows["x"] == "1/4"
     assert rows["classification"] == "p-rational"
 
@@ -338,6 +378,39 @@ def readme_commands() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("probdigits ")]
 
 
+def readme_option_table() -> dict[str, list[tuple[str, str]]]:
+    """Each command's (option, default) pairs from the README's "Command line" table."""
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 2:
+            table[cells[0].strip("`")] = re.findall(r"`(--[\w-]+)` \(([^)]*)\)", cells[1])
+    return table
+
+
+def parser_options() -> dict[str, list[tuple[str, str]]]:
+    """Each subcommand's (option, default) pairs besides --p, --out and --format, as declared."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def shown(action):
+        if action.required:
+            return "required"
+        if action.default is None:
+            return "unset"
+        return "off" if action.default is False else str(action.default)
+    return {
+        name: [(a.option_strings[0], shown(a)) for a in p._actions
+               if a.option_strings[0] not in ("-h", "--p", "--out", "--format")]
+        for name, p in sub.choices.items()
+    }
+
+
+def test_readme_option_table_matches_parser():
+    assert readme_option_table() == parser_options()
+    assert sum(len(opts) + 3 for opts in parser_options().values()) == 43  # 3: --p, --out, --format
+
+
 def test_readme_command_examples(capsys, tmp_path):
     commands = readme_commands()
     assert len(commands) == 7
@@ -376,8 +449,9 @@ print(json.dumps(stages))
     assert proc.returncode == 0, proc.stderr
     stages = json.loads(proc.stdout)
     assert stages["package"] == []
-    assert stages["cli"] == ["probdigits.cli", "probdigits.core", "probdigits.errors", "probdigits.flips"]
-    assert not {"probdigits.analysis", "probdigits.fractal", "dataclasses", "inspect"} & set(stages["convert"])
+    assert stages["cli"] == ["probdigits.cli", "probdigits.core", "probdigits.errors"]
+    assert not {"probdigits.flips", "probdigits.analysis", "probdigits.fractal",
+                "dataclasses", "inspect"} & set(stages["convert"])
 
 
 def test_parser_built_for_the_invoked_subcommand_only():

@@ -10,6 +10,8 @@ from probdigits import (
     BudgetExceeded,
     DigitOutOfRange,
     DigitSeq,
+    FlipSet,
+    FlipSystem,
     InvalidArgument,
     NonPositiveWeight,
     OutOfUnitInterval,
@@ -22,6 +24,7 @@ from probdigits import (
     cylinder_bounds,
     encode,
     eval_digits,
+    integral_series,
     make_prob_vector,
     sample_digits,
     shift_digits,
@@ -324,6 +327,9 @@ def test_classify_undetermined():
     pc = classify(Fraction(1, 2), pv, 24)
     assert pc.kind is PointKind.UNDETERMINED
     assert pc.depth == 24
+    assert classify(Fraction(1, 2), pv, 0) == (PointKind.UNDETERMINED, 0)
+    with pytest.raises(InvalidArgument):
+        classify(Fraction(1, 3), pv, -3)
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +453,21 @@ def test_digitseq_validation():
         DigitSeq((0,), 3, ())
     with pytest.raises(ValueError):
         DigitSeq((0,), 3, "sometimes")
+
+
+@pytest.mark.parametrize("call", [
+    lambda pv: encode(float("nan"), pv),
+    lambda pv: encode(float("inf"), pv),
+    lambda pv: encode(None, pv),
+    lambda pv: classify("1/0", pv),
+    lambda pv: classify("one half", pv),
+    lambda pv: make_prob_vector(["a", "b"]),
+    lambda pv: integral_series(FlipSystem(pv, FlipSet.none()), "x"),
+], ids=["encode-nan", "encode-inf", "encode-none", "classify-zero-denominator", "classify-words",
+        "prob-vector-words", "integral-series-tol-words"])
+def test_non_rational_input_is_invalid_argument(uniform2, call):
+    with pytest.raises(InvalidArgument):
+        call(uniform2)
 
 
 def test_digitseq_bad_tail_is_invalid_argument():

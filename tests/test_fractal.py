@@ -115,8 +115,9 @@ def test_entropy_alpha_zero_counts(pv3):
     system = FlipSystem(pv3, FlipSet.all())
     for rank in (1, 3, 6):
         assert entropy_sum(system, 0, rank) == 3**rank
-    with pytest.raises(InvalidArgument):
-        entropy_sum(system, -1, 3)
+    for alpha in (-1, float("nan"), float("inf")):
+        with pytest.raises(InvalidArgument):
+            entropy_sum(system, alpha, 3)
     with pytest.raises(InvalidArgument):
         entropy_sum(system, 0, 0)
 
@@ -269,8 +270,9 @@ def test_moran_degenerate_cases():
     assert moran_dimension(MoranSpec(ProbVector.uniform(2), 0)) == 0.0
     with pytest.raises(EmptyAlphabet):
         moran_dimension(MoranSpec(ProbVector.uniform(2), 1))
-    with pytest.raises(InvalidArgument):
-        moran_dimension(MoranSpec(ProbVector.uniform(4), 1), 0.0)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(InvalidArgument):
+            moran_dimension(MoranSpec(ProbVector.uniform(4), 1), tol)
 
 
 def test_moran_asymmetric_residual():
