@@ -136,7 +136,7 @@ def cmd_jumps(args):
     header = ["point", "left_limit", "right_limit", "jump", "point_float", "jump_float"]
     rows = []
     for x0 in p_rationals(args.p, args.count):
-        rep = jump_at(x0, system, max_depth=max(args.depth, 64))
+        rep = jump_at(x0, system, max_depth=args.depth)
         rows.append([
             q_str(rep.point), q_str(rep.left_limit), q_str(rep.right_limit),
             q_str(rep.jump), float(rep.point), float(rep.jump),
@@ -145,14 +145,19 @@ def cmd_jumps(args):
 
 
 def cmd_graph(args):
-    from .fractal import ifs_graph_points
+    from .fractal import _graph_numerators, ifs_graph_points
 
-    points = ifs_graph_points(_system(args), args.depth)
+    system = _system(args)
     header = ["x", "y"]
     if args.exact:
-        rows = [[q_str(x), q_str(y)] for x, y in points]
+        rows = [[q_str(x), q_str(y)] for x, y in ifs_graph_points(system, args.depth)]
     else:
-        rows = [[float(x), float(y)] for x, y in points]
+        # int / int true division is correctly rounded, so each float is that
+        # of the exact coordinate, with no Fraction built
+        ends, scale, ys, y_den, at = _graph_numerators(system, args.depth)
+        xs = [x / scale for x in ends]
+        y_floats = xs if ys is ends else [y / y_den for y in ys]
+        rows = [[x, y_floats[j]] for x, j in zip(xs, at)]
     return "csv", (header, rows)
 
 
@@ -214,7 +219,7 @@ SUBCOMMANDS = {
     "integral": (cmd_integral, "the Lebesgue integral three ways",
                  {"--flips": "none", "--rank": 10, "--tol": Fraction(1, 10**12)}),
     "jumps": (cmd_jumps, "jump reports at the first COUNT two-expansion points",
-              {"--flips": "none", "--depth": 32, "--count": dict(type=int, default=10)}),
+              {"--flips": "none", "--depth": 64, "--count": dict(type=int, default=10)}),
     "graph": (cmd_graph, "exact points on the graph of the flip map",
               {"--flips": "none", "--depth": 6,
                "--exact": dict(action="store_true", help="emit exact rationals instead of floats")}),

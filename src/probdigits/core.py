@@ -22,6 +22,7 @@ from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -55,6 +56,15 @@ def as_fraction(x) -> Fraction:
         return Fraction(x)
     except (ValueError, OverflowError, ZeroDivisionError, TypeError):
         raise InvalidArgument(f"not a rational number: {x!r}") from None
+
+
+def _as_int(n, name: str) -> int:
+    """An integer argument (an int, or any type with __index__) as int; any
+    other type is InvalidArgument."""
+    try:
+        return index(n)
+    except TypeError:
+        raise InvalidArgument(f"{name} must be an integer, got {n!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +351,7 @@ def encode(x, pv: ProbVector, depth: int = 32) -> DigitSeq:
     If the shift orbit hits 0 the prefix stops there and the result is exact;
     otherwise the returned prefix names the depth-rank cylinder containing x.
     """
+    depth = _as_int(depth, "depth")
     if depth < 0:
         raise InvalidArgument(f"depth must be >= 0, got {depth}")
     x = as_fraction(x)
@@ -443,6 +454,7 @@ def classify(x, pv: ProbVector, max_depth: int = 64) -> PointClass:
     shift states need not repeat (weights can grow the denominators), so
     UNDETERMINED with the reached depth is a legitimate outcome.
     """
+    max_depth = _as_int(max_depth, "max_depth")
     if max_depth < 0:
         raise InvalidArgument(f"max_depth must be >= 0, got {max_depth}")
     x = as_fraction(x)

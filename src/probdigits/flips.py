@@ -13,7 +13,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, ProbVector, cylinder_bounds, eval_digits, horner_sum
 from .errors import BudgetExceeded, DigitOutOfRange, FlipSpecError, InvalidArgument
@@ -247,39 +247,6 @@ def flip_image(base: Sequence[int], system: FlipSystem, offset: int = 0) -> Encl
     flipped = flip_prefix(seq, _shifted(system.flips, offset), len(seq.digits))
     cyl = cylinder_bounds(flipped, system.pv)
     return Enclosure(cyl.lo, cyl.hi)
-
-
-def cylinder_images(system: FlipSystem, rank: int) -> Iterator[tuple[int, int, int, int]]:
-    """Every rank-r cylinder [x_lo, x_lo + x_w] with the hull [y_lo, y_lo + y_w]
-    of its flip image, in lexicographic base order.
-
-    All four values are integer numerators over D**rank, D = system.pv.den, so
-    the walk does no Fraction arithmetic.  Depth-first over an explicit stack:
-    O(rank * q) memory.
-    """
-    den, beta, p = system.pv.int_table
-    cells = list(zip(beta, p))
-    # rows[k][c]: (x offset, x weight, y offset, y weight) of digit c at position k + 1;
-    # a flipped position reads the complement q-1-c, i.e. the cells in reverse
-    rows = []
-    for k in range(1, rank + 1):
-        image = cells[::-1] if system.flips.contains(k) else cells
-        rows.append([x + y for x, y in zip(cells, image)])
-    if rank == 0:
-        yield 0, 1, 0, 1
-        return
-    last = rank - 1
-    stack = [(0, 0, 1, 0, 1)]
-    while stack:
-        k, x_lo, x_w, y_lo, y_w = stack.pop()
-        x_lo *= den
-        y_lo *= den
-        if k == last:
-            for bx, px, by, py in rows[k]:
-                yield x_lo + x_w * bx, x_w * px, y_lo + y_w * by, y_w * py
-        else:
-            stack.extend((k + 1, x_lo + x_w * bx, x_w * px, y_lo + y_w * by, y_w * py)
-                         for bx, px, by, py in reversed(rows[k]))
 
 
 # ---------------------------------------------------------------------------

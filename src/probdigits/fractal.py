@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .core import DEFAULT_BUDGET, DigitSeq, ProbVector
 from .errors import BudgetExceeded, EmptyAlphabet, InvalidArgument, NotShiftInvariant
-from .flips import FlipSystem, cylinder_images, eval_flip
+from .flips import FlipSystem, eval_flip
 
 #: Fixed crossing level for the dimension bisection.  At alpha = 1 the
 #: entropy sum is exactly sqrt(2) whenever the horizontal and vertical
@@ -58,6 +58,48 @@ def ifs_maps(system: FlipSystem) -> list[AffineMap2D]:
     ]
 
 
+def _graph_numerators(system: FlipSystem, depth: int, budget: int = DEFAULT_BUDGET):
+    """The q**depth graph points in integers, as (ends, scale, ys, y_den, at):
+    point i, the one over the i-th rank-depth cylinder in lexicographic base
+    order, is (ends[i] / scale, ys[at[i]] / y_den), with scale = D**depth.
+
+    ends are the q**depth + 1 cylinder boundaries in order, so ends[i] is the
+    lower end of base i and ends[q**depth] == scale.  The lists are built one
+    position at a time from the last, the suffix recurrence
+    lo(d1...dn) = beta[d1] * D**(n-1) + p[d1] * lo(d2...dn) with the first
+    digit outermost; idx[i], the lexicographic index of base i's flipped base,
+    is built alongside, with the digit order reversed at a flipped position.
+    The point's y is the flipped base's lower end plus its width times t, the
+    flipped zero tail from position depth + 1.  When t is 0 or 1 that is
+    ends[idx[i] + t]: ys is the very list ends, which tells callers that every
+    y is an x or 1, and at is idx shifted by t.  Otherwise ys[j] is base j's
+    lower end plus width times t, over y_den = scale * t_den, and at is idx."""
+    if depth < 0:
+        raise InvalidArgument(f"depth must be >= 0, got {depth}")
+    pv = system.pv
+    q = pv.q
+    if q ** depth > budget:
+        raise BudgetExceeded(f"{q}**{depth} points exceed budget {budget}")
+    tail = eval_flip(DigitSeq((), q), system, offset=depth).value
+    t_num, t_den = tail.numerator, tail.denominator
+    den, beta, p = pv.int_table
+    lo, width, at = [0], [1], [t_num if t_den == 1 else 0]
+    scale = size = 1
+    for k in range(depth, 0, -1):
+        # the lists hold the suffixes at positions k+1..depth; put each digit of position k in front
+        lo = [b * scale + c * x for b, c in zip(beta, p) for x in lo]
+        if t_den != 1:
+            width = [c * w for c in p for w in width]
+        flipped = range(q - 1, -1, -1) if system.flips.contains(k) else range(q)
+        at = [f * size + j for f in flipped for j in at]
+        scale *= den
+        size *= q
+    if t_den == 1:
+        lo.append(scale)
+        return lo, scale, lo, scale, at
+    return lo, scale, [x * t_den + w * t_num for x, w in zip(lo, width)], scale * t_den, at
+
+
 def ifs_graph_points(system: FlipSystem, depth: int, budget: int = DEFAULT_BUDGET) -> list[tuple[Fraction, Fraction]]:
     """The q**depth graph points over the rank-depth cylinder left endpoints.
 
@@ -67,50 +109,21 @@ def ifs_graph_points(system: FlipSystem, depth: int, budget: int = DEFAULT_BUDGE
     of the flipped zero tail from position depth + 1.
 
     When the flipped zero tail is worth 0 or 1 (flips none or all, a finite
-    set ending by the depth, a mask constant from there) every y is an
-    integer over D**depth, the x of another cylinder or 1, and each distinct
-    value is built as a Fraction once, so equal coordinates may be the same
-    object.  Any other tail has a denominator t_den > 1, its y values are
-    almost never another coordinate, and each point is built on its own."""
-    if depth < 0:
-        raise InvalidArgument(f"depth must be >= 0, got {depth}")
-    pv = system.pv
-    if pv.q ** depth > budget:
-        raise BudgetExceeded(f"{pv.q}**{depth} points exceed budget {budget}")
-    tail = eval_flip(DigitSeq((), pv.q), system, offset=depth).value
-    t_num, t_den = tail.numerator, tail.denominator
-    scale = pv.den ** depth
-    if t_den != 1:
-        return [
-            (Fraction(x_lo, scale), Fraction(y_lo * t_den + y_w * t_num, scale * t_den))
-            for x_lo, _, y_lo, y_w in cylinder_images(system, depth)
-        ]
-    built: dict[int, Fraction] = {}
-    points = []
-    for x_lo, _, y_lo, y_w in cylinder_images(system, depth):
-        y_num = y_lo + y_w * t_num
-        x = built.get(x_lo)
-        if x is None:
-            x = built[x_lo] = Fraction(x_lo, scale)
-        y = built.get(y_num)
-        if y is None:
-            y = built[y_num] = Fraction(y_num, scale)
-        points.append((x, y))
-    return points
+    set ending by the depth, a mask constant from there) every y is the x of
+    another cylinder or 1, and each distinct value is one Fraction: for flips
+    none every y is its x.  Any other tail has a denominator t_den > 1, its y
+    values are almost never another coordinate, and each point is built on
+    its own."""
+    ends, scale, ys, y_den, at = _graph_numerators(system, depth, budget)
+    if ys is not ends:
+        return [(Fraction(x, scale), Fraction(ys[j], y_den)) for x, j in zip(ends, at)]
+    built = [Fraction(x, scale) for x in ends]
+    return list(zip(built, [built[j] for j in at]))
 
 
 # ---------------------------------------------------------------------------
 # Entropy sums
 # ---------------------------------------------------------------------------
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
 
 def _flipped_upto(flips, rank: int) -> int:
     """Number of flipped positions among 1..rank, in O(len(preperiod) + len(period))."""
@@ -123,19 +136,21 @@ def _flipped_upto(flips, rank: int) -> int:
 
 def _count_groups(total: int, px, py) -> list[tuple[int, int, int]]:
     """(multinomial(total; n), prod px[c]**n_c, prod py[c]**n_c) for every
-    digit-count vector n of total positions, in _compositions order."""
-    fact = math.factorial
-    out = []
-    for counts in _compositions(total, len(px)):
-        mult = fact(total)
-        wx = 1
-        wy = 1
-        for n, x, y in zip(counts, px, py):
-            mult //= fact(n)
-            wx *= x ** n
-            wy *= y ** n
-        out.append((mult, wx, wy))
-    return out
+    digit-count vector n of total positions, n_0 outermost and each count
+    ascending.  The vectors grow one digit at a time: digit c takes n_c of the
+    r positions still free, with C(r, n_c) ways, and the last digit takes them
+    all."""
+    last = len(px) - 1
+    groups = [(total, 1, 1, 1)]
+    for c, (x, y) in enumerate(zip(px, py)):
+        xpow, ypow = [1], [1]
+        for _ in range(total):
+            xpow.append(xpow[-1] * x)
+            ypow.append(ypow[-1] * y)
+        groups = [(free - n, mult * math.comb(free, n), wx * xpow[n], wy * ypow[n])
+                  for free, mult, wx, wy in groups
+                  for n in (range(free + 1) if c < last else (free,))]
+    return [(mult, wx, wy) for _, mult, wx, wy in groups]
 
 
 def _rectangle_groups(system: FlipSystem, rank: int, budget: int) -> tuple[list[tuple[int, int]], int]:
@@ -177,7 +192,10 @@ def entropy_sum(system: FlipSystem, alpha, rank: int, budget: int = DEFAULT_BUDG
     Diagonals squared are exact rationals; only the alpha/2 power is floating
     point (num / den is correctly rounded, so it equals float(Fraction)).
     alpha = 0 counts rectangles, and the sum is strictly decreasing in alpha."""
-    alpha = float(alpha)
+    try:
+        alpha = float(alpha)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidArgument(f"alpha must be finite and >= 0, got {alpha!r}") from None
     if not 0 <= alpha < math.inf:
         raise InvalidArgument(f"alpha must be finite and >= 0, got {alpha}")
     if rank < 1:
@@ -191,7 +209,8 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
     """Per-rank crossing exponents of the entropy sum at the fixed threshold.
 
     For each rank, bisects the alpha where the (strictly decreasing) entropy
-    sum crosses sqrt(2); the estimates trend to 1."""
+    sum crosses sqrt(2), for 64 halvings or until the float midpoint equals an
+    end, whichever is first; the estimates trend to 1."""
     if not system.shift_invariant:
         raise NotShiftInvariant("dimension estimation needs flips none or all")
     ranks = list(ranks)
@@ -213,6 +232,8 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
             hi *= 2.0
         for _ in range(64):
             mid = (lo + hi) / 2.0
+            if mid == lo or mid == hi:
+                break  # a fixed point: every further halving leaves (lo + hi) / 2 at mid
             if total(mid) > ENTROPY_THRESHOLD:
                 lo = mid
             else:
@@ -264,7 +285,11 @@ def moran_dimension(spec: MoranSpec, tol: float = 1e-12) -> float:
     The sum is strictly decreasing with value |alphabet| at 0 and < 1 at 1;
     degenerate alphabets (empty product mass) return 0.  Stops when the
     residual |F(alpha) - 1| is within tol."""
-    if not tol > 0:
+    try:
+        positive = tol > 0
+    except TypeError:
+        raise InvalidArgument(f"tol must be a real number, got {tol!r}") from None
+    if not positive:
         raise InvalidArgument(f"tol must be positive, got {tol}")
     weights = [float(w) for w in spec.block_weights().values()]
     if not weights:

@@ -1,10 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from probdigits import DigitSeq, ProbVector, horner_sum, make_prob_vector
-from probdigits.flips import cylinder_images
+from probdigits import DigitSeq, ProbVector, horner_sum, make_prob_vector, rectangle_diagonals_sq
 
 try:
     from hypothesis import settings
@@ -49,6 +49,39 @@ def random_fraction(rng: random.Random, max_den: int = 10**6) -> Fraction:
     return Fraction(rng.randint(0, den), den)
 
 
+def cylinder_images(system, rank: int):
+    """Every rank-r cylinder [x_lo, x_lo + x_w] with the hull [y_lo, y_lo + y_w]
+    of its flip image, in lexicographic base order.
+
+    All four values are integer numerators over D**rank, D = system.pv.den, so
+    the walk does no Fraction arithmetic.  Depth-first over an explicit stack:
+    O(rank * q) memory.
+    """
+    den, beta, p = system.pv.int_table
+    cells = list(zip(beta, p))
+    # rows[k][c]: (x offset, x weight, y offset, y weight) of digit c at position k + 1;
+    # a flipped position reads the complement q-1-c, i.e. the cells in reverse
+    rows = []
+    for k in range(1, rank + 1):
+        image = cells[::-1] if system.flips.contains(k) else cells
+        rows.append([x + y for x, y in zip(cells, image)])
+    if rank == 0:
+        yield 0, 1, 0, 1
+        return
+    last = rank - 1
+    stack = [(0, 0, 1, 0, 1)]
+    while stack:
+        k, x_lo, x_w, y_lo, y_w = stack.pop()
+        x_lo *= den
+        y_lo *= den
+        if k == last:
+            for bx, px, by, py in rows[k]:
+                yield x_lo + x_w * bx, x_w * px, y_lo + y_w * by, y_w * py
+        else:
+            stack.extend((k + 1, x_lo + x_w * bx, x_w * px, y_lo + y_w * by, y_w * py)
+                         for bx, px, by, py in reversed(rows[k]))
+
+
 def riemann_by_walk(system, rank: int) -> tuple[Fraction, Fraction]:
     """Lower and upper Riemann sums by walking every rank-r cylinder: the sum of
     width * image lower end and of width * image upper end."""
@@ -66,6 +99,27 @@ def diagonals_by_walk(system, rank: int) -> list[tuple[int, Fraction]]:
     one (1, x_w**2 + y_w**2) pair per cylinder, in lexicographic base order."""
     scale = system.pv.den ** (2 * rank)
     return [(1, Fraction(x_w * x_w + y_w * y_w, scale)) for _, x_w, _, y_w in cylinder_images(system, rank)]
+
+
+def dimension_by_bisection(system, rank: int, threshold: float) -> float:
+    """The alpha where the rank-r entropy sum crosses threshold: the upper end
+    doubles from 1 while the sum there exceeds it, up to 64, then 64 halvings,
+    with no stop at a fixed point."""
+    diags = [(mult, float(d2)) for mult, d2 in rectangle_diagonals_sq(system, rank)]
+
+    def total(alpha: float) -> float:
+        return math.fsum(mult * d2 ** (alpha / 2.0) for mult, d2 in diags)
+
+    lo, hi = 0.0, 1.0
+    while total(hi) > threshold and hi < 64.0:
+        hi *= 2.0
+    for _ in range(64):
+        mid = (lo + hi) / 2.0
+        if total(mid) > threshold:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 def diagonal_multiset(pairs) -> dict[Fraction, int]:

@@ -149,6 +149,13 @@ def test_jumps_csv(capsys):
     assert [r[3] for r in rows[1:]] == ["0", "0"]
 
 
+def test_jumps_reads_depth_below_64(capsys):
+    # 1/4 needs two digits, so depth 1 leaves it undetermined
+    code, out, err = run_cli(capsys, "jumps", "--p", "1/2,1/2", "--flips", "finite:1", "--count", "4", "--depth", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: NotPRational: ")
+
+
 def test_jumps_zero_everywhere_for_all(capsys):
     _, rows = run_csv(capsys, "jumps", "--p", "1/2,1/2", "--flips", "all", "--count", "8")
     assert all(r[3] == "0" for r in rows)
@@ -176,6 +183,15 @@ def test_graph_positional_flips_budget(capsys):
     code, out, err = run_cli(capsys, "graph", "--p", "1/2,1/2", "--flips", "mask:;01", "--depth", "21")
     assert code == 2 and out == ""
     assert err.startswith("error: BudgetExceeded: ")
+
+
+@pytest.mark.parametrize("flips", ["none", "all", "mask:;01", "finite:2"])
+def test_graph_float_rows_are_the_floats_of_the_exact_points(capsys, flips):
+    # mask:;01 leaves a tail worth neither 0 nor 1 past depth 6; the others one worth 0 or 1
+    for p in ("1/4,3/4", "2/7,3/11,34/77"):
+        _, rows = run_csv(capsys, "graph", "--p", p, "--flips", flips, "--depth", "6")
+        points = ifs_graph_points(FlipSystem(make_prob_vector(p.split(",")), FlipSet.parse(flips)), 6)
+        assert [[float(x), float(y)] for x, y in rows] == [[float(x), float(y)] for x, y in points]
 
 
 def test_graph_deterministic(capsys):

@@ -13,6 +13,7 @@ from probdigits import (
     FlipSet,
     FlipSystem,
     InvalidArgument,
+    MoranSpec,
     NonPositiveWeight,
     OutOfUnitInterval,
     PointKind,
@@ -23,9 +24,11 @@ from probdigits import (
     classify,
     cylinder_bounds,
     encode,
+    entropy_sum,
     eval_digits,
     integral_series,
     make_prob_vector,
+    moran_dimension,
     sample_digits,
     shift_digits,
     shift_value,
@@ -463,8 +466,13 @@ def test_digitseq_validation():
     lambda pv: classify("one half", pv),
     lambda pv: make_prob_vector(["a", "b"]),
     lambda pv: integral_series(FlipSystem(pv, FlipSet.none()), "x"),
+    lambda pv: entropy_sum(FlipSystem(pv, FlipSet.none()), "x", 3),
+    lambda pv: moran_dimension(MoranSpec(pv, 0), "x"),
+    lambda pv: encode(Fraction(1, 3), pv, 1.5),
+    lambda pv: classify(Fraction(1, 3), pv, 2.5),
 ], ids=["encode-nan", "encode-inf", "encode-none", "classify-zero-denominator", "classify-words",
-        "prob-vector-words", "integral-series-tol-words"])
+        "prob-vector-words", "integral-series-tol-words", "entropy-sum-alpha-words", "moran-tol-words",
+        "encode-float-depth", "classify-float-max-depth"])
 def test_non_rational_input_is_invalid_argument(uniform2, call):
     with pytest.raises(InvalidArgument):
         call(uniform2)

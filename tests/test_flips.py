@@ -19,7 +19,6 @@ from probdigits import (
     eval_nega,
     flip_digits,
     flip_image,
-    make_prob_vector,
     nega_to_digits,
     shift_digits,
 )
@@ -249,28 +248,6 @@ def test_flip_image_contains_values(pv3):
             for k, d in enumerate(base, start=1):
                 width *= system.weight(k, d)
             assert hull.width == width
-
-
-def test_cylinder_images_match_per_base_fractions():
-    # the integer walk against per-base Fraction arithmetic, in lexicographic order
-    from itertools import product
-
-    from probdigits import cylinder_bounds
-    from probdigits.flips import cylinder_images
-
-    coprime = make_prob_vector(["2/7", "3/11", "34/77"])
-    for pv in (ASYM_VECTORS[2], coprime):
-        for fs in ALL_VARIANTS:
-            system = FlipSystem(pv, fs)
-            for rank in range(5):
-                scale = pv.den ** rank
-                walked = [tuple(Fraction(v, scale) for v in row) for row in cylinder_images(system, rank)]
-                expected = []
-                for base in product(range(pv.q), repeat=rank):
-                    cyl = cylinder_bounds(base, pv)
-                    hull = flip_image(base, system)
-                    expected.append((cyl.lo, cyl.width, hull.lo, hull.width))
-                assert walked == expected
 
 
 # ---------------------------------------------------------------------------

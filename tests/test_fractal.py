@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+import probdigits.fractal as fractal
 from probdigits import (
     BudgetExceeded,
     DigitSeq,
@@ -20,6 +21,7 @@ from probdigits import (
     cylinder_image,
     entropy_sum,
     eval_flip,
+    flip_image,
     graph_dimension_estimate,
     ifs_graph_points,
     ifs_maps,
@@ -28,7 +30,7 @@ from probdigits import (
     moran_set_cylinders,
     rectangle_diagonals_sq,
 )
-from conftest import ASYM_VECTORS, diagonal_multiset
+from conftest import ASYM_VECTORS, cylinder_images, diagonal_multiset, dimension_by_bisection
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +91,25 @@ def test_graph_points_build_each_value_once(pv3):
     assert all(y is x for x, y in pts)
     pts = ifs_graph_points(FlipSystem(pv3, FlipSet.all()), 4)
     assert len({id(value) for point in pts for value in point}) == 3**4 + 1
+
+
+def test_cylinder_images_match_per_base_fractions():
+    # the integer walk kept as the test oracle against per-base Fraction
+    # arithmetic, in lexicographic order
+    coprime = make_prob_vector(["2/7", "3/11", "34/77"])
+    variants = (FlipSet.none(), FlipSet.all(), FlipSet.finite([2, 5]), FlipSet.mask((True, False), (False, True)))
+    for pv in (ASYM_VECTORS[2], coprime):
+        for fs in variants:
+            system = FlipSystem(pv, fs)
+            for rank in range(5):
+                scale = pv.den ** rank
+                walked = [tuple(Fraction(v, scale) for v in row) for row in cylinder_images(system, rank)]
+                expected = []
+                for base in product(range(pv.q), repeat=rank):
+                    cyl = cylinder_bounds(base, pv)
+                    hull = flip_image(base, system)
+                    expected.append((cyl.lo, cyl.width, hull.lo, hull.width))
+                assert walked == expected
 
 
 def test_graph_points_budget(uniform2):
@@ -238,6 +259,21 @@ def test_dimension_estimates(uniform2, asym2):
     for ranks in ([0, 2], [4, 2]):
         with pytest.raises(InvalidArgument):
             graph_dimension_estimate(FlipSystem(uniform2, FlipSet.all()), ranks)
+
+
+@pytest.mark.parametrize("threshold", [fractal.ENTROPY_THRESHOLD, 1e-300, 1e300])
+def test_dimension_bisection_equals_64_halvings(monkeypatch, uniform2, asym2, pv3, threshold):
+    # the bisection stops at its fixed point; the estimate is the 64-halving
+    # one bit for bit, also with the upper end capped at 64 (threshold
+    # 1e-300) and with a crossing too close to 0 for 64 halvings (1e300)
+    monkeypatch.setattr(fractal, "ENTROPY_THRESHOLD", threshold)
+    coprime = make_prob_vector(["2/7", "3/11", "34/77"])
+    ranks = [1, 2, 5, 8]
+    for pv in (uniform2, asym2, pv3, coprime):
+        for fs in (FlipSet.none(), FlipSet.all()):
+            system = FlipSystem(pv, fs)
+            expected = {rank: dimension_by_bisection(system, rank, threshold) for rank in ranks}
+            assert graph_dimension_estimate(system, ranks) == expected
 
 
 def test_dimension_needs_invariant_flips(uniform2):

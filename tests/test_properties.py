@@ -353,3 +353,34 @@ def test_graph_points_match_per_base_fractions(pv, flips, depth):
         cyl, image = cylinder_image(base, system)
         expected.append((cyl.lo, image.lo + image.width * tail))
     assert ifs_graph_points(system, depth) == expected
+
+
+@st.composite
+def integral_tail_systems(draw):
+    """A vector, a depth and a flip set of each of the four kinds whose
+    flipped zero tail past the depth is worth 0 or 1: a finite set ends by the
+    depth, and a mask is constant after it."""
+    pv = draw(prob_vectors())
+    depth = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(("none", "all", "finite", "mask")))
+    if kind == "none":
+        flips = FlipSet.none()
+    elif kind == "all":
+        flips = FlipSet.all()
+    elif kind == "finite":
+        flips = FlipSet.finite(draw(st.lists(st.integers(1, max(depth, 1)), max_size=4)) if depth else ())
+    else:
+        pre = draw(st.lists(st.booleans(), max_size=depth))
+        flips = FlipSet.mask(pre, (draw(st.booleans()),))
+    return FlipSystem(pv, flips), depth
+
+
+@given(integral_tail_systems())
+def test_graph_points_share_each_value_when_the_tail_is_integral(case):
+    system, depth = case
+    assert zero_tail_image(system, depth) in (0, 1)
+    points = ifs_graph_points(system, depth)
+    values = [value for point in points for value in point]
+    assert len({id(value) for value in values}) == len(set(values))
+    if system.flips == FlipSet.none():
+        assert all(y is x for x, y in points)
