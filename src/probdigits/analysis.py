@@ -156,7 +156,8 @@ def derivative_estimate(prefix: Sequence[int], system: FlipSystem, max_rank: int
     prefixes is the singularity diagnostic."""
     if max_rank < 1:
         raise InvalidArgument(f"max_rank must be >= 1, got {max_rank}")
-    digits = tuple(system.pv.check_digit(d) for d in prefix)
+    # a list, not a generator: tuple() over a generator grows by reallocation
+    digits = tuple([system.pv.check_digit(d) for d in prefix])
     if len(digits) < max_rank:
         raise PrefixTooShort(f"prefix of length {len(digits)} cannot reach rank {max_rank}")
     flipped = flip_prefix(DigitSeq(digits, system.pv.q), system.flips, max_rank)

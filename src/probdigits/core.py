@@ -147,10 +147,6 @@ class ProbVector:
     def uniform(cls, q: int) -> "ProbVector":
         return make_prob_vector([Fraction(1, q)] * q)
 
-    def digit_for(self, state: Fraction) -> int:
-        """Largest digit c with beta[c] <= state (clamped to q-1)."""
-        return min(bisect_right(self.beta, state) - 1, self.q - 1)
-
     def check_digit(self, d: int) -> int:
         if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d < self.q:
             raise DigitOutOfRange(f"digit {d!r} not in [0, {self.q - 1}]")
@@ -343,6 +339,23 @@ def eval_digits(seq: DigitSeq, pv: ProbVector) -> Fraction:
 # Encoding and the shift map
 # ---------------------------------------------------------------------------
 
+def _shift(a: int, b: int, table: IntTable) -> tuple[int, int, int]:
+    """One step of the shift orbit on the reduced state a/b in [0, 1]: its
+    digit c (the largest with beta[c] <= a/b, clamped to q-1) and the reduced
+    next state (a/b - beta[c]) / p[c].  Over D = table.den that state is
+    (a*D - beta[c]*b) / (b*p[c]), and beta[c] <= a/b reads as
+    beta[c] <= a*D // b since beta[c] is an integer."""
+    den, beta, p = table
+    scaled = a * den
+    # beta[0] = 0 is below every state, and searching only up to beta[q-1]
+    # is the clamp: min(bisect_right(beta, s) - 1, q - 1) without the min
+    c = bisect_right(beta, scaled // b, 1, len(p)) - 1
+    a = scaled - beta[c] * b
+    b *= p[c]
+    g = gcd(a, b)
+    return c, a // g, b // g
+
+
 def encode(x, pv: ProbVector, depth: int = 32) -> DigitSeq:
     """Digit prefix of x down to `depth` ranks.
 
@@ -359,15 +372,15 @@ def encode(x, pv: ProbVector, depth: int = 32) -> DigitSeq:
         raise OutOfUnitInterval(f"{x} not in [0, 1]")
     if x == 1:
         return DigitSeq((pv.q - 1,), pv.q, "max")
-    state = x
+    table = pv.int_table
+    a, b = x.numerator, x.denominator
     out = []
     for _ in range(depth):
-        if state == 0:
+        if a == 0:
             break
-        c = pv.digit_for(state)
+        c, a, b = _shift(a, b, table)
         out.append(c)
-        state = (state - pv.beta[c]) / pv.p[c]
-    return DigitSeq(tuple(out), pv.q, "zero")
+    return DigitSeq(out, pv.q, "zero")
 
 
 def shift_digits(seq: DigitSeq, n: int = 1) -> DigitSeq:
@@ -386,8 +399,8 @@ def shift_value(x, pv: ProbVector) -> Fraction:
         raise OutOfUnitInterval(f"{x} not in [0, 1]")
     if x == 1:
         return Fraction(1)
-    c = pv.digit_for(x)
-    return (x - pv.beta[c]) / pv.p[c]
+    _, a, b = _shift(x.numerator, x.denominator, pv.int_table)
+    return Fraction(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +438,8 @@ class Cylinder(NamedTuple):
 def cylinder_bounds(base: Sequence[int], pv: ProbVector) -> Cylinder:
     """Endpoints of the rank-m cylinder: lo is the zero-tail value of the base,
     and hi - lo equals the product of the base digit weights."""
-    digits = tuple(pv.check_digit(d) for d in base)
+    # a list, not a generator: tuple() over a generator grows by reallocation
+    digits = tuple([pv.check_digit(d) for d in base])
     num, weight = _forward(pv, digits)
     scale = pv.den ** len(digits)
     return Cylinder(base=digits, pv=pv, lo=Fraction(num, scale), hi=Fraction(num + weight, scale))
@@ -462,19 +476,19 @@ def classify(x, pv: ProbVector, max_depth: int = 64) -> PointClass:
         raise OutOfUnitInterval(f"{x} not in [0, 1]")
     if x == 1:
         return PointClass(PointKind.P_RATIONAL)
-    state = x
+    table = pv.int_table
+    a, b = x.numerator, x.denominator
     seen = set()
     for _ in range(max_depth):
-        if state == 0:
+        if a == 0:
             return PointClass(PointKind.P_RATIONAL)
-        if state in seen:
+        if (a, b) in seen:
             return PointClass(PointKind.P_IRRATIONAL)
-        seen.add(state)
-        c = pv.digit_for(state)
-        state = (state - pv.beta[c]) / pv.p[c]
-    if state == 0:
+        seen.add((a, b))
+        _, a, b = _shift(a, b, table)
+    if a == 0:
         return PointClass(PointKind.P_RATIONAL)
-    if state in seen:
+    if (a, b) in seen:
         return PointClass(PointKind.P_IRRATIONAL)
     return PointClass(PointKind.UNDETERMINED, depth=max_depth)
 

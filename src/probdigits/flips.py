@@ -65,8 +65,9 @@ class FlipSet(NamedTuple):
 
     @classmethod
     def mask(cls, preperiod: Iterable[bool], period: Iterable[bool]) -> "FlipSet":
-        pre = tuple(bool(b) for b in preperiod)
-        per = tuple(bool(b) for b in period)
+        # lists, not generators: tuple() over a generator grows by reallocation
+        pre = tuple([bool(b) for b in preperiod])
+        per = tuple([bool(b) for b in period])
         if not per:
             raise FlipSpecError("mask period must be nonempty")
         bits = pre + per

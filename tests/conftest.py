@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,23 @@ def cylinder_by_fractions(base, pv) -> tuple[Fraction, Fraction]:
     for d in base:
         width *= pv.p[d]
     return lo, lo + width
+
+
+def orbit_by_fractions(x, pv, depth: int) -> tuple[list[int], list[Fraction]]:
+    """The first depth steps of the shift orbit of x in Fractions: the digits
+    d_1..d_depth and the states s_0 = x, s_1, ..., s_depth, where d_k is the
+    cell of s_(k-1) (the largest c with beta[c] <= s_(k-1), clamped to q-1)
+    and s_k = (s_(k-1) - beta[d_k]) / p[d_k].  The orbit does not stop at 0
+    or 1; both are fixed points."""
+    state = Fraction(x)
+    digits: list[int] = []
+    states = [state]
+    for _ in range(depth):
+        c = min(bisect_right(pv.beta, state) - 1, pv.q - 1)
+        digits.append(c)
+        state = (state - pv.beta[c]) / pv.p[c]
+        states.append(state)
+    return digits, states
 
 
 def eval_digits_by_horner(seq: DigitSeq, pv) -> Fraction:

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -295,7 +296,8 @@ def test_shift_rank_identity():
             for n in (1, 2, 3):
                 if states[n - 1] == 1:
                     continue
-                d = pv.digit_for(states[n - 1])
+                # the digit of a state is the cell that holds it
+                d = min(bisect_right(pv.beta, states[n - 1]) - 1, pv.q - 1)
                 assert pv.beta[d] + pv.p[d] * states[n] == states[n - 1]
 
 

@@ -26,7 +26,11 @@ from probdigits import (
     Enclosure,
     FlipSet,
     FlipSystem,
+    PointClass,
+    PointKind,
+    ProbVector,
     bernoulli_cdf,
+    classify,
     cylinder_bounds,
     cylinder_image,
     derivative_estimate,
@@ -44,6 +48,7 @@ from probdigits import (
     jump_at,
     make_prob_vector,
     rectangle_diagonals_sq,
+    shift_value,
 )
 from conftest import (
     bernoulli_cdf_by_digits,
@@ -52,6 +57,7 @@ from conftest import (
     diagonals_by_walk,
     eval_digits_by_horner,
     integral_series_by_fractions,
+    orbit_by_fractions,
     series_by_fractions,
 )
 
@@ -249,6 +255,51 @@ def test_kernel_cylinder_matches_reversed_horner(case):
 def test_kernel_bernoulli_cdf_matches_long_division(pv, den, num):
     x = Fraction(num, den)
     assert bernoulli_cdf(x, pv) == bernoulli_cdf_by_digits(x, pv)
+
+
+@st.composite
+def orbit_points(draw, pv):
+    """0, 1, the value of an address (a p-rational for a zero or max tail, a
+    repeating orbit for a non-constant one), or num/den with den = D**e * m,
+    D = pv.den: m = 1 keeps x in Z[1/D], m = 2, 7, 11, 13 share a prime with
+    some family denominators, m = 3, 5, 17 with none."""
+    kind = draw(st.sampled_from(("other", "address", "zero", "one")))
+    if kind == "zero":
+        return Fraction(0)
+    if kind == "one":
+        return Fraction(1)
+    if kind == "address":
+        return eval_digits(draw(digit_seqs(pv.q)), pv)
+    den = pv.den ** draw(st.integers(0, 3)) * draw(st.sampled_from((1, 2, 3, 5, 7, 11, 13, 17)))
+    return Fraction(draw(st.integers(0, den)), den)
+
+
+ORBIT_DEPTH = 64
+# uniform vectors (D = q) add repeating orbits of num/den points, as 1/3 in base 2
+orbit_vectors = st.one_of(family_vectors(), st.integers(2, 5).map(ProbVector.uniform))
+
+
+@given(orbit_vectors.flatmap(lambda pv: st.tuples(st.just(pv), orbit_points(pv))))
+def test_kernel_orbit_matches_the_fraction_orbit(case):
+    pv, x = case
+    digits, states = orbit_by_fractions(x, pv, ORBIT_DEPTH)
+    assert shift_value(x, pv) == states[1]
+    if x == 1:
+        # 1 is written with the max tail and has two expansions
+        assert encode(x, pv, ORBIT_DEPTH) == DigitSeq((pv.q - 1,), pv.q, "max")
+        for max_depth in range(ORBIT_DEPTH + 1):
+            assert classify(x, pv, max_depth) == PointClass(PointKind.P_RATIONAL)
+        return
+    # encode: the digits until the orbit reaches 0
+    stop = states.index(0) if 0 in states else ORBIT_DEPTH
+    # classify: decided at the first state that is 0 or repeats an earlier one
+    decided = next(((k, PointKind.P_RATIONAL if s == 0 else PointKind.P_IRRATIONAL)
+                    for k, s in enumerate(states) if s == 0 or s in states[:k]), (ORBIT_DEPTH + 1, None))
+    for depth in range(ORBIT_DEPTH + 1):
+        encoded = encode(x, pv, depth)
+        assert encoded.digits == tuple(digits[:min(stop, depth)]) and encoded.tail == (0,)
+        expected = PointClass(decided[1]) if decided[0] <= depth else PointClass(PointKind.UNDETERMINED, depth)
+        assert classify(x, pv, depth) == expected
 
 
 @given(series_vectors, flip_sets(), tolerances)
