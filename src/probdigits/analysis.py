@@ -13,7 +13,7 @@ rank-r cylinder partition.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, cycle, islice, product
+from itertools import chain, count, cycle, islice, product
 from math import ceil, log
 from typing import Iterator, NamedTuple, Sequence
 
@@ -23,10 +23,10 @@ from .core import (
     DigitSeq,
     Enclosure,
     PointKind,
+    _as_int,
+    _shift,
     as_fraction,
-    classify,
     cylinder_bounds,
-    encode,
     eval_digits,
 )
 from .errors import (
@@ -35,10 +35,11 @@ from .errors import (
     InvalidArgument,
     NotPRational,
     NotShiftInvariant,
+    OutOfUnitInterval,
     PrefixTooShort,
     RankTooLarge,
 )
-from .flips import FlipSet, FlipSystem, eval_flip, flip_image, flip_prefix
+from .flips import FlipSet, FlipSystem, eval_flip, flip_image
 
 
 # ---------------------------------------------------------------------------
@@ -57,16 +58,39 @@ def jump_at(x0, system: FlipSystem, max_depth: int = 128) -> JumpReport:
 
     The right limit is the flipped value of the zero-tail address, the left
     limit that of the max-tail address; both close in rational arithmetic.
+
+    One walk of the integer shift orbit reads the zero-tail digits and
+    decides the point as classify does: two expansions once the orbit
+    reaches 0, one once a state repeats, and undetermined after max_depth
+    steps.
     """
     x0 = as_fraction(x0)
-    pc = classify(x0, system.pv, max_depth)
-    if pc.kind is not PointKind.P_RATIONAL:
-        raise NotPRational(f"{x0} is {pc.kind.value} at depth {max_depth}")
+    max_depth = _as_int(max_depth, "max_depth")
+    if max_depth < 0:
+        raise InvalidArgument(f"max_depth must be >= 0, got {max_depth}")
+    if x0 < 0 or x0 > 1:
+        raise OutOfUnitInterval(f"{x0} not in [0, 1]")
     if x0 == 0 or x0 == 1:
         raise EndpointOneSided(f"{x0} admits only a one-sided limit")
-    zero_rep = encode(x0, system.pv, max_depth)
-    digits = zero_rep.digits
-    max_rep = DigitSeq(digits[:-1] + (digits[-1] - 1,), system.pv.q, "max")
+    pv = system.pv
+    table = pv.int_table
+    a, b = x0.numerator, x0.denominator
+    digits = []
+    seen = set()
+    for _ in range(max_depth):
+        seen.add((a, b))
+        c, a, b = _shift(a, b, table)
+        digits.append(c)
+        if a == 0:
+            break
+        if (a, b) in seen:
+            raise NotPRational(f"{x0} is {PointKind.P_IRRATIONAL.value} at depth {max_depth}")
+    else:
+        raise NotPRational(f"{x0} is {PointKind.UNDETERMINED.value} at depth {max_depth}")
+    q = pv.q
+    zero_rep = DigitSeq._trusted(tuple(digits), q, (0,))
+    digits[-1] -= 1
+    max_rep = DigitSeq._trusted(tuple(digits), q, (q - 1,))
     right = eval_flip(zero_rep, system).value
     left = eval_flip(max_rep, system).value
     return JumpReport(point=x0, left_limit=left, right_limit=right, jump=right - left)
@@ -92,6 +116,7 @@ def p_rationals(pv, count: int) -> list[Fraction]:
 
     Each such point has a unique terminating address whose last digit is
     nonzero; enumerating (rank, head, last digit) therefore never repeats."""
+    count = _as_int(count, "count")
     if count < 0:
         raise InvalidArgument(f"count must be >= 0, got {count}")
     out: list[Fraction] = []
@@ -122,6 +147,7 @@ def monotone_witness(system: FlipSystem, rank: int) -> MonotoneWitness | None:
 
     The pair agrees on the first m-1 digits and differs at the first flipped
     position m; returns None when no position up to rank is flipped."""
+    rank = _as_int(rank, "rank")
     if rank < 1:
         raise InvalidArgument(f"rank must be >= 1, got {rank}")
     m = system.flips.min_position()
@@ -153,19 +179,33 @@ def derivative_estimate(prefix: Sequence[int], system: FlipSystem, max_rank: int
 
     The rank-m ratio is the product over t <= m of p[f_t]/p[c_t], with f_t
     the flipped digit at position t; its decay along Lebesgue-typical
-    prefixes is the singularity diagnostic."""
+    prefixes is the singularity diagnostic.
+
+    The denominators D of the weights cancel in the ratio, so it is kept as
+    two integer products of the numerators in pv.int_table, over the flipped
+    and over the plain digits, with one Fraction per rank.  Where the flipped
+    digit is the digit itself the ratio does not change, and its Fraction is
+    reused."""
+    max_rank = _as_int(max_rank, "max_rank")
     if max_rank < 1:
         raise InvalidArgument(f"max_rank must be >= 1, got {max_rank}")
+    pv = system.pv
     # a list, not a generator: tuple() over a generator grows by reallocation
-    digits = tuple([system.pv.check_digit(d) for d in prefix])
+    digits = tuple([pv.check_digit(d) for d in prefix])
     if len(digits) < max_rank:
         raise PrefixTooShort(f"prefix of length {len(digits)} cannot reach rank {max_rank}")
-    flipped = flip_prefix(DigitSeq(digits, system.pv.q), system.flips, max_rank)
-    p = system.pv.p
+    p = pv.int_table.p
+    top = pv.q - 1
+    flips = system.flips
+    bits = islice(chain(flips.preperiod, cycle(flips.period)), max_rank)
     ratios = []
+    image = plain = 1
     ratio = Fraction(1)
-    for d, f in zip(digits, flipped):
-        ratio *= p[f] / p[d]
+    for d, flipped in zip(digits, bits):
+        if flipped and d != top - d:
+            image *= p[top - d]
+            plain *= p[d]
+            ratio = Fraction(image, plain)
         ratios.append(ratio)
     return DerivativeTrace(digits=digits, ratios=tuple(ratios))
 
@@ -287,6 +327,7 @@ def integral_riemann(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET
     with law p, so the sums are the rank-r partial sums of the series:
     lower = sum_{k<=r} v_k prod_{j<k} w_j, upper = lower + prod_{k<=r} w_k.
     The cost is O(rank); the budget still caps q**rank."""
+    rank = _as_int(rank, "rank")
     if rank < 1:
         raise InvalidArgument(f"rank must be >= 1, got {rank}")
     pv = system.pv

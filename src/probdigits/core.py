@@ -211,6 +211,7 @@ class DigitSeq:
     __slots__ = ("digits", "q", "tail")
 
     def __init__(self, digits: Sequence[int], q: int, tail="zero"):
+        q = _as_int(q, "q")
         if q < 2:
             raise BaseTooSmall(f"alphabet size {q} < 2")
         digits = tuple(digits)
@@ -227,6 +228,17 @@ class DigitSeq:
         object.__setattr__(self, "digits", digits)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "tail", block)
+
+    @classmethod
+    def _trusted(cls, digits: tuple[int, ...], q: int, tail: tuple[int, ...]) -> "DigitSeq":
+        """A sequence from parts the library has just produced, without
+        __init__'s checks: digits a tuple of digits in [0, q-1], tail a
+        primitive block of them, and digits nonempty if tail is (q-1,)."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "digits", digits)
+        object.__setattr__(seq, "q", q)
+        object.__setattr__(seq, "tail", tail)
+        return seq
 
     def __setattr__(self, name, value):
         raise AttributeError("DigitSeq is immutable")
@@ -370,8 +382,9 @@ def encode(x, pv: ProbVector, depth: int = 32) -> DigitSeq:
     x = as_fraction(x)
     if x < 0 or x > 1:
         raise OutOfUnitInterval(f"{x} not in [0, 1]")
+    q = pv.q
     if x == 1:
-        return DigitSeq((pv.q - 1,), pv.q, "max")
+        return DigitSeq._trusted((q - 1,), q, (q - 1,))
     table = pv.int_table
     a, b = x.numerator, x.denominator
     out = []
@@ -380,11 +393,12 @@ def encode(x, pv: ProbVector, depth: int = 32) -> DigitSeq:
             break
         c, a, b = _shift(a, b, table)
         out.append(c)
-    return DigitSeq(out, pv.q, "zero")
+    return DigitSeq._trusted(tuple(out), q, (0,))
 
 
 def shift_digits(seq: DigitSeq, n: int = 1) -> DigitSeq:
     """Drop the first n explicit digits; the tail is shift-invariant."""
+    n = _as_int(n, "shift count")
     if n < 0:
         raise InvalidArgument(f"shift count must be >= 0, got {n}")
     if n > len(seq.digits):

@@ -13,9 +13,10 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, ProbVector, cylinder_bounds, eval_digits, horner_sum
+from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, ProbVector, _as_int, cylinder_bounds, eval_digits
 from .errors import BudgetExceeded, DigitOutOfRange, FlipSpecError, InvalidArgument
 
 
@@ -50,7 +51,13 @@ class FlipSet(NamedTuple):
 
     @classmethod
     def finite(cls, positions: Iterable[int]) -> "FlipSet":
-        pos = tuple(sorted(set(int(k) for k in positions)))
+        pos = set()
+        for k in positions:
+            try:
+                pos.add(index(k))
+            except TypeError:
+                raise FlipSpecError(f"flip position {k!r} is not an integer") from None
+        pos = tuple(sorted(pos))
         if any(k < 1 for k in pos):
             raise FlipSpecError(f"flip positions must be >= 1, got {pos}")
         if not pos:
@@ -223,6 +230,7 @@ def nega_to_digits(seq: DigitSeq) -> DigitSeq:
 
 def _shifted(flips: FlipSet, offset: int) -> FlipSet:
     """The flip set seen from position offset + 1: bit k is bit k + offset of flips."""
+    offset = _as_int(offset, "offset")
     if offset < 0:
         raise InvalidArgument(f"offset must be >= 0, got {offset}")
     if offset == 0:
@@ -254,62 +262,54 @@ def flip_image(base: Sequence[int], system: FlipSystem, offset: int = 0) -> Encl
 # Alternating (nega) expansion, evaluated literally
 # ---------------------------------------------------------------------------
 
-def _alt_weight(pv: ProbVector, k: int, d: int) -> Fraction:
-    # odd positions keep the digit weight, even positions take the complement's
-    return pv.p[d] if k % 2 == 1 else pv.p[pv.q - 1 - d]
-
-
-def _alt_offset(pv: ProbVector, k: int, d: int) -> Fraction:
-    # signed series term: +beta[d] at odd k, -(1 - beta[q-1-d]) at even k
-    if k % 2 == 1:
-        return pv.beta[d]
-    return -(1 - pv.beta[pv.q - 1 - d])
-
-
 def eval_nega(seq: DigitSeq, pv: ProbVector) -> Enclosure:
     """Exact value of the alternating expansion with address seq.
 
     Three pieces, summed literally: the leading offset beta[d_1]; the signed
-    series over positions k >= 2 with parity-dependent weights; and the
-    correction sum of the odd-length weight products.  Equals the plain
-    evaluation of the even-position-complemented stream.
+    series over positions k >= 2, whose term at k is +beta[d] at odd k and
+    -(1 - beta[q-1-d]) at even k, with the weight p[d] at odd k and
+    p[q-1-d] at even k; and the correction sum over odd n of the product of
+    the first n weights.  Equals the plain evaluation of the
+    even-position-complemented stream.
+
+    Each piece runs in integers over D = pv.den: after position k the
+    series is num / D**k and the correction odd / D**k.  Positions
+    head + 1 .. head + span (span = lcm(len(tail), 2), even) repeat forever,
+    so both pieces close over D**span - c_weight with c_weight / D**span the
+    product of one period's weights.  One Fraction is built at the end.
     """
     if seq.q != pv.q:
         raise DigitOutOfRange(f"sequence alphabet {seq.q} != vector alphabet {pv.q}")
-    m = len(seq.digits)
+    den, beta, p = pv.int_table
+    top = pv.q - 1
+    # (offset, weight) numerators of digit d at an odd and at an even position
+    odd_terms = [(beta[d], p[d]) for d in range(pv.q)]
+    even_terms = [(beta[top - d] - den, p[top - d]) for d in range(pv.q)]
+    digits = seq.digits
     block = seq.tail
+    head = max(len(digits), 1)
     span = lcm(len(block), 2)
-    head = max(m, 1)
+    # the stream at positions 1 .. head + span: the prefix, then the tail block
+    stream = list(digits)
+    while len(stream) < head + span:
+        stream.extend(block)
 
-    first = pv.beta[seq.digit_at(1)]
+    def fold(start: int, stop: int, num: int, weight: int, odd: int) -> tuple[int, int, int]:
+        # positions start .. stop - 1, one Horner step of each piece per position
+        for k in range(start, stop):
+            o, w = (odd_terms if k % 2 else even_terms)[stream[k - 1]]
+            num = num * den + o * weight
+            weight *= w
+            odd = odd * den + weight if k % 2 else odd * den
+        return num, weight, odd
 
-    def at(k: int):
-        d = seq.digit_at(k)
-        return _alt_offset(pv, k, d), _alt_weight(pv, k, d)
-
-    # signed series: zero out the k=1 offset, keep its weight for the Horner fold
-    pre = []
-    for k in range(1, head + 1):
-        o, w = at(k)
-        pre.append((Fraction(0) if k == 1 else o, w))
-    cycle = [at(k) for k in range(head + 1, head + span + 1)]
-    signed = horner_sum(pre, cycle)
-
-    # correction: sum over odd n of the product of the first n weights
-    weights = [at(k)[1] for k in range(1, head + span + 1)]
-    running = Fraction(1)
-    head_part = Fraction(0)
-    cycle_part = Fraction(0)
-    cycle_product = Fraction(1)
-    for n, w in enumerate(weights, start=1):
-        running *= w
-        if n <= head:
-            if n % 2 == 1:
-                head_part += running
-        else:
-            cycle_product *= w
-            if n % 2 == 1:
-                cycle_part += running
-    correction = head_part + cycle_part / (1 - cycle_product)
-
-    return Enclosure.point(first + signed + correction)
+    first = beta[stream[0]]
+    # position 1 adds its weight but not its offset to the signed series
+    w1 = p[stream[0]]
+    num, weight, odd = fold(2, head + 1, 0, w1, w1)
+    c_num, c_weight, c_odd = fold(head + 1, head + span + 1, 0, 1, 0)
+    closure = den ** span - c_weight
+    # first / D + (num + odd) / D**head + weight * (c_num + c_odd) / (D**head * closure)
+    scale = den ** (head - 1)
+    total = (first * scale + num + odd) * closure + weight * (c_num + c_odd)
+    return Enclosure.point(Fraction(total, scale * den * closure))

@@ -5,7 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from probdigits import DigitSeq, ProbVector, horner_sum, make_prob_vector, rectangle_diagonals_sq
+from probdigits import (
+    DigitSeq,
+    EndpointOneSided,
+    JumpReport,
+    NotPRational,
+    PointKind,
+    ProbVector,
+    as_fraction,
+    classify,
+    encode,
+    eval_flip,
+    horner_sum,
+    make_prob_vector,
+    rectangle_diagonals_sq,
+)
 
 try:
     from hypothesis import settings
@@ -219,3 +233,78 @@ def series_by_fractions(system, tol: Fraction) -> tuple[Fraction, Fraction, int]
         if tail <= tol:
             return total, total + tail, k
         k += 1
+
+
+# ---------------------------------------------------------------------------
+# Fraction and two-walk oracles for the pointwise functions
+# ---------------------------------------------------------------------------
+
+def _alt_weight(pv, k: int, d: int) -> Fraction:
+    # odd positions keep the digit weight, even positions take the complement's
+    return pv.p[d] if k % 2 == 1 else pv.p[pv.q - 1 - d]
+
+
+def _alt_offset(pv, k: int, d: int) -> Fraction:
+    # signed series term: +beta[d] at odd k, -(1 - beta[q-1-d]) at even k
+    if k % 2 == 1:
+        return pv.beta[d]
+    return -(1 - pv.beta[pv.q - 1 - d])
+
+
+def eval_nega_by_fractions(seq: DigitSeq, pv) -> Fraction:
+    """The alternating expansion's three pieces in Fractions, one per term:
+    the leading offset beta[d_1], the signed series through horner_sum, and
+    the sum over odd n of the first n weights' product, closed over one
+    common period of the tail and the parity."""
+    m = len(seq.digits)
+    span = math.lcm(len(seq.tail), 2)
+    head = max(m, 1)
+
+    first = pv.beta[seq.digit_at(1)]
+
+    def at(k: int):
+        d = seq.digit_at(k)
+        return _alt_offset(pv, k, d), _alt_weight(pv, k, d)
+
+    # signed series: zero out the k=1 offset, keep its weight for the Horner fold
+    pre = []
+    for k in range(1, head + 1):
+        o, w = at(k)
+        pre.append((Fraction(0) if k == 1 else o, w))
+    cycle = [at(k) for k in range(head + 1, head + span + 1)]
+    signed = horner_sum(pre, cycle)
+
+    # correction: sum over odd n of the product of the first n weights
+    weights = [at(k)[1] for k in range(1, head + span + 1)]
+    running = Fraction(1)
+    head_part = Fraction(0)
+    cycle_part = Fraction(0)
+    cycle_product = Fraction(1)
+    for n, w in enumerate(weights, start=1):
+        running *= w
+        if n <= head:
+            if n % 2 == 1:
+                head_part += running
+        else:
+            cycle_product *= w
+            if n % 2 == 1:
+                cycle_part += running
+    correction = head_part + cycle_part / (1 - cycle_product)
+    return first + signed + correction
+
+
+def jump_at_by_two_walks(x0, system, max_depth: int = 128) -> JumpReport:
+    """jump_at from two walks of the orbit: classify decides the point, then
+    encode reads its zero-tail address, and eval_flip evaluates both addresses."""
+    x0 = as_fraction(x0)
+    pc = classify(x0, system.pv, max_depth)
+    if pc.kind is not PointKind.P_RATIONAL:
+        raise NotPRational(f"{x0} is {pc.kind.value} at depth {max_depth}")
+    if x0 == 0 or x0 == 1:
+        raise EndpointOneSided(f"{x0} admits only a one-sided limit")
+    zero_rep = encode(x0, system.pv, max_depth)
+    digits = zero_rep.digits
+    max_rep = DigitSeq(digits[:-1] + (digits[-1] - 1,), system.pv.q, "max")
+    right = eval_flip(zero_rep, system).value
+    left = eval_flip(max_rep, system).value
+    return JumpReport(point=x0, left_limit=left, right_limit=right, jump=right - left)

@@ -12,6 +12,7 @@ from probdigits import (
     DigitOutOfRange,
     DigitSeq,
     FlipSet,
+    FlipSpecError,
     FlipSystem,
     InvalidArgument,
     MoranSpec,
@@ -24,12 +25,18 @@ from probdigits import (
     bernoulli_cdf,
     classify,
     cylinder_bounds,
+    derivative_estimate,
     encode,
     entropy_sum,
     eval_digits,
+    eval_flip,
+    flip_image,
+    integral_riemann,
     integral_series,
     make_prob_vector,
+    monotone_witness,
     moran_dimension,
+    p_rationals,
     sample_digits,
     shift_digits,
     shift_value,
@@ -478,6 +485,30 @@ def test_digitseq_validation():
 def test_non_rational_input_is_invalid_argument(uniform2, call):
     with pytest.raises(InvalidArgument):
         call(uniform2)
+
+
+SYSTEM2 = FlipSystem(ProbVector.uniform(2), FlipSet.parse("mask:;01"))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: derivative_estimate((0, 1, 0), SYSTEM2, "2"), InvalidArgument),
+    (lambda: derivative_estimate((0, 1, 0), SYSTEM2, 2.0), InvalidArgument),
+    (lambda: integral_riemann(SYSTEM2, "2"), InvalidArgument),
+    (lambda: monotone_witness(SYSTEM2, "2"), InvalidArgument),
+    (lambda: p_rationals(SYSTEM2.pv, "2"), InvalidArgument),
+    (lambda: eval_flip(DigitSeq((1,), 2), SYSTEM2, "2"), InvalidArgument),
+    (lambda: flip_image((1,), SYSTEM2, "2"), InvalidArgument),
+    (lambda: shift_digits(DigitSeq((1, 0), 2), "2"), InvalidArgument),
+    (lambda: DigitSeq((1,), "2"), InvalidArgument),
+    (lambda: DigitSeq((1,), 2.0), InvalidArgument),
+    (lambda: FlipSet.finite([2.7, "3"]), FlipSpecError),
+    (lambda: FlipSet.finite([2, "3"]), FlipSpecError),
+], ids=["derivative-str-rank", "derivative-float-rank", "riemann-str-rank", "witness-str-rank",
+        "p-rationals-str-count", "eval-flip-str-offset", "flip-image-str-offset", "shift-str-count",
+        "digitseq-str-q", "digitseq-float-q", "finite-float-position", "finite-str-position"])
+def test_non_integer_argument_is_refused(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_digitseq_bad_tail_is_invalid_argument():

@@ -16,7 +16,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import probdigits.analysis as analysis
@@ -28,6 +28,7 @@ from probdigits import (
     FlipSystem,
     PointClass,
     PointKind,
+    ProbDigitsError,
     ProbVector,
     bernoulli_cdf,
     classify,
@@ -38,6 +39,7 @@ from probdigits import (
     entropy_sum,
     eval_digits,
     eval_flip,
+    eval_nega,
     flip_digits,
     flip_image,
     horner_sum,
@@ -47,6 +49,7 @@ from probdigits import (
     integral_series,
     jump_at,
     make_prob_vector,
+    nega_to_digits,
     rectangle_diagonals_sq,
     shift_value,
 )
@@ -56,7 +59,9 @@ from conftest import (
     diagonal_multiset,
     diagonals_by_walk,
     eval_digits_by_horner,
+    eval_nega_by_fractions,
     integral_series_by_fractions,
+    jump_at_by_two_walks,
     orbit_by_fractions,
     series_by_fractions,
 )
@@ -300,6 +305,54 @@ def test_kernel_orbit_matches_the_fraction_orbit(case):
         assert encoded.digits == tuple(digits[:min(stop, depth)]) and encoded.tail == (0,)
         expected = PointClass(decided[1]) if decided[0] <= depth else PointClass(PointKind.UNDETERMINED, depth)
         assert classify(x, pv, depth) == expected
+
+
+@pytest.mark.parametrize("tail", ["zero", "max", "odd", "even"])
+@pytest.mark.parametrize("prefix", ["empty", "digits"])
+@given(data=st.data())
+def test_kernel_eval_nega_matches_the_fraction_pieces(prefix, tail, data):
+    pv = data.draw(family_vectors())
+    digit = st.integers(0, pv.q - 1)
+    digits = () if prefix == "empty" else tuple(data.draw(st.lists(digit, min_size=1, max_size=24)))
+    if tail in ("zero", "max"):
+        seq = DigitSeq(digits, pv.q, tail)
+    else:
+        length = data.draw(st.sampled_from((1, 3, 5) if tail == "odd" else (2, 4, 6)))
+        seq = DigitSeq(digits, pv.q, data.draw(st.lists(digit, min_size=length, max_size=length)))
+        # a block that repeats a shorter one reduces to it
+        assume(len(seq.tail) == length)
+    value = eval_nega(seq, pv)
+    assert value.lo == value.hi == eval_nega_by_fractions(seq, pv) == eval_digits(nega_to_digits(seq), pv)
+
+
+def jump_outcome(jump, x, system, max_depth):
+    """The report, or the type and message of the ProbDigitsError raised."""
+    try:
+        return jump(x, system, max_depth)
+    except ProbDigitsError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def jump_points(draw, pv):
+    """A two-expansion point (a terminating address whose last digit is
+    nonzero), an orbit_points point, or a rational in [-1, 2]."""
+    kind = draw(st.sampled_from(("two-expansion", "orbit", "any")))
+    if kind == "two-expansion":
+        digits = draw(st.lists(st.integers(0, pv.q - 1), max_size=16)) + [draw(st.integers(1, pv.q - 1))]
+        return eval_digits(DigitSeq(digits, pv.q), pv)
+    if kind == "orbit":
+        return draw(orbit_points(pv))
+    return draw(st.fractions(-1, 2, max_denominator=60))
+
+
+@settings(max_examples=300)
+@given(orbit_vectors.flatmap(lambda pv: st.tuples(st.just(pv), jump_points(pv))),
+       flip_sets(), st.integers(0, ORBIT_DEPTH))
+def test_one_walk_jump_at_matches_the_two_walk_oracle(case, flips, max_depth):
+    pv, x = case
+    system = FlipSystem(pv, flips)
+    assert jump_outcome(jump_at, x, system, max_depth) == jump_outcome(jump_at_by_two_walks, x, system, max_depth)
 
 
 @given(series_vectors, flip_sets(), tolerances)
