@@ -67,6 +67,17 @@ def _as_int(n, name: str) -> int:
         raise InvalidArgument(f"{name} must be an integer, got {n!r}") from None
 
 
+def _lowest_terms(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for ints num and den > 0, reduced by one gcd and
+    built without the constructor's argument checks and dispatch: the two
+    slots are set directly, as Fraction's own arithmetic does."""
+    g = gcd(num, den)
+    out = object.__new__(Fraction)
+    out._numerator = num // g
+    out._denominator = den // g
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Probability vectors
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import DEFAULT_BUDGET, DigitSeq, ProbVector
+from .core import DEFAULT_BUDGET, DigitSeq, ProbVector, _as_int, _lowest_terms
 from .errors import BudgetExceeded, EmptyAlphabet, InvalidArgument, NotShiftInvariant
 from .flips import FlipSystem, eval_flip
 
@@ -74,6 +74,7 @@ def _graph_numerators(system: FlipSystem, depth: int, budget: int = DEFAULT_BUDG
     ends[idx[i] + t]: ys is the very list ends, which tells callers that every
     y is an x or 1, and at is idx shifted by t.  Otherwise ys[j] is base j's
     lower end plus width times t, over y_den = scale * t_den, and at is idx."""
+    depth = _as_int(depth, "depth")
     if depth < 0:
         raise InvalidArgument(f"depth must be >= 0, got {depth}")
     pv = system.pv
@@ -113,12 +114,12 @@ def ifs_graph_points(system: FlipSystem, depth: int, budget: int = DEFAULT_BUDGE
     another cylinder or 1, and each distinct value is one Fraction: for flips
     none every y is its x.  Any other tail has a denominator t_den > 1, its y
     values are almost never another coordinate, and each point is built on
-    its own."""
+    its own.  Every coordinate is a reduced integer pair (_lowest_terms)."""
     ends, scale, ys, y_den, at = _graph_numerators(system, depth, budget)
     if ys is not ends:
-        return [(Fraction(x, scale), Fraction(ys[j], y_den)) for x, j in zip(ends, at)]
-    built = [Fraction(x, scale) for x in ends]
-    return list(zip(built, [built[j] for j in at]))
+        return [(_lowest_terms(x, scale), _lowest_terms(ys[j], y_den)) for x, j in zip(ends, at)]
+    built = [_lowest_terms(x, scale) for x in ends]
+    return list(zip(built, map(built.__getitem__, at)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +164,7 @@ def _rectangle_groups(system: FlipSystem, rank: int, budget: int) -> tuple[list[
     diag_sq = w_n**2 * (x_m**2 + y_m**2) with w_n = prod p_c**n_c.  The two
     group lists are built once and crossed, flipped groups outermost; the
     budget caps the C(a+q-1, q-1) * C(b+q-1, q-1) groups."""
+    rank = _as_int(rank, "rank")
     if rank < 0:
         raise InvalidArgument(f"rank must be >= 0, got {rank}")
     q = system.pv.q
@@ -183,7 +185,7 @@ def rectangle_diagonals_sq(system: FlipSystem, rank: int, budget: int = DEFAULT_
     _rectangle_groups): the multiplicities add up to q**rank.  A diagonal may
     recur across groups.  The budget caps the groups built."""
     groups, scale = _rectangle_groups(system, rank, budget)
-    return [(mult, Fraction(num, scale)) for mult, num in groups]
+    return [(mult, _lowest_terms(num, scale)) for mult, num in groups]
 
 
 def entropy_sum(system: FlipSystem, alpha, rank: int, budget: int = DEFAULT_BUDGET) -> float:
@@ -198,6 +200,7 @@ def entropy_sum(system: FlipSystem, alpha, rank: int, budget: int = DEFAULT_BUDG
         raise InvalidArgument(f"alpha must be finite and >= 0, got {alpha!r}") from None
     if not 0 <= alpha < math.inf:
         raise InvalidArgument(f"alpha must be finite and >= 0, got {alpha}")
+    rank = _as_int(rank, "rank")
     if rank < 1:
         raise InvalidArgument(f"rank must be >= 1, got {rank}")
     half = alpha / 2.0
@@ -213,7 +216,11 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
     end, whichever is first; the estimates trend to 1."""
     if not system.shift_invariant:
         raise NotShiftInvariant("dimension estimation needs flips none or all")
-    ranks = list(ranks)
+    try:
+        ranks = list(ranks)
+    except TypeError:
+        raise InvalidArgument(f"ranks must be an iterable of integers, got {ranks!r}") from None
+    ranks = [_as_int(rank, "rank") for rank in ranks]
     if any(rank < 1 for rank in ranks):
         raise InvalidArgument(f"ranks must be >= 1, got {ranks}")
     if any(b <= a for a, b in zip(ranks, ranks[1:])):
@@ -330,58 +337,69 @@ def _moran_automaton(spec: MoranSpec) -> list[list[tuple[int, int]]]:
     return table
 
 
-def moran_set_cylinders(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
-    """All rank-length digit bases consistent with membership in the block set.
+def _run_sums(automaton: list[list[tuple[int, int]]], rank: int, budget: int, weight) -> list[int]:
+    """The run-length recurrence over rank positions: per end run, the sum
+    over the consistent bases ending there of the product of weight[digit].
+    It counts the bases alongside and refuses more than `budget` at the
+    first level over it: every state has a step, so the count never falls."""
+    counts = [1] + [0] * (len(automaton) - 1)
+    sums = counts[:]
+    for _ in range(rank):
+        next_counts = [0] * len(automaton)
+        next_sums = [0] * len(automaton)
+        for run, moves in enumerate(automaton):
+            for digit, next_run in moves:
+                next_counts[next_run] += counts[run]
+                next_sums[next_run] += sums[run] * weight[digit]
+        counts, sums = next_counts, next_sums
+        if sum(counts) > budget:
+            raise BudgetExceeded(f"more than {budget} consistent bases at rank {rank}")
+    return sums
 
-    A base is consistent iff it is a prefix of some block concatenation; the
-    walk follows the run-length automaton from run length 0."""
+
+def moran_set_cylinders(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
+    """All rank-length digit bases consistent with membership in the block set,
+    in lexicographic order.
+
+    A base is consistent iff it is a prefix of some block concatenation, i.e.
+    a path of the run-length automaton from run length 0.  The bases are
+    counted first, so more than `budget` of them are refused before any is
+    built.  Each base is then a head of rank // 2 digits from run 0, joined to
+    one of the tails of the remaining digits from the head's end run."""
+    rank = _as_int(rank, "rank")
     if rank < 1:
         raise InvalidArgument(f"rank must be >= 1, got {rank}")
     automaton = _moran_automaton(spec)
     if not automaton:
         return []
-    out: list[tuple[int, ...]] = []
-
-    def walk(path: list[int], run: int):
-        if len(path) == rank:
-            if len(out) >= budget:
-                raise BudgetExceeded(f"more than {budget} consistent bases at rank {rank}")
-            out.append(tuple(path))
-            return
-        for digit, next_run in automaton[run]:
-            path.append(digit)
-            walk(path, next_run)
-            path.pop()
-
-    walk([], 0)
-    return out
+    _run_sums(automaton, rank, budget, (1,) * spec.pv.q)  # refuses before any base is built
+    half = rank // 2
+    heads: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for _ in range(half):
+        heads = [(head + (digit,), next_run)
+                 for head, run in heads for digit, next_run in automaton[run]]
+    # tails[run]: the paths of the remaining length from run, grown by their first digit
+    tails: list[list[tuple[int, ...]]] = [[()] for _ in automaton]
+    for _ in range(rank - half):
+        tails = [[(digit,) + tail for digit, next_run in moves for tail in tails[next_run]]
+                 for moves in automaton]
+    return [head + tail for head, run in heads for tail in tails[run]]
 
 
 def covering_measure(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Total length of the rank-r cylinders covering the block set; decreases
     to 0, certifying zero Lebesgue measure.
 
-    A DP over the run-length automaton: per run length, the number of
-    consistent bases ending there and their total width as an integer over
-    D**k (D = pv.den), so no base is built.  Refuses more than `budget`
-    consistent bases, as `moran_set_cylinders` does."""
+    The run-length recurrence that `moran_set_cylinders` counts with, each
+    step weighted by its digit's weight: per run length, the total width of
+    the consistent bases ending there as an integer over D**k (D = pv.den),
+    so no base is built.  Refuses more than `budget` consistent bases, as
+    `moran_set_cylinders` does."""
+    rank = _as_int(rank, "rank")
     if rank < 1:
         raise InvalidArgument(f"rank must be >= 1, got {rank}")
     automaton = _moran_automaton(spec)
     if not automaton:
         return Fraction(0)
     den, _, p = spec.pv.int_table
-    counts = [1] + [0] * (len(automaton) - 1)
-    widths = counts[:]
-    for _ in range(rank):
-        next_counts = [0] * len(automaton)
-        next_widths = [0] * len(automaton)
-        for run, moves in enumerate(automaton):
-            for digit, next_run in moves:
-                next_counts[next_run] += counts[run]
-                next_widths[next_run] += widths[run] * p[digit]
-        counts, widths = next_counts, next_widths
-        # every state has a step, so the count never falls: refuse as soon as it is over
-        if sum(counts) > budget:
-            raise BudgetExceeded(f"more than {budget} consistent bases at rank {rank}")
-    return Fraction(sum(widths), den ** rank)
+    return Fraction(sum(_run_sums(automaton, rank, budget, p)), den ** rank)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from probdigits import (
+    BudgetExceeded,
     DigitSeq,
     EndpointOneSided,
     JumpReport,
@@ -20,6 +21,7 @@ from probdigits import (
     make_prob_vector,
     rectangle_diagonals_sq,
 )
+from probdigits.fractal import _moran_automaton
 
 try:
     from hypothesis import settings
@@ -135,6 +137,30 @@ def dimension_by_bisection(system, rank: int, threshold: float) -> float:
         else:
             hi = mid
     return (lo + hi) / 2.0
+
+
+def moran_bases_by_walk(spec, rank: int, budget: int) -> list[tuple[int, ...]]:
+    """The consistent rank-length bases of a block set, depth-first over the
+    run-length automaton from run 0, in lexicographic order; refuses as soon
+    as one base more than `budget` is reached."""
+    automaton = _moran_automaton(spec)
+    if not automaton:
+        return []
+    out: list[tuple[int, ...]] = []
+
+    def walk(path: list[int], run: int):
+        if len(path) == rank:
+            if len(out) >= budget:
+                raise BudgetExceeded(f"more than {budget} consistent bases at rank {rank}")
+            out.append(tuple(path))
+            return
+        for digit, next_run in automaton[run]:
+            path.append(digit)
+            walk(path, next_run)
+            path.pop()
+
+    walk([], 0)
+    return out
 
 
 def diagonal_multiset(pairs) -> dict[Fraction, int]:

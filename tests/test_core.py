@@ -24,6 +24,7 @@ from probdigits import (
     SumNotOne,
     bernoulli_cdf,
     classify,
+    covering_measure,
     cylinder_bounds,
     derivative_estimate,
     encode,
@@ -31,12 +32,16 @@ from probdigits import (
     eval_digits,
     eval_flip,
     flip_image,
+    graph_dimension_estimate,
+    ifs_graph_points,
     integral_riemann,
     integral_series,
     make_prob_vector,
     monotone_witness,
     moran_dimension,
+    moran_set_cylinders,
     p_rationals,
+    rectangle_diagonals_sq,
     sample_digits,
     shift_digits,
     shift_value,
@@ -488,6 +493,8 @@ def test_non_rational_input_is_invalid_argument(uniform2, call):
 
 
 SYSTEM2 = FlipSystem(ProbVector.uniform(2), FlipSet.parse("mask:;01"))
+PLAIN2 = FlipSystem(ProbVector.uniform(2), FlipSet.none())
+MORAN4 = MoranSpec(ProbVector.uniform(4), 1)
 
 
 @pytest.mark.parametrize("call, error", [
@@ -503,9 +510,23 @@ SYSTEM2 = FlipSystem(ProbVector.uniform(2), FlipSet.parse("mask:;01"))
     (lambda: DigitSeq((1,), 2.0), InvalidArgument),
     (lambda: FlipSet.finite([2.7, "3"]), FlipSpecError),
     (lambda: FlipSet.finite([2, "3"]), FlipSpecError),
+    (lambda: ifs_graph_points(SYSTEM2, "2"), InvalidArgument),
+    (lambda: ifs_graph_points(SYSTEM2, 2.0), InvalidArgument),
+    (lambda: rectangle_diagonals_sq(SYSTEM2, 2.0), InvalidArgument),
+    (lambda: rectangle_diagonals_sq(SYSTEM2, "2"), InvalidArgument),
+    (lambda: entropy_sum(SYSTEM2, 1, 2.0), InvalidArgument),
+    (lambda: entropy_sum(SYSTEM2, 1, "2"), InvalidArgument),
+    (lambda: graph_dimension_estimate(PLAIN2, [1, 2.0]), InvalidArgument),
+    (lambda: graph_dimension_estimate(PLAIN2, ["2"]), InvalidArgument),
+    (lambda: graph_dimension_estimate(PLAIN2, 3), InvalidArgument),
+    (lambda: covering_measure(MORAN4, 2.5), InvalidArgument),
+    (lambda: moran_set_cylinders(MORAN4, 2.0), InvalidArgument),
 ], ids=["derivative-str-rank", "derivative-float-rank", "riemann-str-rank", "witness-str-rank",
         "p-rationals-str-count", "eval-flip-str-offset", "flip-image-str-offset", "shift-str-count",
-        "digitseq-str-q", "digitseq-float-q", "finite-float-position", "finite-str-position"])
+        "digitseq-str-q", "digitseq-float-q", "finite-float-position", "finite-str-position",
+        "graph-points-str-depth", "graph-points-float-depth", "diagonals-float-rank", "diagonals-str-rank",
+        "entropy-float-rank", "entropy-str-rank", "dimension-float-rank", "dimension-str-rank",
+        "dimension-int-ranks", "covering-float-rank", "moran-float-rank"])
 def test_non_integer_argument_is_refused(call, error):
     with pytest.raises(error):
         call()

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -30,7 +31,7 @@ from probdigits import (
     moran_set_cylinders,
     rectangle_diagonals_sq,
 )
-from conftest import ASYM_VECTORS, cylinder_images, diagonal_multiset, dimension_by_bisection
+from conftest import ASYM_VECTORS, cylinder_images, diagonal_multiset, dimension_by_bisection, moran_bases_by_walk
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +380,40 @@ def test_moran_budget():
     spec = MoranSpec(ProbVector.uniform(4), 1)
     with pytest.raises(BudgetExceeded):
         moran_set_cylinders(spec, 10, budget=3)
+
+
+def outcome(call):
+    """A call's return value, or the type and message of the error it raised."""
+    try:
+        return call()
+    except BudgetExceeded as exc:
+        return type(exc), str(exc)
+
+
+def test_moran_bases_match_the_walk():
+    # every alphabet size and marker, at the budget and one under it
+    for q in range(2, 11):
+        for u in range(q):
+            spec = MoranSpec(ProbVector.uniform(q), u)
+            for rank in range(1, 11):
+                count = len(moran_bases_by_walk(spec, rank, fractal.DEFAULT_BUDGET))
+                for budget in (count - 1, count):
+                    assert outcome(lambda: moran_set_cylinders(spec, rank, budget)) == \
+                        outcome(lambda: moran_bases_by_walk(spec, rank, budget))
+
+
+def test_moran_refuses_before_building():
+    # the bases are counted before any is built: at rank 60 the walk's 2**12
+    # bases alone would take about 2 MiB
+    spec = MoranSpec(ProbVector.uniform(4), 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            moran_set_cylinders(spec, 60, budget=1 << 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_covering_measure_matches_cylinder_widths():

@@ -7,6 +7,7 @@ kernel is compared with the Fraction forms kept in conftest as oracles.
 """
 
 import math
+import pickle
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -53,6 +54,7 @@ from probdigits import (
     rectangle_diagonals_sq,
     shift_value,
 )
+from probdigits.core import _lowest_terms
 from conftest import (
     bernoulli_cdf_by_digits,
     cylinder_by_fractions,
@@ -432,6 +434,17 @@ def test_entropy_sum_matches_the_cylinder_walk(pv, flips, rank, alpha):
     system = FlipSystem(pv, flips)
     expected = math.fsum(float(d2) ** (alpha / 2) for _, d2 in diagonals_by_walk(system, rank))
     assert entropy_sum(system, alpha, rank) == pytest.approx(expected, rel=1e-12)
+
+
+@given(st.integers(-(1 << 200), 1 << 200), st.integers(1, 1 << 200), st.integers(0, 1 << 100))
+def test_lowest_terms_is_the_reduced_fraction(num, den, common):
+    # a common factor makes the reduction do work; multi-limb values on both sides
+    num, den = num * (common or 1), den * (common or 1)
+    built, expected = _lowest_terms(num, den), Fraction(num, den)
+    assert type(built) is Fraction
+    assert (built.numerator, built.denominator) == (expected.numerator, expected.denominator)
+    assert hash(built) == hash(expected) and repr(built) == repr(expected)
+    assert pickle.dumps(built) == pickle.dumps(expected) and pickle.loads(pickle.dumps(built)) == expected
 
 
 def zero_tail_image(system: FlipSystem, depth: int) -> Fraction:
