@@ -13,9 +13,9 @@ rank-r cylinder partition.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, count, cycle, islice, product
+from itertools import cycle, product
 from math import ceil, log
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     DEFAULT_BUDGET,
@@ -24,6 +24,7 @@ from .core import (
     Enclosure,
     PointKind,
     _as_int,
+    _checked_digits,
     _shift,
     as_fraction,
     cylinder_bounds,
@@ -190,18 +191,15 @@ def derivative_estimate(prefix: Sequence[int], system: FlipSystem, max_rank: int
     if max_rank < 1:
         raise InvalidArgument(f"max_rank must be >= 1, got {max_rank}")
     pv = system.pv
-    # a list, not a generator: tuple() over a generator grows by reallocation
-    digits = tuple([pv.check_digit(d) for d in prefix])
+    digits = _checked_digits(prefix, pv)
     if len(digits) < max_rank:
         raise PrefixTooShort(f"prefix of length {len(digits)} cannot reach rank {max_rank}")
     p = pv.int_table.p
     top = pv.q - 1
-    flips = system.flips
-    bits = islice(chain(flips.preperiod, cycle(flips.period)), max_rank)
     ratios = []
     image = plain = 1
     ratio = Fraction(1)
-    for d, flipped in zip(digits, bits):
+    for d, flipped in zip(digits[:max_rank], system.flips.bits()):
         if flipped and d != top - d:
             image *= p[top - d]
             plain *= p[d]
@@ -242,25 +240,47 @@ def _expected_terms(pv) -> tuple[int, int, int, int]:
     )
 
 
-def _partial_sums(system: FlipSystem, terms: tuple[int, int, int, int]) -> Iterator[tuple[int, int, int]]:
-    """Partial sums of the positional-expectation series, in integers.
+def _partial_sum(system: FlipSystem, terms: tuple[int, int, int, int], k: int) -> tuple[int, int, int]:
+    """Partial sum k of the positional-expectation series, in integers.
 
-    For k = 1, 2, ... yields (total, weight, scale) with scale = D**(2k):
+    Returns (total, weight, scale) with scale = D**(2k):
     sum_{j<=k} v_j prod_{i<j} w_i = total / scale and prod_{j<=k} w_j =
     weight / scale, where terms are the _expected_terms numerators.  Horner
-    over D**2: term k picks up one factor D**2 per later position."""
+    over D2 = D**2: each position takes (T, W) to (T*D2 + v*W, W*w).
+
+    The preperiod is folded one position at a time.  One period has its own
+    sums (B, P) over D2**L, and n whole periods take (T, W) to
+    (T*X**n + B*W*G, W*P**n) with X = D2**L and G = (X**n - P**n) / (X - P),
+    the geometric sum of X**(n-1-i) * P**i, which divides exactly.  The last
+    r < L positions are folded one at a time: O(m + L) steps for a preperiod
+    of m and a period of L, plus a few integer powers."""
     v_plain, v_flip, w_plain, w_flip = terms
     den_sq = system.pv.den ** 2
-    total = 0
-    weight = 1
-    scale = 1
-    flipped = system.flips.contains
-    for k in count(1):
-        v, w = (v_flip, w_flip) if flipped(k) else (v_plain, w_plain)
-        total = total * den_sq + v * weight
-        weight *= w
-        scale *= den_sq
-        yield total, weight, scale
+    step = ((v_plain, w_plain), (v_flip, w_flip))
+
+    def fold(bits, total, weight):
+        for bit in bits:
+            v, w = step[bit]
+            total = total * den_sq + v * weight
+            weight *= w
+        return total, weight
+
+    flips = system.flips
+    pre = flips.preperiod
+    if k <= len(pre):
+        total, weight = fold(pre[:k], 0, 1)
+        return total, weight, den_sq ** k
+    total, weight = fold(pre, 0, 1)
+    period = flips.period
+    n, r = divmod(k - len(pre), len(period))
+    if n:
+        block, block_weight = fold(period, 0, 1)
+        x = den_sq ** len(period)
+        x_n, p_n = x ** n, block_weight ** n
+        total = total * x_n + block * weight * ((x_n - p_n) // (x - block_weight))
+        weight *= p_n
+    total, weight = fold(period[:r], total, weight)
+    return total, weight, den_sq ** k
 
 
 def _series_length(system: FlipSystem, terms: tuple[int, int, int, int], need: float) -> int:
@@ -297,8 +317,11 @@ def integral_series(system: FlipSystem, tol=Fraction(1, 10**12)) -> Enclosure:
     enclosure adds the geometric tail bound and has width <= tol.
 
     The sum stops at the first k with v_max * prod_{j<=k} w_j / (1 - w_max)
-    <= tol; when that k (found with floating-point logs from the flip bits)
-    exceeds DEFAULT_BUDGET, the call refuses before summing."""
+    <= tol.  That k is estimated with floating-point logs from the flip bits;
+    when the estimate exceeds DEFAULT_BUDGET, the call refuses before
+    summing.  The tail bound falls strictly with k, so the estimate is then
+    confirmed exactly: the test holds at k and fails at k - 1 (or k = 1),
+    stepping up or down while the estimate is off."""
     tol = as_fraction(tol)
     if tol <= 0:
         raise InvalidArgument(f"tol must be positive, got {tol}")
@@ -308,14 +331,29 @@ def integral_series(system: FlipSystem, tol=Fraction(1, 10**12)) -> Enclosure:
     closure = system.pv.den ** 2 - max(terms[2:])
     # the stop test below in logs: v_max / (closure * tol) <= prod_{j<=k} D**2 / w_j
     need = log(v_max) - log(closure) - log(tol.numerator) + log(tol.denominator)
-    length = _series_length(system, terms, need)
-    if length > DEFAULT_BUDGET:
-        raise BudgetExceeded(f"about {length} series terms to reach tol {tol} exceed budget {DEFAULT_BUDGET}")
-    for total, weight, scale in _partial_sums(system, terms):
+    k = _series_length(system, terms, need)
+    if k > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"about {k} series terms to reach tol {tol} exceed budget {DEFAULT_BUDGET}")
+
+    def stops(sums: tuple[int, int, int]) -> bool:
         # the tail bound v_max * W / (1 - w_max) is v_max * weight / (scale * closure)
-        tail = v_max * weight
-        if tail * tol.denominator <= tol.numerator * scale * closure:
-            return Enclosure(Fraction(total, scale), Fraction(total * closure + tail, scale * closure))
+        _, weight, scale = sums
+        return v_max * weight * tol.denominator <= tol.numerator * scale * closure
+
+    sums = _partial_sum(system, terms, k)
+    if stops(sums):
+        while k > 1:
+            before = _partial_sum(system, terms, k - 1)
+            if not stops(before):
+                break
+            k, sums = k - 1, before
+    else:
+        while not stops(sums):
+            k += 1
+            sums = _partial_sum(system, terms, k)
+    total, weight, scale = sums
+    tail = v_max * weight
+    return Enclosure(Fraction(total, scale), Fraction(total * closure + tail, scale * closure))
 
 
 def integral_riemann(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET) -> Enclosure:
@@ -333,8 +371,7 @@ def integral_riemann(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET
     pv = system.pv
     if pv.q ** rank > budget:
         raise RankTooLarge(f"{pv.q}**{rank} exceeds budget {budget}")
-    sums = _partial_sums(system, _expected_terms(pv))
-    lower, weight, scale = next(islice(sums, rank - 1, None))
+    lower, weight, scale = _partial_sum(system, _expected_terms(pv), rank)
     return Enclosure(Fraction(lower, scale), Fraction(lower + weight, scale))
 
 

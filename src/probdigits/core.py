@@ -460,11 +460,22 @@ class Cylinder(NamedTuple):
         return cylinder_bounds(self.base + (c,), self.pv)
 
 
+def _checked_digits(base: Sequence[int], pv: ProbVector) -> tuple[int, ...]:
+    """base as a tuple of digits of pv.  One type-and-range test per digit;
+    check_digit runs only on a digit that fails it, to accept an int
+    subclass or to raise DigitOutOfRange with its message."""
+    digits = tuple(base)
+    q = pv.q
+    for d in digits:
+        if not (type(d) is int and 0 <= d < q):
+            pv.check_digit(d)
+    return digits
+
+
 def cylinder_bounds(base: Sequence[int], pv: ProbVector) -> Cylinder:
     """Endpoints of the rank-m cylinder: lo is the zero-tail value of the base,
     and hi - lo equals the product of the base digit weights."""
-    # a list, not a generator: tuple() over a generator grows by reallocation
-    digits = tuple([pv.check_digit(d) for d in base])
+    digits = _checked_digits(base, pv)
     num, weight = _forward(pv, digits)
     scale = pv.den ** len(digits)
     return Cylinder(base=digits, pv=pv, lo=Fraction(num, scale), hi=Fraction(num + weight, scale))

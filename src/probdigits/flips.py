@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, cycle, islice
 from math import lcm
 from operator import index
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, ProbVector, _as_int, cylinder_bounds, eval_digits
+from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, ProbVector, _as_int, _forward, eval_digits
 from .errors import BudgetExceeded, DigitOutOfRange, FlipSpecError, InvalidArgument
 
 
@@ -125,6 +126,11 @@ class FlipSet(NamedTuple):
     def __contains__(self, k: int) -> bool:
         return self.contains(k)
 
+    def bits(self) -> Iterator[bool]:
+        """The flip bits of positions 1, 2, ... as one endless stream:
+        the preperiod, then the period repeated."""
+        return chain(self.preperiod, cycle(self.period))
+
     @property
     def shift_invariant(self) -> bool:
         return self.kind in (FlipKind.NONE, FlipKind.ALL)
@@ -197,12 +203,13 @@ class FlipSystem(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def flip_prefix(seq: DigitSeq, flips: FlipSet, length: int) -> tuple[int, ...]:
-    """The digits of flip_digits(seq, flips) at positions 1..length."""
+    """The digits of flip_digits(seq, flips) at positions 1..length, read in
+    one pass over the digit stream and the flip-bit stream together."""
     top = seq.q - 1
+    digits = islice(chain(seq.digits, cycle(seq.tail)), length)
     # a list, not a generator: tuple() over a generator grows by reallocation,
     # which left the heap fragmented and peak RSS climbing pass after pass
-    return tuple([top - seq.digit_at(k) if flips.contains(k) else seq.digit_at(k)
-                  for k in range(1, length + 1)])
+    return tuple([top - d if flipped else d for d, flipped in zip(digits, flips.bits())])
 
 
 def flip_digits(seq: DigitSeq, flips: FlipSet) -> DigitSeq:
@@ -252,10 +259,13 @@ def eval_flip(seq: DigitSeq, system: FlipSystem, offset: int = 0) -> Enclosure:
 def flip_image(base: Sequence[int], system: FlipSystem, offset: int = 0) -> Enclosure:
     """Interval hull of the flip map over the cylinder with the given base,
     which is the cylinder of the flipped base; offset is as in eval_flip."""
-    seq = DigitSeq(base, system.pv.q)
+    pv = system.pv
+    seq = DigitSeq(base, pv.q)
     flipped = flip_prefix(seq, _shifted(system.flips, offset), len(seq.digits))
-    cyl = cylinder_bounds(flipped, system.pv)
-    return Enclosure(cyl.lo, cyl.hi)
+    # the flipped digits are the library's own: no second check
+    num, weight = _forward(pv, flipped)
+    scale = pv.den ** len(flipped)
+    return Enclosure(Fraction(num, scale), Fraction(num + weight, scale))
 
 
 # ---------------------------------------------------------------------------

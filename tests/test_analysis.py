@@ -8,6 +8,7 @@ import probdigits.analysis as analysis
 from probdigits import (
     BudgetExceeded,
     DigitSeq,
+    EVEN_POSITIONS,
     EndpointOneSided,
     FlipSet,
     FlipSystem,
@@ -254,6 +255,14 @@ def test_integral_series_budget_reads_the_flipped_weights(flips):
     enc = integral_series(system)
     assert time.perf_counter() - start < 0.2
     assert (enc.lo, enc.hi) == integral_series_by_fractions(system, Fraction(1, 10**12))
+
+
+def test_integral_series_of_the_paper_map_at_a_tiny_tol():
+    # about 9 500 terms, which the period-block sum reaches in a few steps
+    system = FlipSystem(make_prob_vector(["1/4", "3/4"]), EVEN_POSITIONS)
+    tol = Fraction(1, 10**3000)
+    enc = integral_series(system, tol)
+    assert enc.contains(Fraction(29, 98)) and enc.width <= tol
 
 
 def test_integral_riemann_examples(uniform2, asym2):

@@ -459,6 +459,29 @@ def test_enclosure_semantics():
         Enclosure(Fraction(1), Fraction(0))
 
 
+@pytest.mark.parametrize("bad", [2, -1, True, False, 1.0, "1", None])
+def test_digit_check_of_cylinders_and_derivative_scans(bad):
+    # the fast type-and-range test refuses exactly what check_digit refuses, with its message
+    pv = make_prob_vector(["1/4", "3/4"])
+    system = FlipSystem(pv, FlipSet.all())
+    with pytest.raises(DigitOutOfRange) as expected:
+        pv.check_digit(bad)
+    for refuse in (lambda: cylinder_bounds((0, bad, 1), pv), lambda: derivative_estimate((0, bad, 1), system, 3)):
+        with pytest.raises(DigitOutOfRange) as raised:
+            refuse()
+        assert str(raised.value) == str(expected.value)
+
+
+def test_digit_check_accepts_an_int_subclass():
+    class Digit(int):
+        pass
+
+    pv = make_prob_vector(["1/4", "3/4"])
+    cyl = cylinder_bounds((Digit(1), 0), pv)
+    assert (cyl.lo, cyl.hi) == (Fraction(1, 4), Fraction(7, 16))
+    assert derivative_estimate((Digit(1),), FlipSystem(pv, FlipSet.all()), 1).ratios == (Fraction(1, 3),)
+
+
 def test_digitseq_validation():
     with pytest.raises(BaseTooSmall):
         DigitSeq((0,), 1)

@@ -9,7 +9,7 @@ kernel is compared with the Fraction forms kept in conftest as oracles.
 import math
 import pickle
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import lcm
 from unittest.mock import patch
 
@@ -65,6 +65,7 @@ from conftest import (
     integral_series_by_fractions,
     jump_at_by_two_walks,
     orbit_by_fractions,
+    riemann_by_walk,
     series_by_fractions,
 )
 
@@ -135,6 +136,11 @@ def test_pattern_from_agrees_with_contains(flips, start):
     pattern = flips.pattern_from(start)
     span = len(pattern[0]) + 2 * len(pattern[1])
     assert [bit_of(pattern, i) for i in range(span)] == [flips.contains(start + i) for i in range(span)]
+
+
+@given(flip_sets(), st.integers(0, 30))
+def test_bits_stream_agrees_with_contains(flips, n):
+    assert list(islice(flips.bits(), n)) == [flips.contains(k) for k in range(1, n + 1)]
 
 
 @given(flip_sets())
@@ -374,6 +380,74 @@ def test_integral_series_budget_counts_the_terms_summed(pv, flips, tol):
     if terms > 2:
         with patch.object(analysis, "DEFAULT_BUDGET", terms - 2), pytest.raises(BudgetExceeded):
             integral_series(system, tol)
+
+
+@st.composite
+def block_flip_sets(draw):
+    """Eventually periodic flip sets with periods of length 1 up to 7."""
+    pre = draw(st.lists(st.booleans(), max_size=6))
+    period = draw(st.lists(st.booleans(), min_size=1, max_size=7))
+    return FlipSet.mask(pre, period)
+
+
+@given(family_vectors(), st.one_of(flip_sets(), block_flip_sets()))
+def test_partial_sum_by_period_blocks_matches_the_term_by_term_sum(pv, flips):
+    # every k through the preperiod, on and just past period boundaries, over three periods
+    system = FlipSystem(pv, flips)
+    terms = analysis._expected_terms(pv)
+    total = Fraction(0)
+    weight = Fraction(1)
+    for k in range(1, len(flips.preperiod) + 3 * len(flips.period) + 3):
+        # expected offset and weight at position k, read per digit from FlipSystem
+        total += weight * sum(p * system.offset(k, d) for d, p in enumerate(pv.p))
+        weight *= sum(p * system.weight(k, d) for d, p in enumerate(pv.p))
+        num, w, scale = analysis._partial_sum(system, terms, k)
+        assert scale == pv.den ** (2 * k)
+        assert (Fraction(num, scale), Fraction(w, scale)) == (total, weight)
+
+
+@given(series_vectors, flip_sets(), st.sampled_from((Fraction(1), Fraction(3), Fraction(10**6))))
+def test_integral_series_at_tol_one_or_more(pv, flips, tol):
+    # every tail bound is at most v_max * w_max / (1 - w_max) <= 3 when max_p <= 3/4
+    system = FlipSystem(pv, flips)
+    lo, hi, terms = series_by_fractions(system, tol)
+    enc = integral_series(system, tol)
+    assert (enc.lo, enc.hi) == (lo, hi)
+    if tol >= 3:
+        assert terms == 1
+
+
+@given(series_vectors, flip_sets(), st.integers(1, 40))
+def test_integral_series_at_a_tol_equal_to_a_tail_bound(pv, flips, k):
+    # the stop test holds with equality at term k, and so k is the first term it holds at
+    system = FlipSystem(pv, flips)
+    top = pv.q - 1
+    v_max = max(sum(p * pv.beta[d] for d, p in enumerate(pv.p)), sum(p * pv.beta[top - d] for d, p in enumerate(pv.p)))
+    w_max = max(sum(p * p for p in pv.p), sum(p * pv.p[top - d] for d, p in enumerate(pv.p)))
+    weight = Fraction(1)
+    for j in range(1, k + 1):
+        weight *= sum(p * system.weight(j, d) for d, p in enumerate(pv.p))
+    tol = v_max * weight / (1 - w_max)
+    lo, hi, terms = series_by_fractions(system, tol)
+    assert terms == k
+    enc = integral_series(system, tol)
+    assert (enc.lo, enc.hi) == (lo, hi)
+
+
+@given(series_vectors, flip_sets(), tolerances, st.integers(-6, 6))
+def test_integral_series_steps_to_the_first_term_from_a_wrong_estimate(pv, flips, tol, miss):
+    system = FlipSystem(pv, flips)
+    lo, hi, terms = series_by_fractions(system, tol)
+    with patch.object(analysis, "_series_length", lambda *_: max(1, terms + miss)):
+        enc = integral_series(system, tol)
+    assert (enc.lo, enc.hi) == (lo, hi)
+
+
+@given(prob_vectors(), st.one_of(flip_sets(), block_flip_sets()), st.integers(1, 5))
+def test_integral_riemann_matches_the_walk(pv, flips, rank):
+    system = FlipSystem(pv, flips)
+    enc = integral_riemann(system, rank)
+    assert (enc.lo, enc.hi) == riemann_by_walk(system, rank)
 
 
 # ---------------------------------------------------------------------------
