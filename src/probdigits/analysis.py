@@ -25,7 +25,7 @@ from .core import (
     PointKind,
     _as_int,
     _checked_digits,
-    _shift,
+    _walk,
     as_fraction,
     cylinder_bounds,
     eval_digits,
@@ -40,7 +40,7 @@ from .errors import (
     PrefixTooShort,
     RankTooLarge,
 )
-from .flips import FlipSet, FlipSystem, eval_flip, flip_image
+from .flips import FlipSet, FlipSystem, _flip_value, eval_flip, flip_image
 
 
 # ---------------------------------------------------------------------------
@@ -74,26 +74,15 @@ def jump_at(x0, system: FlipSystem, max_depth: int = 128) -> JumpReport:
     if x0 == 0 or x0 == 1:
         raise EndpointOneSided(f"{x0} admits only a one-sided limit")
     pv = system.pv
-    table = pv.int_table
-    a, b = x0.numerator, x0.denominator
-    digits = []
-    seen = set()
-    for _ in range(max_depth):
-        seen.add((a, b))
-        c, a, b = _shift(a, b, table)
-        digits.append(c)
-        if a == 0:
-            break
-        if (a, b) in seen:
-            raise NotPRational(f"{x0} is {PointKind.P_IRRATIONAL.value} at depth {max_depth}")
-    else:
-        raise NotPRational(f"{x0} is {PointKind.UNDETERMINED.value} at depth {max_depth}")
+    digits, end, _, _ = _walk(x0.numerator, x0.denominator, pv.int_table, max_depth, watch=True)
+    if end is not PointKind.P_RATIONAL:
+        raise NotPRational(f"{x0} is {end.value} at depth {max_depth}")
     q = pv.q
     zero_rep = DigitSeq._trusted(tuple(digits), q, (0,))
     digits[-1] -= 1
     max_rep = DigitSeq._trusted(tuple(digits), q, (q - 1,))
-    right = eval_flip(zero_rep, system).value
-    left = eval_flip(max_rep, system).value
+    right = _flip_value(zero_rep, system.flips, pv)
+    left = _flip_value(max_rep, system.flips, pv)
     return JumpReport(point=x0, left_limit=left, right_limit=right, jump=right - left)
 
 

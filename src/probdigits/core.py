@@ -67,6 +67,19 @@ def _as_int(n, name: str) -> int:
         raise InvalidArgument(f"{name} must be an integer, got {n!r}") from None
 
 
+def _as_position(k) -> int:
+    """A 1-based stream position as int; a position below 1 or a non-integer
+    is InvalidArgument."""
+    try:
+        k = index(k)
+    except TypeError:
+        pass
+    else:
+        if k >= 1:
+            return k
+    raise InvalidArgument(f"positions are 1-based, got {k!r}")
+
+
 def _lowest_terms(num: int, den: int) -> Fraction:
     """Fraction(num, den) for ints num and den > 0, reduced by one gcd and
     built without the constructor's argument checks and dispatch: the two
@@ -195,7 +208,10 @@ def _normalize_tail(tail, q: int) -> tuple[int, ...]:
         if tail == "max":
             return (q - 1,)
         raise InvalidArgument(f"tail must be 'zero', 'max' or a digit block, got {tail!r}")
-    block = tuple(tail)
+    try:
+        block = tuple(tail)
+    except TypeError:
+        raise InvalidArgument(f"tail must be 'zero', 'max' or a digit block, got {tail!r}") from None
     if not block:
         raise InvalidArgument("tail block must be nonempty")
     # reduce to the primitive period so equal streams compare equal
@@ -264,8 +280,7 @@ class DigitSeq:
 
     def digit_at(self, k: int) -> int:
         """Digit at 1-based position k of the infinite stream."""
-        if k < 1:
-            raise IndexError("positions are 1-based")
+        k = _as_position(k)
         m = len(self.digits)
         if k <= m:
             return self.digits[k - 1]
@@ -307,7 +322,8 @@ def horner_sum(prefix_terms, cycle_terms) -> Fraction:
     Terms are (offset, weight) pairs; the series is
     o_1 + w_1*(o_2 + w_2*(o_3 + ...)) with `cycle_terms` repeating forever
     after `prefix_terms`.  All cycle weights must lie in (0, 1) so the
-    geometric closure 1 - prod(w) is positive.
+    geometric closure 1 - prod(w) is positive; a cycle whose weight product
+    is not below 1 is InvalidArgument.
     """
     if cycle_terms:
         partial = Fraction(0)
@@ -315,6 +331,8 @@ def horner_sum(prefix_terms, cycle_terms) -> Fraction:
         for o, w in cycle_terms:
             partial += weight * o
             weight *= w
+        if weight >= 1:
+            raise InvalidArgument(f"cycle weight product {weight} is not below 1")
         value = partial / (1 - weight)
     else:
         value = Fraction(0)
@@ -346,9 +364,9 @@ def _horner(pv: ProbVector, prefix: Sequence[int], cycle: Sequence[int]) -> Frac
     scale = pv.den ** len(prefix)
     c_num, c_weight = _forward(pv, cycle)
     if c_num == 0:  # a cycle of zeros adds nothing
-        return Fraction(num, scale)
+        return _lowest_terms(num, scale)
     closure = pv.den ** len(cycle) - c_weight
-    return Fraction(num * closure + weight * c_num, scale * closure)
+    return _lowest_terms(num * closure + weight * c_num, scale * closure)
 
 
 def eval_digits(seq: DigitSeq, pv: ProbVector) -> Fraction:
@@ -362,21 +380,52 @@ def eval_digits(seq: DigitSeq, pv: ProbVector) -> Fraction:
 # Encoding and the shift map
 # ---------------------------------------------------------------------------
 
-def _shift(a: int, b: int, table: IntTable) -> tuple[int, int, int]:
-    """One step of the shift orbit on the reduced state a/b in [0, 1]: its
-    digit c (the largest with beta[c] <= a/b, clamped to q-1) and the reduced
-    next state (a/b - beta[c]) / p[c].  Over D = table.den that state is
-    (a*D - beta[c]*b) / (b*p[c]), and beta[c] <= a/b reads as
-    beta[c] <= a*D // b since beta[c] is an integer."""
+def _walk(a: int, b: int, table: IntTable, steps: int, watch: bool = False):
+    """The shift orbit of the reduced state a/b in [0, 1): at most `steps`
+    steps, stopping at state 0 or, when `watch` is set, at the first state
+    that repeats an earlier one.
+
+    Returns (digits, end, a, b): the digits read, the last state a/b
+    reached, and how the walk ended: PointKind.P_RATIONAL when that state
+    is 0, P_IRRATIONAL when it repeats, UNDETERMINED when the steps ran out.
+    States s_0 .. s_steps are looked at, in that order.
+
+    One step reads the digit c of a/b (the largest with beta[c] <= a/b,
+    clamped to q-1), which over D = table.den is beta[c] <= a*D // b since
+    beta[c] is an integer, and goes to (a/b - beta[c]) / p[c] =
+    n / (b*p[c]) with n = a*D - beta[c]*b.  That pair is reduced by small
+    moduli only: gcd(a, b) = 1 gives gcd(n, b) = gcd(D, b), and
+    gcd(n, b*p[c]) = gcd(n, gcd(n, b)*p[c]) (compare prime valuations), so
+    the common factor is gcd(n, m) with m = gcd(D, b mod D)*p[c] <= D**2.
+    Every state is the pair a reduced Fraction holds, except that state 0
+    is (0, b*p[c] // m); a caller stops there or builds Fraction(a, b)."""
     den, beta, p = table
-    scaled = a * den
-    # beta[0] = 0 is below every state, and searching only up to beta[q-1]
-    # is the clamp: min(bisect_right(beta, s) - 1, q - 1) without the min
-    c = bisect_right(beta, scaled // b, 1, len(p)) - 1
-    a = scaled - beta[c] * b
-    b *= p[c]
-    g = gcd(a, b)
-    return c, a // g, b // g
+    q = len(p)
+    digits = []
+    seen = set()
+    for _ in range(steps):
+        if a == 0:
+            return digits, PointKind.P_RATIONAL, a, b
+        if watch:
+            if (a, b) in seen:
+                return digits, PointKind.P_IRRATIONAL, a, b
+            seen.add((a, b))
+        scaled = a * den
+        # beta[0] = 0 is below every state, and searching only up to beta[q-1]
+        # is the clamp: min(bisect_right(beta, s) - 1, q - 1) without the min
+        c = bisect_right(beta, scaled // b, 1, q) - 1
+        n = scaled - beta[c] * b
+        w = p[c]
+        m = gcd(den, b % den) * w
+        g = gcd(m, n % m)
+        a = n // g
+        b = b * w // g
+        digits.append(c)
+    if a == 0:
+        return digits, PointKind.P_RATIONAL, a, b
+    if watch and (a, b) in seen:
+        return digits, PointKind.P_IRRATIONAL, a, b
+    return digits, PointKind.UNDETERMINED, a, b
 
 
 def encode(x, pv: ProbVector, depth: int = 32) -> DigitSeq:
@@ -396,15 +445,8 @@ def encode(x, pv: ProbVector, depth: int = 32) -> DigitSeq:
     q = pv.q
     if x == 1:
         return DigitSeq._trusted((q - 1,), q, (q - 1,))
-    table = pv.int_table
-    a, b = x.numerator, x.denominator
-    out = []
-    for _ in range(depth):
-        if a == 0:
-            break
-        c, a, b = _shift(a, b, table)
-        out.append(c)
-    return DigitSeq._trusted(tuple(out), q, (0,))
+    digits = _walk(x.numerator, x.denominator, pv.int_table, depth)[0]
+    return DigitSeq._trusted(tuple(digits), q, (0,))
 
 
 def shift_digits(seq: DigitSeq, n: int = 1) -> DigitSeq:
@@ -424,7 +466,7 @@ def shift_value(x, pv: ProbVector) -> Fraction:
         raise OutOfUnitInterval(f"{x} not in [0, 1]")
     if x == 1:
         return Fraction(1)
-    _, a, b = _shift(x.numerator, x.denominator, pv.int_table)
+    _, _, a, b = _walk(x.numerator, x.denominator, pv.int_table, 1)
     return Fraction(a, b)
 
 
@@ -512,21 +554,10 @@ def classify(x, pv: ProbVector, max_depth: int = 64) -> PointClass:
         raise OutOfUnitInterval(f"{x} not in [0, 1]")
     if x == 1:
         return PointClass(PointKind.P_RATIONAL)
-    table = pv.int_table
-    a, b = x.numerator, x.denominator
-    seen = set()
-    for _ in range(max_depth):
-        if a == 0:
-            return PointClass(PointKind.P_RATIONAL)
-        if (a, b) in seen:
-            return PointClass(PointKind.P_IRRATIONAL)
-        seen.add((a, b))
-        _, a, b = _shift(a, b, table)
-    if a == 0:
-        return PointClass(PointKind.P_RATIONAL)
-    if (a, b) in seen:
-        return PointClass(PointKind.P_IRRATIONAL)
-    return PointClass(PointKind.UNDETERMINED, depth=max_depth)
+    end = _walk(x.numerator, x.denominator, pv.int_table, max_depth, watch=True)[1]
+    if end is PointKind.UNDETERMINED:
+        return PointClass(end, depth=max_depth)
+    return PointClass(end)
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +605,7 @@ def bernoulli_cdf(x, pv: ProbVector) -> Fraction:
 def sample_digits(pv: ProbVector, length: int, rng: random.Random) -> tuple[int, ...]:
     """Digit prefix drawn i.i.d. with law p exactly (i.e. a Lebesgue-random point):
     a uniform integer in [0, D) picks the digit whose cell holds it, D = pv.den."""
+    length = _as_int(length, "length")
     if length < 0:
         raise InvalidArgument(f"length must be >= 0, got {length}")
     den, beta, _ = pv.int_table
@@ -608,7 +640,8 @@ class Enclosure(_EnclosureFields):
     @classmethod
     def point(cls, value) -> "Enclosure":
         v = as_fraction(value)
-        return cls(v, v)
+        # lo == hi: there is no order to check
+        return tuple.__new__(cls, (v, v))
 
     @property
     def width(self) -> Fraction:

@@ -17,7 +17,7 @@ from math import lcm
 from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, ProbVector, _as_int, _forward, eval_digits
+from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, ProbVector, _as_int, _as_position, _forward, _horner
 from .errors import BudgetExceeded, DigitOutOfRange, FlipSpecError, InvalidArgument
 
 
@@ -115,8 +115,7 @@ class FlipSet(NamedTuple):
     # -- queries ------------------------------------------------------------
 
     def contains(self, k: int) -> bool:
-        if k < 1:
-            raise InvalidArgument(f"positions are 1-based, got {k}")
+        k = _as_position(k)
         preperiod = self.preperiod
         if k <= len(preperiod):
             return preperiod[k - 1]
@@ -149,8 +148,7 @@ class FlipSet(NamedTuple):
 
     def pattern_from(self, start: int) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
         """Flip bits for positions start, start+1, ... as (preperiod, period)."""
-        if start < 1:
-            raise InvalidArgument(f"positions are 1-based, got {start}")
+        start = _as_position(start)
         npre = len(self.preperiod)
         if start <= npre:
             return self.preperiod[start - 1:], self.period
@@ -212,16 +210,21 @@ def flip_prefix(seq: DigitSeq, flips: FlipSet, length: int) -> tuple[int, ...]:
     return tuple([top - d if flipped else d for d, flipped in zip(digits, flips.bits())])
 
 
-def flip_digits(seq: DigitSeq, flips: FlipSet) -> DigitSeq:
-    """Complement the digits of seq at the flipped positions, exactly.
+def _flipped_stream(seq: DigitSeq, flips: FlipSet) -> tuple[tuple[int, ...], int]:
+    """The flipped digits at positions 1..n+span, and n.
 
-    Both streams are eventually periodic, so positions 1..n+span spell the
+    Both streams are eventually periodic, so those positions spell the
     result: the prefix runs through both preperiods (n) and the tail is one
-    common period of the digit tail and the flip bits (span).
-    """
+    common period of the digit tail and the flip bits (span)."""
     n = max(len(seq.digits), len(flips.preperiod))
     span = lcm(len(seq.tail), len(flips.period))
-    stream = flip_prefix(seq, flips, n + span)
+    return flip_prefix(seq, flips, n + span), n
+
+
+def flip_digits(seq: DigitSeq, flips: FlipSet) -> DigitSeq:
+    """Complement the digits of seq at the flipped positions, exactly: the
+    prefix of _flipped_stream, then its last common period repeated."""
+    stream, n = _flipped_stream(seq, flips)
     return DigitSeq(stream[:n], seq.q, stream[n:])
 
 
@@ -252,8 +255,20 @@ def eval_flip(seq: DigitSeq, system: FlipSystem, offset: int = 0) -> Enclosure:
     absolute position k + offset, which is the n-th unknown of the
     functional system f(shift^{n-1} x) = offset_n + weight_n * f(shift^n x).
     """
-    flipped = flip_digits(seq, _shifted(system.flips, offset))
-    return Enclosure.point(eval_digits(flipped, system.pv))
+    flips = _shifted(system.flips, offset)
+    pv = system.pv
+    if seq.q != pv.q:
+        raise DigitOutOfRange(f"sequence alphabet {seq.q} != vector alphabet {pv.q}")
+    return Enclosure.point(_flip_value(seq, flips, pv))
+
+
+def _flip_value(seq: DigitSeq, flips: FlipSet, pv: ProbVector) -> Fraction:
+    """Exact value under pv of seq flipped by flips, for seq over pv's
+    alphabet: the flipped stream goes straight to the integer Horner kernel,
+    as flip_digits spells it, without a DigitSeq; a tail block that is not
+    primitive has the same value."""
+    stream, n = _flipped_stream(seq, flips)
+    return _horner(pv, stream[:n], stream[n:])
 
 
 def flip_image(base: Sequence[int], system: FlipSystem, offset: int = 0) -> Enclosure:

@@ -8,19 +8,24 @@ import pytest
 from probdigits import (
     BudgetExceeded,
     DigitSeq,
+    Enclosure,
     EndpointOneSided,
     JumpReport,
     NotPRational,
     PointKind,
+    ProbDigitsError,
     ProbVector,
     as_fraction,
     classify,
     encode,
+    eval_digits,
     eval_flip,
+    flip_digits,
     horner_sum,
     make_prob_vector,
     rectangle_diagonals_sq,
 )
+from probdigits.flips import _shifted
 from probdigits.fractal import _moran_automaton
 
 try:
@@ -317,6 +322,21 @@ def eval_nega_by_fractions(seq: DigitSeq, pv) -> Fraction:
                 cycle_part += running
     correction = head_part + cycle_part / (1 - cycle_product)
     return first + signed + correction
+
+
+def eval_flip_by_digits(seq: DigitSeq, system, offset: int = 0) -> Enclosure:
+    """eval_flip through a checked DigitSeq: flip_digits on the flip set seen
+    from position offset + 1, then eval_digits on the flipped sequence."""
+    flipped = flip_digits(seq, _shifted(system.flips, offset))
+    return Enclosure.point(eval_digits(flipped, system.pv))
+
+
+def flip_outcome(evaluate, seq: DigitSeq, system, offset):
+    """The enclosure, or the type and message of the ProbDigitsError raised."""
+    try:
+        return evaluate(seq, system, offset)
+    except ProbDigitsError as exc:
+        return type(exc), str(exc)
 
 
 def jump_at_by_two_walks(x0, system, max_depth: int = 128) -> JumpReport:

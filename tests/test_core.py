@@ -33,6 +33,7 @@ from probdigits import (
     eval_flip,
     flip_image,
     graph_dimension_estimate,
+    horner_sum,
     ifs_graph_points,
     integral_riemann,
     integral_series,
@@ -333,6 +334,16 @@ def test_classify_examples(pv3, uniform2):
     assert classify(Fraction(1, 3), uniform2, 16).kind is PointKind.P_IRRATIONAL
 
 
+def test_walk_states_stay_reduced_on_a_periodic_orbit():
+    # on 1/3,2/3 the orbit of 1/7 is 1/7 -> 3/7 -> 1/7: a walk that kept
+    # unreduced pairs would grow them at every step
+    pv = make_prob_vector(["1/3", "2/3"])
+    digits, end, a, b = core._walk(1, 7, pv.int_table, 10_000)
+    assert end is PointKind.UNDETERMINED and (a, b) in ((1, 7), (3, 7))
+    assert digits == [0, 1] * 5_000
+    assert encode(Fraction(1, 7), pv, 10_000).digits == (0, 1) * 5_000
+
+
 def test_classify_orbit_oracle(uniform2):
     # 1/3 cycles 1/3 -> 2/3 -> 1/3 under the uniform shift
     assert shift_value(Fraction(1, 3), uniform2) == Fraction(2, 3)
@@ -544,21 +555,45 @@ MORAN4 = MoranSpec(ProbVector.uniform(4), 1)
     (lambda: graph_dimension_estimate(PLAIN2, 3), InvalidArgument),
     (lambda: covering_measure(MORAN4, 2.5), InvalidArgument),
     (lambda: moran_set_cylinders(MORAN4, 2.0), InvalidArgument),
+    (lambda: sample_digits(PLAIN2.pv, 2.5, random.Random(0)), InvalidArgument),
+    (lambda: sample_digits(PLAIN2.pv, "3", random.Random(0)), InvalidArgument),
+    (lambda: DigitSeq((1, 0), 2).digit_at(0), InvalidArgument),
+    (lambda: DigitSeq((1, 0), 2).digit_at(1.5), InvalidArgument),
+    (lambda: SYSTEM2.flips.contains("a"), InvalidArgument),
+    (lambda: SYSTEM2.flips.pattern_from(1.5), InvalidArgument),
 ], ids=["derivative-str-rank", "derivative-float-rank", "riemann-str-rank", "witness-str-rank",
         "p-rationals-str-count", "eval-flip-str-offset", "flip-image-str-offset", "shift-str-count",
         "digitseq-str-q", "digitseq-float-q", "finite-float-position", "finite-str-position",
         "graph-points-str-depth", "graph-points-float-depth", "diagonals-float-rank", "diagonals-str-rank",
         "entropy-float-rank", "entropy-str-rank", "dimension-float-rank", "dimension-str-rank",
-        "dimension-int-ranks", "covering-float-rank", "moran-float-rank"])
+        "dimension-int-ranks", "covering-float-rank", "moran-float-rank", "sample-float-length",
+        "sample-str-length", "digit-at-zero", "digit-at-float", "contains-str-position",
+        "pattern-from-float-start"])
 def test_non_integer_argument_is_refused(call, error):
     with pytest.raises(error):
         call()
 
 
 def test_digitseq_bad_tail_is_invalid_argument():
-    for tail in ((), "sometimes"):
+    for tail in ((), "sometimes", 5, None):
         with pytest.raises(InvalidArgument):
             DigitSeq((0,), 3, tail)
+
+
+def test_positions_are_one_based_in_every_message():
+    for k in (0, -1, 1.5, "a"):
+        for call in (DigitSeq((1, 0), 2).digit_at, SYSTEM2.flips.contains, SYSTEM2.flips.pattern_from):
+            with pytest.raises(InvalidArgument, match="positions are 1-based"):
+                call(k)
+
+
+def test_horner_sum_refuses_a_cycle_weight_product_not_below_one():
+    half = Fraction(1, 2)
+    for cycle in ([(0, 1)], [(half, 2)], [(half, 2), (half, half)], [(1, 3), (0, half)]):
+        with pytest.raises(InvalidArgument, match="not below 1"):
+            horner_sum([], cycle)
+    # a product just below 1 still closes: 1/2 / (1 - 3/4)
+    assert horner_sum([], [(half, Fraction(3, 2)), (0, half)]) == 2
 
 
 def test_digitseq_tail_block_reduces_to_primitive():

@@ -6,6 +6,7 @@ import pytest
 from probdigits import (
     EVEN_POSITIONS,
     BudgetExceeded,
+    DigitOutOfRange,
     DigitSeq,
     FlipKind,
     FlipSet,
@@ -22,7 +23,7 @@ from probdigits import (
     nega_to_digits,
     shift_digits,
 )
-from conftest import ASYM_VECTORS, random_seq
+from conftest import ASYM_VECTORS, eval_flip_by_digits, flip_outcome, random_seq
 
 ALL_VARIANTS = [
     FlipSet.none(),
@@ -158,15 +159,35 @@ def test_eval_flip_finite_example(pv3):
 
 
 def test_eval_flip_equals_flipped_digits():
-    # the two formulations of the map coincide on every input
+    # the two formulations of the map coincide on every input: every flip
+    # kind, zero, max and periodic tails, offsets 0-5
     rng = random.Random(53)
-    for fs in ALL_VARIANTS:
+    tails = ("zero", "max", (0, 1), (1, 0, 0), (2, 1), (0, 2, 1, 1))
+    for fs in ALL_VARIANTS + [FlipSet.mask((), (True, True, False)), FlipSet.mask((False,), (True, False) * 2)]:
         for q in (2, 3):
             pv = ASYM_VECTORS[q]
             system = FlipSystem(pv, fs)
             for _ in range(25):
-                seq = random_seq(rng, q)
+                tail = rng.choice(tails)
+                if not isinstance(tail, str):
+                    tail = tuple(d % q for d in tail)
+                seq = random_seq(rng, q, tails=(tail,))
                 assert eval_flip(seq, system).value == eval_digits(flip_digits(seq, fs), pv)
+                for offset in range(6):
+                    assert eval_flip(seq, system, offset) == eval_flip_by_digits(seq, system, offset)
+
+
+def test_eval_flip_errors_match_the_flip_digits_route():
+    # the offset is checked before the alphabet, with the same types and messages
+    system = FlipSystem(ASYM_VECTORS[3], FlipSet.finite([2]))
+    for seq in (DigitSeq((1, 0), 3), DigitSeq((1, 0), 2, (0, 1))):
+        for offset in (-1, -3, 0, 2, "1"):
+            expected = flip_outcome(eval_flip_by_digits, seq, system, offset)
+            if offset in (-1, -3, "1"):
+                assert expected[0] is InvalidArgument
+            elif seq.q != 3:
+                assert expected[0] is DigitOutOfRange
+            assert flip_outcome(eval_flip, seq, system, offset) == expected
 
 
 def test_eval_flip_bounds():

@@ -54,14 +54,16 @@ from probdigits import (
     rectangle_diagonals_sq,
     shift_value,
 )
-from probdigits.core import _lowest_terms
+from probdigits.core import _lowest_terms, _walk
 from conftest import (
     bernoulli_cdf_by_digits,
     cylinder_by_fractions,
     diagonal_multiset,
     diagonals_by_walk,
     eval_digits_by_horner,
+    eval_flip_by_digits,
     eval_nega_by_fractions,
+    flip_outcome,
     integral_series_by_fractions,
     jump_at_by_two_walks,
     orbit_by_fractions,
@@ -226,10 +228,11 @@ def test_encode_round_trips_on_p_rationals(case):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def family_vectors(draw):
-    """q in 2..5 weights over a dyadic denominator or a product of odd primes."""
+def family_vectors(draw, dens=(16, 64, 256, 77, 91, 143, 1001)):
+    """q in 2..5 weights over one of dens: by default a dyadic denominator
+    or a product of odd primes."""
     q = draw(st.integers(2, 5))
-    den = draw(st.sampled_from((16, 64, 256, 77, 91, 143, 1001)))
+    den = draw(st.sampled_from(dens))
     cuts = draw(st.lists(st.integers(1, den - 1), min_size=q - 1, max_size=q - 1, unique=True))
     edges = [0, *sorted(cuts), den]
     return make_prob_vector([Fraction(b - a, den) for a, b in zip(edges, edges[1:])])
@@ -313,6 +316,62 @@ def test_kernel_orbit_matches_the_fraction_orbit(case):
         assert encoded.digits == tuple(digits[:min(stop, depth)]) and encoded.tail == (0,)
         expected = PointClass(decided[1]) if decided[0] <= depth else PointClass(PointKind.UNDETERMINED, depth)
         assert classify(x, pv, depth) == expected
+
+
+WALK_DEPTH = 200
+
+
+@st.composite
+def walk_points(draw, pv):
+    """k / (D**j * m) in [0, 1) with D = pv.den: m = 1 stays in Z[1/D], and
+    the other m share some or none of D's primes."""
+    den = pv.den ** draw(st.integers(0, 3)) * draw(st.sampled_from((1, 2, 3, 4, 7, 9, 11, 25, 49)))
+    return Fraction(draw(st.integers(0, den - 1)), den)
+
+
+# denominators with a repeated prime, such as 2**5 * 3**3, 3**4 or 10**3;
+# uniform vectors over 2**2, 2**3 and 3**2 add repeating orbits
+walk_vectors = st.one_of(family_vectors((16, 72, 81, 864, 1000, 2**3 * 7**2, 11**2 * 13)),
+                         st.sampled_from((4, 8, 9)).map(ProbVector.uniform))
+
+
+@given(walk_vectors.flatmap(lambda pv: st.tuples(st.just(pv), walk_points(pv))))
+def test_walk_states_are_the_reduced_fraction_orbit(case):
+    pv, x = case
+    table = pv.int_table
+    digits, states = orbit_by_fractions(x, pv, WALK_DEPTH)
+    # one step at a time: each pair is the reduced state, until state 0
+    a, b = x.numerator, x.denominator
+    for k in range(WALK_DEPTH):
+        if a == 0:
+            break
+        step, _, a, b = _walk(a, b, table, 1)
+        assert step == [digits[k]]
+        state = states[k + 1]
+        assert a == 0 if state == 0 else (a, b) == (state.numerator, state.denominator)
+    # the whole walk reads the same digits and ends on the same pair
+    walked, end, *last = _walk(x.numerator, x.denominator, table, WALK_DEPTH)
+    assert walked == digits[:len(walked)] and last == [a, b]
+    assert end is (PointKind.P_RATIONAL if a == 0 else PointKind.UNDETERMINED)
+    # watching for repeats, it ends at the first state that is 0 or repeats
+    first = {}
+    for k, s in enumerate(states):
+        if s == 0 or s in first:
+            expected = (k, PointKind.P_RATIONAL if s == 0 else PointKind.P_IRRATIONAL)
+            break
+        first[s] = k
+    else:
+        expected = (WALK_DEPTH, PointKind.UNDETERMINED)
+    walked, end, _, _ = _walk(x.numerator, x.denominator, table, WALK_DEPTH, watch=True)
+    assert (len(walked), end) == expected
+
+
+@given(systems_and_seqs(), st.integers(-1, 5), st.booleans())
+def test_kernel_eval_flip_matches_the_flip_digits_route(case, offset, mismatch):
+    system, seq = case
+    if mismatch:
+        seq = DigitSeq(seq.digits, seq.q + 1, seq.tail)
+    assert flip_outcome(eval_flip, seq, system, offset) == flip_outcome(eval_flip_by_digits, seq, system, offset)
 
 
 @pytest.mark.parametrize("tail", ["zero", "max", "odd", "even"])
