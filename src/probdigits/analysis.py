@@ -24,7 +24,8 @@ from .core import (
     Enclosure,
     PointKind,
     _as_int,
-    _checked_digits,
+    _as_point,
+    _check_digits,
     _walk,
     as_fraction,
     cylinder_bounds,
@@ -36,7 +37,6 @@ from .errors import (
     InvalidArgument,
     NotPRational,
     NotShiftInvariant,
-    OutOfUnitInterval,
     PrefixTooShort,
     RankTooLarge,
 )
@@ -65,12 +65,8 @@ def jump_at(x0, system: FlipSystem, max_depth: int = 128) -> JumpReport:
     reaches 0, one once a state repeats, and undetermined after max_depth
     steps.
     """
-    x0 = as_fraction(x0)
-    max_depth = _as_int(max_depth, "max_depth")
-    if max_depth < 0:
-        raise InvalidArgument(f"max_depth must be >= 0, got {max_depth}")
-    if x0 < 0 or x0 > 1:
-        raise OutOfUnitInterval(f"{x0} not in [0, 1]")
+    max_depth = _as_int(max_depth, "max_depth", 0)
+    x0 = _as_point(x0)
     if x0 == 0 or x0 == 1:
         raise EndpointOneSided(f"{x0} admits only a one-sided limit")
     pv = system.pv
@@ -106,9 +102,7 @@ def p_rationals(pv, count: int) -> list[Fraction]:
 
     Each such point has a unique terminating address whose last digit is
     nonzero; enumerating (rank, head, last digit) therefore never repeats."""
-    count = _as_int(count, "count")
-    if count < 0:
-        raise InvalidArgument(f"count must be >= 0, got {count}")
+    count = _as_int(count, "count", 0)
     out: list[Fraction] = []
     rank = 1
     while len(out) < count:
@@ -137,9 +131,7 @@ def monotone_witness(system: FlipSystem, rank: int) -> MonotoneWitness | None:
 
     The pair agrees on the first m-1 digits and differs at the first flipped
     position m; returns None when no position up to rank is flipped."""
-    rank = _as_int(rank, "rank")
-    if rank < 1:
-        raise InvalidArgument(f"rank must be >= 1, got {rank}")
+    rank = _as_int(rank, "rank", 1)
     m = system.flips.min_position()
     if m is None or m > rank:
         return None
@@ -176,11 +168,9 @@ def derivative_estimate(prefix: Sequence[int], system: FlipSystem, max_rank: int
     and over the plain digits, with one Fraction per rank.  Where the flipped
     digit is the digit itself the ratio does not change, and its Fraction is
     reused."""
-    max_rank = _as_int(max_rank, "max_rank")
-    if max_rank < 1:
-        raise InvalidArgument(f"max_rank must be >= 1, got {max_rank}")
+    max_rank = _as_int(max_rank, "max_rank", 1)
     pv = system.pv
-    digits = _checked_digits(prefix, pv)
+    digits = _check_digits(prefix, pv.q)
     if len(digits) < max_rank:
         raise PrefixTooShort(f"prefix of length {len(digits)} cannot reach rank {max_rank}")
     p = pv.int_table.p
@@ -354,9 +344,7 @@ def integral_riemann(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET
     with law p, so the sums are the rank-r partial sums of the series:
     lower = sum_{k<=r} v_k prod_{j<k} w_j, upper = lower + prod_{k<=r} w_k.
     The cost is O(rank); the budget still caps q**rank."""
-    rank = _as_int(rank, "rank")
-    if rank < 1:
-        raise InvalidArgument(f"rank must be >= 1, got {rank}")
+    rank = _as_int(rank, "rank", 1)
     pv = system.pv
     if pv.q ** rank > budget:
         raise RankTooLarge(f"{pv.q}**{rank} exceeds budget {budget}")

@@ -58,13 +58,45 @@ def as_fraction(x) -> Fraction:
         raise InvalidArgument(f"not a rational number: {x!r}") from None
 
 
-def _as_int(n, name: str) -> int:
+def _as_int(n, name: str, minimum: int | None = None) -> int:
     """An integer argument (an int, or any type with __index__) as int; any
-    other type is InvalidArgument."""
+    other type, or a value below `minimum` when one is given, is
+    InvalidArgument."""
     try:
-        return index(n)
+        n = index(n)
     except TypeError:
         raise InvalidArgument(f"{name} must be an integer, got {n!r}") from None
+    if minimum is not None and n < minimum:
+        raise InvalidArgument(f"{name} must be >= {minimum}, got {n}")
+    return n
+
+
+def _as_point(x) -> Fraction:
+    """A point argument as Fraction (see as_fraction); a value outside [0, 1]
+    is OutOfUnitInterval."""
+    x = as_fraction(x)
+    if x < 0 or x > 1:
+        raise OutOfUnitInterval(f"{x} not in [0, 1]")
+    return x
+
+
+def _check_digits(digits: Iterable, q: int, what: str = "digit") -> tuple[int, ...]:
+    """digits as a tuple of digits of a q-letter alphabet, ints in [0, q-1];
+    the first entry that is not one is DigitOutOfRange, named as `what`.
+    One type-and-range test per digit; the full test runs only on a digit
+    that fails it, to accept an int subclass other than bool."""
+    digits = tuple(digits)
+    for d in digits:
+        if type(d) is not int or not 0 <= d < q:
+            if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d < q:
+                raise DigitOutOfRange(f"{what} {d!r} not in [0, {q - 1}]")
+    return digits
+
+
+def _same_alphabet(seq: DigitSeq, pv: ProbVector) -> None:
+    """Refuse a digit sequence over another alphabet than the vector's."""
+    if seq.q != pv.q:
+        raise DigitOutOfRange(f"sequence alphabet {seq.q} != vector alphabet {pv.q}")
 
 
 def _as_position(k) -> int:
@@ -111,15 +143,20 @@ class ProbVector:
     unit interval is [beta[t], beta[t+1]] and has length p[t].  Immutable;
     equal and hashed by (p, beta).
 
-    den and int_table are computed on first read and kept in slots of the
-    instance, so each is computed once per vector.
+    den, the least common denominator D of the weights (every p[c] and
+    beta[c] is an integer over D), and int_table, the numerators of beta
+    and p over D, are computed once, when the vector is built.
     """
 
-    __slots__ = ("p", "beta", "_den", "_int_table")
+    __slots__ = ("p", "beta", "den", "int_table")
 
     def __init__(self, p: tuple[Fraction, ...], beta: tuple[Fraction, ...]):
+        den = lcm(*(v.denominator for v in p))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "int_table", IntTable(
+            den, tuple([int(b * den) for b in beta]), tuple([int(w * den) for w in p])))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ProbVector is immutable: cannot assign {name!r}")
@@ -146,35 +183,12 @@ class ProbVector:
     def max_p(self) -> Fraction:
         return max(self.p)
 
-    @property
-    def den(self) -> int:
-        """Least common denominator D of the weights: every p[c] and beta[c] is an integer over D."""
-        try:
-            return self._den
-        except AttributeError:
-            den = lcm(*(v.denominator for v in self.p))
-            object.__setattr__(self, "_den", den)
-            return den
-
-    @property
-    def int_table(self) -> IntTable:
-        """The numerators of beta and p over D = den."""
-        try:
-            return self._int_table
-        except AttributeError:
-            den = self.den
-            table = IntTable(den, tuple(int(b * den) for b in self.beta), tuple(int(w * den) for w in self.p))
-            object.__setattr__(self, "_int_table", table)
-            return table
-
     @classmethod
     def uniform(cls, q: int) -> "ProbVector":
         return make_prob_vector([Fraction(1, q)] * q)
 
     def check_digit(self, d: int) -> int:
-        if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d < self.q:
-            raise DigitOutOfRange(f"digit {d!r} not in [0, {self.q - 1}]")
-        return d
+        return _check_digits((d,), self.q)[0]
 
     def __repr__(self) -> str:
         return f"ProbVector(({', '.join(str(x) for x in self.p)}))"
@@ -241,14 +255,8 @@ class DigitSeq:
         q = _as_int(q, "q")
         if q < 2:
             raise BaseTooSmall(f"alphabet size {q} < 2")
-        digits = tuple(digits)
-        for d in digits:
-            if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d < q:
-                raise DigitOutOfRange(f"digit {d!r} not in [0, {q - 1}]")
-        block = _normalize_tail(tail, q)
-        for d in block:
-            if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d < q:
-                raise DigitOutOfRange(f"tail digit {d!r} not in [0, {q - 1}]")
+        digits = _check_digits(digits, q)
+        block = _check_digits(_normalize_tail(tail, q), q, "tail digit")
         if not digits and block == (q - 1,):
             # 1 is written with a single explicit q-1, never as a bare max tail
             digits = (q - 1,)
@@ -371,8 +379,7 @@ def _horner(pv: ProbVector, prefix: Sequence[int], cycle: Sequence[int]) -> Frac
 
 def eval_digits(seq: DigitSeq, pv: ProbVector) -> Fraction:
     """Exact value of a digit sequence under the weights of pv."""
-    if seq.q != pv.q:
-        raise DigitOutOfRange(f"sequence alphabet {seq.q} != vector alphabet {pv.q}")
+    _same_alphabet(seq, pv)
     return _horner(pv, seq.digits, seq.tail)
 
 
@@ -436,12 +443,8 @@ def encode(x, pv: ProbVector, depth: int = 32) -> DigitSeq:
     If the shift orbit hits 0 the prefix stops there and the result is exact;
     otherwise the returned prefix names the depth-rank cylinder containing x.
     """
-    depth = _as_int(depth, "depth")
-    if depth < 0:
-        raise InvalidArgument(f"depth must be >= 0, got {depth}")
-    x = as_fraction(x)
-    if x < 0 or x > 1:
-        raise OutOfUnitInterval(f"{x} not in [0, 1]")
+    depth = _as_int(depth, "depth", 0)
+    x = _as_point(x)
     q = pv.q
     if x == 1:
         return DigitSeq._trusted((q - 1,), q, (q - 1,))
@@ -451,9 +454,7 @@ def encode(x, pv: ProbVector, depth: int = 32) -> DigitSeq:
 
 def shift_digits(seq: DigitSeq, n: int = 1) -> DigitSeq:
     """Drop the first n explicit digits; the tail is shift-invariant."""
-    n = _as_int(n, "shift count")
-    if n < 0:
-        raise InvalidArgument(f"shift count must be >= 0, got {n}")
+    n = _as_int(n, "shift count", 0)
     if n > len(seq.digits):
         raise ShiftPastPrefix(f"cannot drop {n} digits from a prefix of length {len(seq.digits)}")
     return DigitSeq(seq.digits[n:], seq.q, seq.tail)
@@ -461,9 +462,7 @@ def shift_digits(seq: DigitSeq, n: int = 1) -> DigitSeq:
 
 def shift_value(x, pv: ProbVector) -> Fraction:
     """One application of the shift: (x - beta[d1]) / p[d1] with d1 from encode."""
-    x = as_fraction(x)
-    if x < 0 or x > 1:
-        raise OutOfUnitInterval(f"{x} not in [0, 1]")
+    x = _as_point(x)
     if x == 1:
         return Fraction(1)
     _, _, a, b = _walk(x.numerator, x.denominator, pv.int_table, 1)
@@ -502,22 +501,10 @@ class Cylinder(NamedTuple):
         return cylinder_bounds(self.base + (c,), self.pv)
 
 
-def _checked_digits(base: Sequence[int], pv: ProbVector) -> tuple[int, ...]:
-    """base as a tuple of digits of pv.  One type-and-range test per digit;
-    check_digit runs only on a digit that fails it, to accept an int
-    subclass or to raise DigitOutOfRange with its message."""
-    digits = tuple(base)
-    q = pv.q
-    for d in digits:
-        if not (type(d) is int and 0 <= d < q):
-            pv.check_digit(d)
-    return digits
-
-
 def cylinder_bounds(base: Sequence[int], pv: ProbVector) -> Cylinder:
     """Endpoints of the rank-m cylinder: lo is the zero-tail value of the base,
     and hi - lo equals the product of the base digit weights."""
-    digits = _checked_digits(base, pv)
+    digits = _check_digits(base, pv.q)
     num, weight = _forward(pv, digits)
     scale = pv.den ** len(digits)
     return Cylinder(base=digits, pv=pv, lo=Fraction(num, scale), hi=Fraction(num + weight, scale))
@@ -546,12 +533,8 @@ def classify(x, pv: ProbVector, max_depth: int = 64) -> PointClass:
     shift states need not repeat (weights can grow the denominators), so
     UNDETERMINED with the reached depth is a legitimate outcome.
     """
-    max_depth = _as_int(max_depth, "max_depth")
-    if max_depth < 0:
-        raise InvalidArgument(f"max_depth must be >= 0, got {max_depth}")
-    x = as_fraction(x)
-    if x < 0 or x > 1:
-        raise OutOfUnitInterval(f"{x} not in [0, 1]")
+    max_depth = _as_int(max_depth, "max_depth", 0)
+    x = _as_point(x)
     if x == 1:
         return PointClass(PointKind.P_RATIONAL)
     end = _walk(x.numerator, x.denominator, pv.int_table, max_depth, watch=True)[1]
@@ -605,9 +588,7 @@ def bernoulli_cdf(x, pv: ProbVector) -> Fraction:
 def sample_digits(pv: ProbVector, length: int, rng: random.Random) -> tuple[int, ...]:
     """Digit prefix drawn i.i.d. with law p exactly (i.e. a Lebesgue-random point):
     a uniform integer in [0, D) picks the digit whose cell holds it, D = pv.den."""
-    length = _as_int(length, "length")
-    if length < 0:
-        raise InvalidArgument(f"length must be >= 0, got {length}")
+    length = _as_int(length, "length", 0)
     den, beta, _ = pv.int_table
     thresholds = beta[1:-1]
     return tuple(bisect_right(thresholds, rng.randrange(den)) for _ in range(length))

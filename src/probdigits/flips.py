@@ -18,7 +18,8 @@ from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, ProbVector, _as_int, _as_position, _forward, _horner
-from .errors import BudgetExceeded, DigitOutOfRange, FlipSpecError, InvalidArgument
+from .core import _same_alphabet
+from .errors import BudgetExceeded, FlipSpecError
 
 
 class FlipKind(Enum):
@@ -240,9 +241,7 @@ def nega_to_digits(seq: DigitSeq) -> DigitSeq:
 
 def _shifted(flips: FlipSet, offset: int) -> FlipSet:
     """The flip set seen from position offset + 1: bit k is bit k + offset of flips."""
-    offset = _as_int(offset, "offset")
-    if offset < 0:
-        raise InvalidArgument(f"offset must be >= 0, got {offset}")
+    offset = _as_int(offset, "offset", 0)
     if offset == 0:
         return flips
     return FlipSet.mask(*flips.pattern_from(offset + 1))
@@ -257,8 +256,7 @@ def eval_flip(seq: DigitSeq, system: FlipSystem, offset: int = 0) -> Enclosure:
     """
     flips = _shifted(system.flips, offset)
     pv = system.pv
-    if seq.q != pv.q:
-        raise DigitOutOfRange(f"sequence alphabet {seq.q} != vector alphabet {pv.q}")
+    _same_alphabet(seq, pv)
     return Enclosure.point(_flip_value(seq, flips, pv))
 
 
@@ -303,8 +301,7 @@ def eval_nega(seq: DigitSeq, pv: ProbVector) -> Enclosure:
     so both pieces close over D**span - c_weight with c_weight / D**span the
     product of one period's weights.  One Fraction is built at the end.
     """
-    if seq.q != pv.q:
-        raise DigitOutOfRange(f"sequence alphabet {seq.q} != vector alphabet {pv.q}")
+    _same_alphabet(seq, pv)
     den, beta, p = pv.int_table
     top = pv.q - 1
     # (offset, weight) numerators of digit d at an odd and at an even position

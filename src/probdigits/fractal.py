@@ -74,9 +74,7 @@ def _graph_numerators(system: FlipSystem, depth: int, budget: int = DEFAULT_BUDG
     ends[idx[i] + t]: ys is the very list ends, which tells callers that every
     y is an x or 1, and at is idx shifted by t.  Otherwise ys[j] is base j's
     lower end plus width times t, over y_den = scale * t_den, and at is idx."""
-    depth = _as_int(depth, "depth")
-    if depth < 0:
-        raise InvalidArgument(f"depth must be >= 0, got {depth}")
+    depth = _as_int(depth, "depth", 0)
     pv = system.pv
     q = pv.q
     if q ** depth > budget:
@@ -154,6 +152,13 @@ def _count_groups(total: int, px, py) -> list[tuple[int, int, int]]:
     return [(mult, wx, wy) for _, mult, wx, wy in groups]
 
 
+def _group_count(system: FlipSystem, rank: int) -> int:
+    """The C(a+q-1, q-1) * C(b+q-1, q-1) digit-count groups of _rectangle_groups at a rank."""
+    q = system.pv.q
+    flipped = _flipped_upto(system.flips, rank)
+    return math.comb(flipped + q - 1, q - 1) * math.comb(rank - flipped + q - 1, q - 1)
+
+
 def _rectangle_groups(system: FlipSystem, rank: int, budget: int) -> tuple[list[tuple[int, int]], int]:
     """The rank-r rectangles grouped by digit counts, as (multiplicity,
     diag_sq numerator) pairs over the common denominator D**(2*rank).
@@ -164,14 +169,11 @@ def _rectangle_groups(system: FlipSystem, rank: int, budget: int) -> tuple[list[
     diag_sq = w_n**2 * (x_m**2 + y_m**2) with w_n = prod p_c**n_c.  The two
     group lists are built once and crossed, flipped groups outermost; the
     budget caps the C(a+q-1, q-1) * C(b+q-1, q-1) groups."""
-    rank = _as_int(rank, "rank")
-    if rank < 0:
-        raise InvalidArgument(f"rank must be >= 0, got {rank}")
-    q = system.pv.q
-    flipped = _flipped_upto(system.flips, rank)
-    groups = math.comb(flipped + q - 1, q - 1) * math.comb(rank - flipped + q - 1, q - 1)
+    rank = _as_int(rank, "rank", 0)
+    groups = _group_count(system, rank)
     if groups > budget:
         raise BudgetExceeded(f"{groups} rectangle groups at rank {rank} exceed budget {budget}")
+    flipped = _flipped_upto(system.flips, rank)
     den, _, p = system.pv.int_table
     # side products are integers over D**rank; a flipped position reads the complement's weight
     sides = [(mult, x * x + y * y) for mult, x, y in _count_groups(flipped, p, p[::-1])]
@@ -200,9 +202,7 @@ def entropy_sum(system: FlipSystem, alpha, rank: int, budget: int = DEFAULT_BUDG
         raise InvalidArgument(f"alpha must be finite and >= 0, got {alpha!r}") from None
     if not 0 <= alpha < math.inf:
         raise InvalidArgument(f"alpha must be finite and >= 0, got {alpha}")
-    rank = _as_int(rank, "rank")
-    if rank < 1:
-        raise InvalidArgument(f"rank must be >= 1, got {rank}")
+    rank = _as_int(rank, "rank", 1)
     half = alpha / 2.0
     groups, scale = _rectangle_groups(system, rank, budget)
     return math.fsum(mult * (num / scale) ** half for mult, num in groups)
@@ -213,7 +213,8 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
 
     For each rank, bisects the alpha where the (strictly decreasing) entropy
     sum crosses sqrt(2), for 64 halvings or until the float midpoint equals an
-    end, whichever is first; the estimates trend to 1."""
+    end, whichever is first; the estimates trend to 1.  The budget caps the
+    digit-count groups of all ranks together, counted before any is built."""
     if not system.shift_invariant:
         raise NotShiftInvariant("dimension estimation needs flips none or all")
     try:
@@ -225,6 +226,9 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
         raise InvalidArgument(f"ranks must be >= 1, got {ranks}")
     if any(b <= a for a, b in zip(ranks, ranks[1:])):
         raise InvalidArgument(f"ranks must be strictly increasing, got {ranks}")
+    groups = sum(_group_count(system, rank) for rank in ranks)
+    if groups > budget:
+        raise BudgetExceeded(f"{groups} rectangle groups over {len(ranks)} ranks exceed budget {budget}")
     out: dict[int, float] = {}
     for rank in ranks:
         groups, scale = _rectangle_groups(system, rank, budget)
@@ -366,9 +370,7 @@ def moran_set_cylinders(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET
     counted first, so more than `budget` of them are refused before any is
     built.  Each base is then a head of rank // 2 digits from run 0, joined to
     one of the tails of the remaining digits from the head's end run."""
-    rank = _as_int(rank, "rank")
-    if rank < 1:
-        raise InvalidArgument(f"rank must be >= 1, got {rank}")
+    rank = _as_int(rank, "rank", 1)
     automaton = _moran_automaton(spec)
     if not automaton:
         return []
@@ -395,9 +397,7 @@ def covering_measure(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET) -
     the consistent bases ending there as an integer over D**k (D = pv.den),
     so no base is built.  Refuses more than `budget` consistent bases, as
     `moran_set_cylinders` does."""
-    rank = _as_int(rank, "rank")
-    if rank < 1:
-        raise InvalidArgument(f"rank must be >= 1, got {rank}")
+    rank = _as_int(rank, "rank", 1)
     automaton = _moran_automaton(spec)
     if not automaton:
         return Fraction(0)

@@ -258,6 +258,14 @@ def test_argument_out_of_domain_exits_2(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: InvalidArgument: ")
 
 
+def test_dimension_refuses_the_groups_of_all_ranks_at_once(capsys):
+    # ranks 2, 4, ..., 3000 build 1501 * 1500 + 1500 groups in all, each rank
+    # under the budget alone
+    code, out, err = run_cli(capsys, "dimension", "--p", "1/3,2/3", "--rank", "3000")
+    assert (code, out) == (2, "")
+    assert err == "error: BudgetExceeded: 2253000 rectangle groups over 1500 ranks exceed budget 1048576\n"
+
+
 #: Options every subcommand took before each listed only what its body reads.
 UNREAD_OPTIONS = [
     ("convert", "--flips", "all"), ("convert", "--rank", "12"), ("convert", "--tol", "1/1000"),

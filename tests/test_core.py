@@ -11,14 +11,18 @@ from probdigits import (
     BudgetExceeded,
     DigitOutOfRange,
     DigitSeq,
+    EndpointOneSided,
     FlipSet,
     FlipSpecError,
     FlipSystem,
     InvalidArgument,
     MoranSpec,
     NonPositiveWeight,
+    NotPRational,
     OutOfUnitInterval,
     PointKind,
+    PrefixTooShort,
+    ProbDigitsError,
     ProbVector,
     ShiftPastPrefix,
     SumNotOne,
@@ -31,12 +35,14 @@ from probdigits import (
     entropy_sum,
     eval_digits,
     eval_flip,
+    eval_nega,
     flip_image,
     graph_dimension_estimate,
     horner_sum,
     ifs_graph_points,
     integral_riemann,
     integral_series,
+    jump_at,
     make_prob_vector,
     monotone_witness,
     moran_dimension,
@@ -600,3 +606,106 @@ def test_digitseq_tail_block_reduces_to_primitive():
     assert DigitSeq((1,), 3, (0, 2, 0, 2)).tail == (0, 2)
     assert DigitSeq((1,), 3, (2, 2)).tail_kind == "max"
     assert DigitSeq((), 2, (1, 1)) == DigitSeq((1,), 2, "max")
+
+
+PV4 = ProbVector.uniform(4)
+
+#: (id, refused call, exception class, message): each argument rule's exact
+#: refusal, for every site that applies it, and the order of the checks
+#: when two arguments are bad
+REFUSALS = [
+    # integer bounds
+    ("encode-depth", lambda: encode(Fraction(1, 3), PLAIN2.pv, -1), InvalidArgument, "depth must be >= 0, got -1"),
+    ("shift-count", lambda: shift_digits(DigitSeq((1, 0), 2), -1), InvalidArgument,
+     "shift count must be >= 0, got -1"),
+    ("classify-max-depth", lambda: classify(Fraction(1, 3), PLAIN2.pv, -1), InvalidArgument,
+     "max_depth must be >= 0, got -1"),
+    ("sample-length", lambda: sample_digits(PLAIN2.pv, -1, random.Random(0)), InvalidArgument,
+     "length must be >= 0, got -1"),
+    ("eval-flip-offset", lambda: eval_flip(DigitSeq((1,), 2), SYSTEM2, -1), InvalidArgument,
+     "offset must be >= 0, got -1"),
+    ("flip-image-offset", lambda: flip_image((1,), SYSTEM2, -2), InvalidArgument, "offset must be >= 0, got -2"),
+    ("jump-max-depth", lambda: jump_at(Fraction(1, 2), SYSTEM2, -1), InvalidArgument,
+     "max_depth must be >= 0, got -1"),
+    ("p-rationals-count", lambda: p_rationals(PLAIN2.pv, -3), InvalidArgument, "count must be >= 0, got -3"),
+    ("witness-rank", lambda: monotone_witness(SYSTEM2, 0), InvalidArgument, "rank must be >= 1, got 0"),
+    ("derivative-max-rank", lambda: derivative_estimate((0, 1), SYSTEM2, 0), InvalidArgument,
+     "max_rank must be >= 1, got 0"),
+    ("riemann-rank", lambda: integral_riemann(SYSTEM2, 0), InvalidArgument, "rank must be >= 1, got 0"),
+    ("graph-points-depth", lambda: ifs_graph_points(SYSTEM2, -1), InvalidArgument, "depth must be >= 0, got -1"),
+    ("diagonals-rank", lambda: rectangle_diagonals_sq(SYSTEM2, -1), InvalidArgument, "rank must be >= 0, got -1"),
+    ("entropy-rank", lambda: entropy_sum(SYSTEM2, 1, 0), InvalidArgument, "rank must be >= 1, got 0"),
+    ("moran-cylinders-rank", lambda: moran_set_cylinders(MORAN4, 0), InvalidArgument, "rank must be >= 1, got 0"),
+    ("covering-rank", lambda: covering_measure(MORAN4, -5), InvalidArgument, "rank must be >= 1, got -5"),
+    ("encode-float-depth", lambda: encode(Fraction(1, 3), PLAIN2.pv, 1.5), InvalidArgument,
+     "depth must be an integer, got 1.5"),
+    ("entropy-str-rank", lambda: entropy_sum(SYSTEM2, 1, "2"), InvalidArgument, "rank must be an integer, got '2'"),
+    # bounds that keep their own form
+    ("dimension-ranks", lambda: graph_dimension_estimate(PLAIN2, [0, 1]), InvalidArgument,
+     "ranks must be >= 1, got [0, 1]"),
+    ("digitseq-q", lambda: DigitSeq((0,), 1), BaseTooSmall, "alphabet size 1 < 2"),
+    ("digit-at-position", lambda: DigitSeq((1, 0), 2).digit_at(0), InvalidArgument, "positions are 1-based, got 0"),
+    ("finite-positions", lambda: FlipSet.finite([2, 0]), FlipSpecError, "flip positions must be >= 1, got (0, 2)"),
+    # points
+    ("encode-point", lambda: encode(2, PLAIN2.pv), OutOfUnitInterval, "2 not in [0, 1]"),
+    ("encode-negative-point", lambda: encode("-1/2", PLAIN2.pv), OutOfUnitInterval, "-1/2 not in [0, 1]"),
+    ("shift-value-point", lambda: shift_value(Fraction(3, 2), PLAIN2.pv), OutOfUnitInterval, "3/2 not in [0, 1]"),
+    ("classify-point", lambda: classify(-1, PLAIN2.pv), OutOfUnitInterval, "-1 not in [0, 1]"),
+    ("jump-point", lambda: jump_at(2, SYSTEM2), OutOfUnitInterval, "2 not in [0, 1]"),
+    ("encode-unparsable", lambda: encode("z", PLAIN2.pv), InvalidArgument, "not a rational number: 'z'"),
+    ("shift-value-unparsable", lambda: shift_value(None, PLAIN2.pv), InvalidArgument, "not a rational number: None"),
+    ("jump-unparsable", lambda: jump_at("z", SYSTEM2), InvalidArgument, "not a rational number: 'z'"),
+    ("jump-endpoint", lambda: jump_at(0, SYSTEM2), EndpointOneSided, "0 admits only a one-sided limit"),
+    ("jump-one-expansion", lambda: jump_at(Fraction(1, 3), SYSTEM2, 5), NotPRational,
+     "1/3 is p-irrational at depth 5"),
+    # digits
+    ("digitseq-digit", lambda: DigitSeq((0, 7), 3), DigitOutOfRange, "digit 7 not in [0, 2]"),
+    ("digitseq-bool-digit", lambda: DigitSeq((0, True), 2), DigitOutOfRange, "digit True not in [0, 1]"),
+    ("digitseq-float-digit", lambda: DigitSeq((1.0,), 2), DigitOutOfRange, "digit 1.0 not in [0, 1]"),
+    ("digitseq-tail-digit", lambda: DigitSeq((0,), 3, (0, 9)), DigitOutOfRange, "tail digit 9 not in [0, 2]"),
+    ("digitseq-negative-tail-digit", lambda: DigitSeq((), 3, (-1,)), DigitOutOfRange,
+     "tail digit -1 not in [0, 2]"),
+    ("cylinder-digit", lambda: cylinder_bounds((0, 2), PLAIN2.pv), DigitOutOfRange, "digit 2 not in [0, 1]"),
+    ("cylinder-str-digit", lambda: cylinder_bounds(("1",), PLAIN2.pv), DigitOutOfRange, "digit '1' not in [0, 1]"),
+    ("flip-image-digit", lambda: flip_image((0, 2), SYSTEM2), DigitOutOfRange, "digit 2 not in [0, 1]"),
+    ("derivative-digit", lambda: derivative_estimate((0, 5), SYSTEM2, 1), DigitOutOfRange, "digit 5 not in [0, 1]"),
+    ("derivative-short-prefix", lambda: derivative_estimate((0,), SYSTEM2, 2), PrefixTooShort,
+     "prefix of length 1 cannot reach rank 2"),
+    ("moran-marker", lambda: MoranSpec(PV4, 4), DigitOutOfRange, "digit 4 not in [0, 3]"),
+    ("moran-replace-marker", lambda: MORAN4._replace(u=-1), DigitOutOfRange, "digit -1 not in [0, 3]"),
+    ("system-digit", lambda: SYSTEM2.digit(1, 2), DigitOutOfRange, "digit 2 not in [0, 1]"),
+    ("check-digit-none", lambda: PV4.check_digit(None), DigitOutOfRange, "digit None not in [0, 3]"),
+    # alphabets
+    ("eval-digits-alphabet", lambda: eval_digits(DigitSeq((1,), 3), PLAIN2.pv), DigitOutOfRange,
+     "sequence alphabet 3 != vector alphabet 2"),
+    ("eval-flip-alphabet", lambda: eval_flip(DigitSeq((1,), 3), SYSTEM2), DigitOutOfRange,
+     "sequence alphabet 3 != vector alphabet 2"),
+    ("eval-nega-alphabet", lambda: eval_nega(DigitSeq((3,), 4), PLAIN2.pv), DigitOutOfRange,
+     "sequence alphabet 4 != vector alphabet 2"),
+    # two bad arguments: the first check wins
+    ("jump-unparsable-and-max-depth", lambda: jump_at("z", SYSTEM2, -1), InvalidArgument,
+     "max_depth must be >= 0, got -1"),
+    ("jump-point-and-max-depth", lambda: jump_at(2, SYSTEM2, -1), InvalidArgument, "max_depth must be >= 0, got -1"),
+    ("encode-unparsable-and-depth", lambda: encode("z", PLAIN2.pv, -1), InvalidArgument,
+     "depth must be >= 0, got -1"),
+    ("classify-point-and-max-depth", lambda: classify(2, PLAIN2.pv, -1), InvalidArgument,
+     "max_depth must be >= 0, got -1"),
+    ("eval-flip-alphabet-and-offset", lambda: eval_flip(DigitSeq((1,), 3), SYSTEM2, -1), InvalidArgument,
+     "offset must be >= 0, got -1"),
+    ("flip-image-digit-and-offset", lambda: flip_image((0, 2), SYSTEM2, -1), DigitOutOfRange,
+     "digit 2 not in [0, 1]"),
+    ("derivative-digit-and-max-rank", lambda: derivative_estimate((0, 5), SYSTEM2, 0), InvalidArgument,
+     "max_rank must be >= 1, got 0"),
+    ("digitseq-q-and-digit", lambda: DigitSeq((7,), 1), BaseTooSmall, "alphabet size 1 < 2"),
+    ("digitseq-digit-and-tail-digit", lambda: DigitSeq((7,), 3, (9,)), DigitOutOfRange, "digit 7 not in [0, 2]"),
+    ("cylinder-two-digits", lambda: cylinder_bounds((5, "x"), PLAIN2.pv), DigitOutOfRange, "digit 5 not in [0, 1]"),
+    ("shift-past-prefix", lambda: shift_digits(DigitSeq((1,), 2), 2), ShiftPastPrefix,
+     "cannot drop 2 digits from a prefix of length 1"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [row[1:] for row in REFUSALS], ids=[row[0] for row in REFUSALS])
+def test_refusal_class_and_message(call, error, message):
+    with pytest.raises(ProbDigitsError) as raised:
+        call()
+    assert (type(raised.value), str(raised.value)) == (error, message)

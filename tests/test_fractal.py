@@ -262,6 +262,20 @@ def test_dimension_estimates(uniform2, asym2):
             graph_dimension_estimate(FlipSystem(uniform2, FlipSet.all()), ranks)
 
 
+def test_dimension_budget_caps_the_groups_of_all_ranks(uniform2):
+    # flips all on two digits build rank + 1 groups: 3 + 5 + 7 = 15 over the
+    # three ranks, each rank alone under the budget of 10
+    system = FlipSystem(uniform2, FlipSet.all())
+    with pytest.raises(BudgetExceeded, match="^15 rectangle groups over 3 ranks exceed budget 10$"):
+        graph_dimension_estimate(system, [2, 4, 6], budget=10)
+    assert graph_dimension_estimate(system, [2, 4, 6], budget=15) == graph_dimension_estimate(system, [2, 4, 6])
+    # half a million ranks are counted and refused before any bisection
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        graph_dimension_estimate(FlipSystem(uniform2, FlipSet.none()), range(2, 10**6 + 1, 2))
+    assert time.perf_counter() - start < 2.0
+
+
 @pytest.mark.parametrize("threshold", [fractal.ENTROPY_THRESHOLD, 1e-300, 1e300])
 def test_dimension_bisection_equals_64_halvings(monkeypatch, uniform2, asym2, pv3, threshold):
     # the bisection stops at its fixed point; the estimate is the 64-halving
