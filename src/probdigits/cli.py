@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from .core import make_prob_vector
-from .errors import InvalidArgument, ProbDigitsError
+from .errors import ProbDigitsError
 
 
 def _rational(text: str) -> Fraction:
@@ -145,20 +145,15 @@ def cmd_jumps(args):
 
 
 def cmd_graph(args):
-    from .fractal import _graph_numerators, ifs_graph_points
+    from operator import truediv
 
-    system = _system(args)
-    header = ["x", "y"]
-    if args.exact:
-        rows = [[q_str(x), q_str(y)] for x, y in ifs_graph_points(system, args.depth)]
-    else:
-        # int / int true division is correctly rounded, so each float is that
-        # of the exact coordinate, with no Fraction built
-        ends, scale, ys, y_den, at = _graph_numerators(system, args.depth)
-        xs = [x / scale for x in ends]
-        y_floats = xs if ys is ends else [y / y_den for y in ys]
-        rows = [[x, y_floats[j]] for x, j in zip(xs, at)]
-    return "csv", (header, rows)
+    from .core import DEFAULT_BUDGET, _lowest_terms
+    from .fractal import _graph_points
+
+    # int / int true division is correctly rounded, so each float is that of
+    # the exact coordinate, with no Fraction built
+    coord = (lambda num, den: q_str(_lowest_terms(num, den))) if args.exact else truediv
+    return "csv", (["x", "y"], _graph_points(_system(args), args.depth, DEFAULT_BUDGET, coord))
 
 
 def cmd_dimension(args):
@@ -182,10 +177,9 @@ def cmd_scan_derivative(args):
     import random
 
     from .analysis import derivative_estimate
-    from .core import sample_digits
+    from .core import _as_int, sample_digits
 
-    if args.points < 0:
-        raise InvalidArgument(f"--points must be >= 0, got {args.points}")
+    _as_int(args.points, "--points", 0)
     system = _system(args)
     rng = random.Random(args.seed)
     header = ["sample", "m", "ratio", "ratio_float"]

@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from operator import index
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
@@ -143,14 +144,34 @@ class ProbVector:
     unit interval is [beta[t], beta[t+1]] and has length p[t].  Immutable;
     equal and hashed by (p, beta).
 
+    The weights are coerced and checked, beta must be their running sum, and
     den, the least common denominator D of the weights (every p[c] and
-    beta[c] is an integer over D), and int_table, the numerators of beta
-    and p over D, are computed once, when the vector is built.
+    beta[c] is an integer over D), and int_table, the numerators of beta and
+    p over D, are computed, all when the vector is built.
     """
 
     __slots__ = ("p", "beta", "den", "int_table")
 
-    def __init__(self, p: tuple[Fraction, ...], beta: tuple[Fraction, ...]):
+    def __init__(self, p: Iterable[RationalLike], beta: Sequence[RationalLike]):
+        self._fill(p)
+        try:
+            same = tuple(beta) == self.beta
+        except TypeError:
+            same = False
+        if not same:
+            raise InvalidArgument(f"beta must be the running sum ({', '.join(map(str, self.beta))}) of p, got {beta!r}")
+
+    def _fill(self, p: Iterable[RationalLike]) -> None:
+        """Coerce and check the weights, then set every slot from them."""
+        p = tuple(as_fraction(v) for v in p)
+        if len(p) < 2:
+            raise BaseTooSmall(f"need at least 2 weights, got {len(p)}")
+        for v in p:
+            if v <= 0:
+                raise NonPositiveWeight(f"weight {v} is not positive")
+        beta = tuple(accumulate(p, initial=Fraction(0)))
+        if beta[-1] != 1:
+            raise SumNotOne(f"weights sum to {beta[-1]}, not 1")
         den = lcm(*(v.denominator for v in p))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "beta", beta)
@@ -195,20 +216,11 @@ class ProbVector:
 
 
 def make_prob_vector(values: Iterable[RationalLike]) -> ProbVector:
-    """Validate weights and build the vector with its cumulative offsets."""
-    p = tuple(as_fraction(v) for v in values)
-    if len(p) < 2:
-        raise BaseTooSmall(f"need at least 2 weights, got {len(p)}")
-    for v in p:
-        if v <= 0:
-            raise NonPositiveWeight(f"weight {v} is not positive")
-    total = sum(p)
-    if total != 1:
-        raise SumNotOne(f"weights sum to {total}, not 1")
-    beta = [Fraction(0)]
-    for v in p:
-        beta.append(beta[-1] + v)
-    return ProbVector(p=p, beta=tuple(beta))
+    """The vector of these weights, coerced and checked as ProbVector does,
+    with their running sum as beta (so there is no beta to compare)."""
+    pv = object.__new__(ProbVector)
+    pv._fill(values)
+    return pv
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import truediv
 from typing import NamedTuple
 
 from .core import DEFAULT_BUDGET, DigitSeq, ProbVector, _as_int, _lowest_terms
@@ -58,22 +59,19 @@ def ifs_maps(system: FlipSystem) -> list[AffineMap2D]:
     ]
 
 
-def _graph_numerators(system: FlipSystem, depth: int, budget: int = DEFAULT_BUDGET):
-    """The q**depth graph points in integers, as (ends, scale, ys, y_den, at):
-    point i, the one over the i-th rank-depth cylinder in lexicographic base
-    order, is (ends[i] / scale, ys[at[i]] / y_den), with scale = D**depth.
+def _graph_points(system: FlipSystem, depth: int, budget: int, coord) -> list[tuple]:
+    """The q**depth graph points over the rank-depth cylinder left endpoints,
+    in lexicographic base order, each coordinate made by coord(num, den).
 
-    ends are the q**depth + 1 cylinder boundaries in order, so ends[i] is the
-    lower end of base i and ends[q**depth] == scale.  The lists are built one
-    position at a time from the last, the suffix recurrence
-    lo(d1...dn) = beta[d1] * D**(n-1) + p[d1] * lo(d2...dn) with the first
-    digit outermost; idx[i], the lexicographic index of base i's flipped base,
-    is built alongside, with the digit order reversed at a flipped position.
-    The point's y is the flipped base's lower end plus its width times t, the
-    flipped zero tail from position depth + 1.  When t is 0 or 1 that is
-    ends[idx[i] + t]: ys is the very list ends, which tells callers that every
-    y is an x or 1, and at is idx shifted by t.  Otherwise ys[j] is base j's
-    lower end plus width times t, over y_den = scale * t_den, and at is idx."""
+    ends, the q**depth + 1 cylinder ends over scale = D**depth, follow the
+    suffix recurrence lo(d1...dn) = beta[d1] * D**(n-1) + p[d1] * lo(d2...dn),
+    one position at a time from the last; at[i], the index j of base i's
+    flipped base, is built alongside, the digit order reversed at a flipped
+    position.  A point's y is base j's lower end plus its width times t =
+    t_num / t_den, the flipped zero tail past the depth.  The cylinders are
+    adjacent, so that is ends[j] * (t_den - t_num) + ends[j+1] * t_num over
+    scale * t_den, or, when t is 0 or 1, the x of ends[j + t]: then at is
+    shifted by t, and each distinct value is made once."""
     depth = _as_int(depth, "depth", 0)
     pv = system.pv
     q = pv.q
@@ -82,21 +80,20 @@ def _graph_numerators(system: FlipSystem, depth: int, budget: int = DEFAULT_BUDG
     tail = eval_flip(DigitSeq((), q), system, offset=depth).value
     t_num, t_den = tail.numerator, tail.denominator
     den, beta, p = pv.int_table
-    lo, width, at = [0], [1], [t_num if t_den == 1 else 0]
+    ends, at = [0], [t_num if t_den == 1 else 0]
     scale = size = 1
     for k in range(depth, 0, -1):
         # the lists hold the suffixes at positions k+1..depth; put each digit of position k in front
-        lo = [b * scale + c * x for b, c in zip(beta, p) for x in lo]
-        if t_den != 1:
-            width = [c * w for c in p for w in width]
+        ends = [b * scale + c * x for b, c in zip(beta, p) for x in ends]
         flipped = range(q - 1, -1, -1) if system.flips.contains(k) else range(q)
         at = [f * size + j for f in flipped for j in at]
         scale *= den
         size *= q
-    if t_den == 1:
-        lo.append(scale)
-        return lo, scale, lo, scale, at
-    return lo, scale, [x * t_den + w * t_num for x, w in zip(lo, width)], scale * t_den, at
+    ends.append(scale)
+    xs = [coord(x, scale) for x in ends]
+    keep, y_den = t_den - t_num, scale * t_den
+    ys = xs if t_den == 1 else [coord(lo * keep + hi * t_num, y_den) for lo, hi in zip(ends, ends[1:])]
+    return [(x, ys[j]) for x, j in zip(xs, at)]
 
 
 def ifs_graph_points(system: FlipSystem, depth: int, budget: int = DEFAULT_BUDGET) -> list[tuple[Fraction, Fraction]]:
@@ -105,19 +102,11 @@ def ifs_graph_points(system: FlipSystem, depth: int, budget: int = DEFAULT_BUDGE
     For flips none or all these are the depth-fold compositions of the affine
     maps applied to the seed (0, g(0)).  Any flip set works: the point over a
     cylinder is its image's lower end plus the image width times the value
-    of the flipped zero tail from position depth + 1.
-
-    When the flipped zero tail is worth 0 or 1 (flips none or all, a finite
-    set ending by the depth, a mask constant from there) every y is the x of
-    another cylinder or 1, and each distinct value is one Fraction: for flips
-    none every y is its x.  Any other tail has a denominator t_den > 1, its y
-    values are almost never another coordinate, and each point is built on
-    its own.  Every coordinate is a reduced integer pair (_lowest_terms)."""
-    ends, scale, ys, y_den, at = _graph_numerators(system, depth, budget)
-    if ys is not ends:
-        return [(_lowest_terms(x, scale), _lowest_terms(ys[j], y_den)) for x, j in zip(ends, at)]
-    built = [_lowest_terms(x, scale) for x in ends]
-    return list(zip(built, map(built.__getitem__, at)))
+    of the flipped zero tail from position depth + 1.  Each coordinate is
+    a reduced Fraction; when that tail is worth 0 or 1 (flips none or all, a
+    finite set ending by the depth) each distinct value is one Fraction, so
+    for flips none every y is its x."""
+    return _graph_points(system, depth, budget, _lowest_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +148,9 @@ def _group_count(system: FlipSystem, rank: int) -> int:
     return math.comb(flipped + q - 1, q - 1) * math.comb(rank - flipped + q - 1, q - 1)
 
 
-def _rectangle_groups(system: FlipSystem, rank: int, budget: int) -> tuple[list[tuple[int, int]], int]:
+def _rectangle_groups(system: FlipSystem, rank: int, budget: int, coord) -> list[tuple[int, object]]:
     """The rank-r rectangles grouped by digit counts, as (multiplicity,
-    diag_sq numerator) pairs over the common denominator D**(2*rank).
+    diag_sq) pairs, diag_sq made by coord(num, den) over den = D**(2*rank).
 
     A rectangle's sides depend only on the digit counts m over the a flipped
     positions up to the rank and n over the b = rank - a unflipped ones:
@@ -175,10 +164,11 @@ def _rectangle_groups(system: FlipSystem, rank: int, budget: int) -> tuple[list[
         raise BudgetExceeded(f"{groups} rectangle groups at rank {rank} exceed budget {budget}")
     flipped = _flipped_upto(system.flips, rank)
     den, _, p = system.pv.int_table
+    scale = den ** (2 * rank)
     # side products are integers over D**rank; a flipped position reads the complement's weight
     sides = [(mult, x * x + y * y) for mult, x, y in _count_groups(flipped, p, p[::-1])]
     plain = [(mult, w * w) for mult, w, _ in _count_groups(rank - flipped, p, p)]
-    return [(m * n, s * w) for m, s in sides for n, w in plain], den ** (2 * rank)
+    return [(m * n, coord(s * w, scale)) for m, s in sides for n, w in plain]
 
 
 def rectangle_diagonals_sq(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, Fraction]]:
@@ -186,8 +176,13 @@ def rectangle_diagonals_sq(system: FlipSystem, rank: int, budget: int = DEFAULT_
     as (multiplicity, diag_sq) pairs, one per digit-count group (see
     _rectangle_groups): the multiplicities add up to q**rank.  A diagonal may
     recur across groups.  The budget caps the groups built."""
-    groups, scale = _rectangle_groups(system, rank, budget)
-    return [(mult, _lowest_terms(num, scale)) for mult, num in groups]
+    return _rectangle_groups(system, rank, budget, _lowest_terms)
+
+
+def _entropy(diags, alpha: float) -> float:
+    """Sum of mult * diag_sq**(alpha/2) over float (multiplicity, diag_sq) pairs."""
+    half = alpha / 2.0
+    return math.fsum(mult * d2 ** half for mult, d2 in diags)
 
 
 def entropy_sum(system: FlipSystem, alpha, rank: int, budget: int = DEFAULT_BUDGET) -> float:
@@ -203,9 +198,7 @@ def entropy_sum(system: FlipSystem, alpha, rank: int, budget: int = DEFAULT_BUDG
     if not 0 <= alpha < math.inf:
         raise InvalidArgument(f"alpha must be finite and >= 0, got {alpha}")
     rank = _as_int(rank, "rank", 1)
-    half = alpha / 2.0
-    groups, scale = _rectangle_groups(system, rank, budget)
-    return math.fsum(mult * (num / scale) ** half for mult, num in groups)
+    return _entropy(_rectangle_groups(system, rank, budget, truediv), alpha)
 
 
 def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BUDGET) -> dict[int, float]:
@@ -231,21 +224,15 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
         raise BudgetExceeded(f"{groups} rectangle groups over {len(ranks)} ranks exceed budget {budget}")
     out: dict[int, float] = {}
     for rank in ranks:
-        groups, scale = _rectangle_groups(system, rank, budget)
-        diags = [(mult, num / scale) for mult, num in groups]
-
-        def total(alpha: float) -> float:
-            half = alpha / 2.0
-            return math.fsum(mult * d2 ** half for mult, d2 in diags)
-
+        diags = _rectangle_groups(system, rank, budget, truediv)
         lo, hi = 0.0, 1.0
-        while total(hi) > ENTROPY_THRESHOLD and hi < 64.0:
+        while _entropy(diags, hi) > ENTROPY_THRESHOLD and hi < 64.0:
             hi *= 2.0
         for _ in range(64):
             mid = (lo + hi) / 2.0
             if mid == lo or mid == hi:
                 break  # a fixed point: every further halving leaves (lo + hi) / 2 at mid
-            if total(mid) > ENTROPY_THRESHOLD:
+            if _entropy(diags, mid) > ENTROPY_THRESHOLD:
                 lo = mid
             else:
                 hi = mid

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from probdigits import FlipSet, FlipSystem, ifs_graph_points, make_prob_vector
-from probdigits.cli import build_parser, main
+from probdigits.cli import build_parser, main, q_str
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -192,6 +192,21 @@ def test_graph_float_rows_are_the_floats_of_the_exact_points(capsys, flips):
         _, rows = run_csv(capsys, "graph", "--p", p, "--flips", flips, "--depth", "6")
         points = ifs_graph_points(FlipSystem(make_prob_vector(p.split(",")), FlipSet.parse(flips)), 6)
         assert [[float(x), float(y)] for x, y in rows] == [[float(x), float(y)] for x, y in points]
+
+
+@pytest.mark.parametrize("p, flips, depth", [("1/4,3/4", "mask:;01", 3), ("1/4,3/4", "mask:;01", 4),
+                                            ("1/5,3/10,1/2", "mask:;01", 3), ("1/5,3/10,1/2", "mask:;01", 4),
+                                            ("1/5,3/10,1/2", "mask:1;011", 3)])
+def test_graph_exact_rows_past_a_tail_worth_neither_0_nor_1(capsys, p, flips, depth):
+    pv = make_prob_vector(p.split(","))
+    points = ifs_graph_points(FlipSystem(pv, FlipSet.parse(flips)), depth)
+    # some y is no cylinder end: its denominator does not divide D**depth
+    assert any(pv.den ** depth % y.denominator for _, y in points)
+    expected = [[q_str(x), q_str(y)] for x, y in points]
+    argv = ["graph", "--p", p, "--flips", flips, "--depth", str(depth), "--exact"]
+    header, rows = run_csv(capsys, *argv, "--format", "csv")
+    assert header == ["x", "y"] and rows == expected
+    assert run_json(capsys, *argv, "--format", "json") == [{"x": x, "y": y} for x, y in expected]
 
 
 def test_graph_deterministic(capsys):

@@ -94,6 +94,25 @@ def test_graph_points_build_each_value_once(pv3):
     assert len({id(value) for point in pts for value in point}) == 3**4 + 1
 
 
+@pytest.mark.parametrize("flips, depth, tail_is_0_or_1", [
+    (FlipSet.none(), 4, True), (FlipSet.all(), 4, True), (FlipSet.finite([2]), 4, True),
+    (FlipSet.finite([2]), 1, False), (FlipSet.mask((), (False, True)), 4, False),
+    (FlipSet.mask((True,), (False, True, True)), 3, False),
+])
+def test_graph_points_make_each_coordinate_once(pv3, flips, depth, tail_is_0_or_1):
+    # one coord per cylinder boundary, plus one per point's y when the tail is worth neither 0 nor 1
+    calls = []
+
+    def coord(num, den):
+        calls.append((num, den))
+        return Fraction(num, den)
+
+    system = FlipSystem(pv3, flips)
+    points = fractal._graph_points(system, depth, fractal.DEFAULT_BUDGET, coord)
+    assert points == ifs_graph_points(system, depth)
+    assert len(calls) == (1 if tail_is_0_or_1 else 2) * 3**depth + 1
+
+
 def test_cylinder_images_match_per_base_fractions():
     # the integer walk kept as the test oracle against per-base Fraction
     # arithmetic, in lexicographic order
