@@ -26,6 +26,7 @@ from .core import (
     _as_int,
     _as_point,
     _check_digits,
+    _lowest_terms,
     _walk,
     as_fraction,
     cylinder_bounds,
@@ -67,10 +68,11 @@ def jump_at(x0, system: FlipSystem, max_depth: int = 128) -> JumpReport:
     """
     max_depth = _as_int(max_depth, "max_depth", 0)
     x0 = _as_point(x0)
-    if x0 == 0 or x0 == 1:
+    a, b = x0.numerator, x0.denominator
+    if a == 0 or a == b:
         raise EndpointOneSided(f"{x0} admits only a one-sided limit")
     pv = system.pv
-    digits, end, _, _ = _walk(x0.numerator, x0.denominator, pv.int_table, max_depth, watch=True)
+    digits, end, _, _ = _walk(a, b, pv.int_table, max_depth, watch=True)
     if end is not PointKind.P_RATIONAL:
         raise NotPRational(f"{x0} is {end.value} at depth {max_depth}")
     q = pv.q
@@ -165,9 +167,9 @@ def derivative_estimate(prefix: Sequence[int], system: FlipSystem, max_rank: int
 
     The denominators D of the weights cancel in the ratio, so it is kept as
     two integer products of the numerators in pv.int_table, over the flipped
-    and over the plain digits, with one Fraction per rank.  Where the flipped
-    digit is the digit itself the ratio does not change, and its Fraction is
-    reused."""
+    and over the plain digits, with one Fraction per rank, built from the
+    reduced pair.  Where the flipped digit is the digit itself the ratio
+    does not change, and its Fraction is reused."""
     max_rank = _as_int(max_rank, "max_rank", 1)
     pv = system.pv
     digits = _check_digits(prefix, pv.q)
@@ -177,12 +179,12 @@ def derivative_estimate(prefix: Sequence[int], system: FlipSystem, max_rank: int
     top = pv.q - 1
     ratios = []
     image = plain = 1
-    ratio = Fraction(1)
+    ratio = _lowest_terms(1, 1)
     for d, flipped in zip(digits[:max_rank], system.flips.bits()):
         if flipped and d != top - d:
             image *= p[top - d]
             plain *= p[d]
-            ratio = Fraction(image, plain)
+            ratio = _lowest_terms(image, plain)
         ratios.append(ratio)
     return DerivativeTrace(digits=digits, ratios=tuple(ratios))
 
@@ -299,8 +301,11 @@ def integral_series(system: FlipSystem, tol=Fraction(1, 10**12)) -> Enclosure:
     <= tol.  That k is estimated with floating-point logs from the flip bits;
     when the estimate exceeds DEFAULT_BUDGET, the call refuses before
     summing.  The tail bound falls strictly with k, so the estimate is then
-    confirmed exactly: the test holds at k and fails at k - 1 (or k = 1),
-    stepping up or down while the estimate is off."""
+    confirmed exactly: the test holds at k and fails at k - 1 (or k = 1).
+    The series is summed once, at the estimate; the sums at k - 1 and k + 1
+    follow from those at k by one exact integer step (the test itself reads
+    only the weight product and the scale), so a wrong estimate is walked
+    off one term at a time."""
     tol = as_fraction(tol)
     if tol <= 0:
         raise InvalidArgument(f"tol must be positive, got {tol}")
@@ -314,25 +319,34 @@ def integral_series(system: FlipSystem, tol=Fraction(1, 10**12)) -> Enclosure:
     if k > DEFAULT_BUDGET:
         raise BudgetExceeded(f"about {k} series terms to reach tol {tol} exceed budget {DEFAULT_BUDGET}")
 
-    def stops(sums: tuple[int, int, int]) -> bool:
+    def stops(weight: int, scale: int) -> bool:
         # the tail bound v_max * W / (1 - w_max) is v_max * weight / (scale * closure)
-        _, weight, scale = sums
         return v_max * weight * tol.denominator <= tol.numerator * scale * closure
 
-    sums = _partial_sum(system, terms, k)
-    if stops(sums):
+    def term(j: int) -> tuple[int, int]:
+        # the (v, w) numerators _partial_sum folds in at position j
+        return (terms[1], terms[3]) if system.flips.contains(j) else (terms[0], terms[2])
+
+    den_sq = system.pv.den ** 2
+    total, weight, scale = _partial_sum(system, terms, k)
+    if stops(weight, scale):
+        # position k took (T, W) to (T*D2 + v*W, W*w): undo it while k - 1 stops
         while k > 1:
-            before = _partial_sum(system, terms, k - 1)
-            if not stops(before):
+            v, w = term(k)
+            before = weight // w
+            if not stops(before, scale // den_sq):
                 break
-            k, sums = k - 1, before
+            total = (total - v * before) // den_sq
+            k, weight, scale = k - 1, before, scale // den_sq
     else:
-        while not stops(sums):
+        while not stops(weight, scale):
             k += 1
-            sums = _partial_sum(system, terms, k)
-    total, weight, scale = sums
+            v, w = term(k)
+            total = total * den_sq + v * weight
+            weight *= w
+            scale *= den_sq
     tail = v_max * weight
-    return Enclosure(Fraction(total, scale), Fraction(total * closure + tail, scale * closure))
+    return Enclosure._ordered(_lowest_terms(total, scale), _lowest_terms(total * closure + tail, scale * closure))
 
 
 def integral_riemann(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET) -> Enclosure:
@@ -349,7 +363,7 @@ def integral_riemann(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET
     if pv.q ** rank > budget:
         raise RankTooLarge(f"{pv.q}**{rank} exceeds budget {budget}")
     lower, weight, scale = _partial_sum(system, _expected_terms(pv), rank)
-    return Enclosure(Fraction(lower, scale), Fraction(lower + weight, scale))
+    return Enclosure._ordered(_lowest_terms(lower, scale), _lowest_terms(lower + weight, scale))
 
 
 def cylinder_image(base: Sequence[int], system: FlipSystem) -> tuple[Cylinder, Enclosure]:

@@ -74,9 +74,11 @@ def _as_int(n, name: str, minimum: int | None = None) -> int:
 
 def _as_point(x) -> Fraction:
     """A point argument as Fraction (see as_fraction); a value outside [0, 1]
-    is OutOfUnitInterval."""
+    is OutOfUnitInterval.  The bounds are tested on the integer pair: a
+    Fraction's denominator is positive."""
     x = as_fraction(x)
-    if x < 0 or x > 1:
+    num = x.numerator
+    if num < 0 or num > x.denominator:
         raise OutOfUnitInterval(f"{x} not in [0, 1]")
     return x
 
@@ -137,6 +139,42 @@ class IntTable(NamedTuple):
     p: tuple[int, ...]
 
 
+#: encode's walk reads k digits per block step, k the largest with q**k at
+#: most this: the block table holds q**k cylinders
+_BLOCK_CELLS = 256
+
+
+class _Blocks(NamedTuple):
+    """The rank-k cylinders of a vector in lexicographic order, for the block
+    step of _walk: cylinder i is [lefts[i], lefts[i] + weights[i]) / scale
+    with scale = D**k, and its digits are words[i*k:(i+1)*k]."""
+
+    k: int
+    scale: int
+    lefts: tuple[int, ...]
+    weights: tuple[int, ...]
+    words: bytes
+
+
+def _blocks_of(table: IntTable) -> _Blocks | tuple[()]:
+    """The block table of a vector's IntTable, by the recurrence of _forward
+    one rank at a time; () when a block would hold fewer than two digits."""
+    den, beta, p = table
+    q = len(p)
+    k = 1
+    while q ** (k + 1) <= _BLOCK_CELLS:
+        k += 1
+    if k < 2:
+        return ()
+    lefts, weights, words = [0], [1], [b""]
+    cells = range(q)
+    for _ in range(k):
+        lefts = [left * den + beta[c] * w for left, w in zip(lefts, weights) for c in cells]
+        weights = [w * p[c] for w in weights for c in cells]
+        words = [word + bytes((c,)) for word in words for c in cells]
+    return _Blocks(k, den ** k, tuple(lefts), tuple(weights), b"".join(words))
+
+
 class ProbVector:
     """Digit weights p (all positive, summing to 1) plus their cumulative sums.
 
@@ -147,10 +185,12 @@ class ProbVector:
     The weights are coerced and checked, beta must be their running sum, and
     den, the least common denominator D of the weights (every p[c] and
     beta[c] is an integer over D), and int_table, the numerators of beta and
-    p over D, are computed, all when the vector is built.
+    p over D, are computed, all when the vector is built.  The block table
+    of encode (see _walk) is built on the vector's first encode and kept in
+    a private slot.
     """
 
-    __slots__ = ("p", "beta", "den", "int_table")
+    __slots__ = ("p", "beta", "den", "int_table", "_blocks")
 
     def __init__(self, p: Iterable[RationalLike], beta: Sequence[RationalLike]):
         self._fill(p)
@@ -178,6 +218,15 @@ class ProbVector:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "int_table", IntTable(
             den, tuple([int(b * den) for b in beta]), tuple([int(w * den) for w in p])))
+        object.__setattr__(self, "_blocks", None)
+
+    def _block_table(self) -> _Blocks | tuple[()]:
+        """The block table of encode's walk, built on first use."""
+        blocks = self._blocks
+        if blocks is None:
+            blocks = _blocks_of(self.int_table)
+            object.__setattr__(self, "_blocks", blocks)
+        return blocks
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ProbVector is immutable: cannot assign {name!r}")
@@ -399,7 +448,7 @@ def eval_digits(seq: DigitSeq, pv: ProbVector) -> Fraction:
 # Encoding and the shift map
 # ---------------------------------------------------------------------------
 
-def _walk(a: int, b: int, table: IntTable, steps: int, watch: bool = False):
+def _walk(a: int, b: int, table: IntTable, steps: int, watch: bool = False, blocks=()):
     """The shift orbit of the reduced state a/b in [0, 1): at most `steps`
     steps, stopping at state 0 or, when `watch` is set, at the first state
     that repeats an earlier one.
@@ -417,10 +466,38 @@ def _walk(a: int, b: int, table: IntTable, steps: int, watch: bool = False):
     gcd(n, b*p[c]) = gcd(n, gcd(n, b)*p[c]) (compare prime valuations), so
     the common factor is gcd(n, m) with m = gcd(D, b mod D)*p[c] <= D**2.
     Every state is the pair a reduced Fraction holds, except that state 0
-    is (0, b*p[c] // m); a caller stops there or builds Fraction(a, b)."""
+    is (0, b*p[c] // m); a caller stops there or reduces (a, b).
+
+    Given a vector's block table (ProbVector._block_table) and no `watch`,
+    the walk first takes k steps at a time, one rank-k cylinder per step:
+    its index i is the largest with lefts[i] <= a*D**k // b, the next state
+    is n / (b*W) with n = a*D**k - lefts[i]*b and W = weights[i], and the
+    common factor is gcd(n, m) with m = gcd(D**k, b mod D**k)*W, as above
+    with D**k for D.  A block that lands on state 0 is redone one step at a
+    time, so the walk stops where the single steps stop and ends on their
+    pair; the last steps % k steps are single steps too.  A watched walk
+    keeps one state per step, since a state repeated inside a block would
+    be missed."""
     den, beta, p = table
     q = len(p)
     digits = []
+    if blocks and not watch:
+        k, scale, lefts, weights, words = blocks
+        cells = len(lefts)
+        while steps >= k:
+            scaled = a * scale
+            i = bisect_right(lefts, scaled // b, 1, cells) - 1
+            n = scaled - lefts[i] * b
+            if n == 0:
+                break
+            w = weights[i]
+            m = gcd(scale, b % scale) * w
+            g = gcd(m, n % m)
+            a = n // g
+            b = b * w // g
+            start = i * k
+            digits += words[start:start + k]
+            steps -= k
     seen = set()
     for _ in range(steps):
         if a == 0:
@@ -458,9 +535,10 @@ def encode(x, pv: ProbVector, depth: int = 32) -> DigitSeq:
     depth = _as_int(depth, "depth", 0)
     x = _as_point(x)
     q = pv.q
-    if x == 1:
+    a, b = x.numerator, x.denominator
+    if a == b:
         return DigitSeq._trusted((q - 1,), q, (q - 1,))
-    digits = _walk(x.numerator, x.denominator, pv.int_table, depth)[0]
+    digits = _walk(a, b, pv.int_table, depth, blocks=pv._block_table())[0]
     return DigitSeq._trusted(tuple(digits), q, (0,))
 
 
@@ -475,10 +553,11 @@ def shift_digits(seq: DigitSeq, n: int = 1) -> DigitSeq:
 def shift_value(x, pv: ProbVector) -> Fraction:
     """One application of the shift: (x - beta[d1]) / p[d1] with d1 from encode."""
     x = _as_point(x)
-    if x == 1:
-        return Fraction(1)
-    _, _, a, b = _walk(x.numerator, x.denominator, pv.int_table, 1)
-    return Fraction(a, b)
+    a, b = x.numerator, x.denominator
+    if a == b:
+        return _lowest_terms(1, 1)
+    _, _, a, b = _walk(a, b, pv.int_table, 1)
+    return _lowest_terms(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +598,7 @@ def cylinder_bounds(base: Sequence[int], pv: ProbVector) -> Cylinder:
     digits = _check_digits(base, pv.q)
     num, weight = _forward(pv, digits)
     scale = pv.den ** len(digits)
-    return Cylinder(base=digits, pv=pv, lo=Fraction(num, scale), hi=Fraction(num + weight, scale))
+    return Cylinder(base=digits, pv=pv, lo=_lowest_terms(num, scale), hi=_lowest_terms(num + weight, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +626,10 @@ def classify(x, pv: ProbVector, max_depth: int = 64) -> PointClass:
     """
     max_depth = _as_int(max_depth, "max_depth", 0)
     x = _as_point(x)
-    if x == 1:
+    a, b = x.numerator, x.denominator
+    if a == b:
         return PointClass(PointKind.P_RATIONAL)
-    end = _walk(x.numerator, x.denominator, pv.int_table, max_depth, watch=True)[1]
+    end = _walk(a, b, pv.int_table, max_depth, watch=True)[1]
     if end is PointKind.UNDETERMINED:
         return PointClass(end, depth=max_depth)
     return PointClass(end)
@@ -571,12 +651,12 @@ def bernoulli_cdf(x, pv: ProbVector) -> Fraction:
     BudgetExceeded in O(1) memory.
     """
     x = as_fraction(x)
-    if x < 0:
-        return Fraction(0)
-    if x >= 1:
-        return Fraction(1)
-    q = pv.q
     num, den = x.numerator, x.denominator
+    if num < 0:
+        return _lowest_terms(0, 1)
+    if num >= den:
+        return _lowest_terms(1, 1)
+    q = pv.q
     rest = den
     preperiod = 0
     while (g := gcd(rest, q)) > 1:
@@ -622,7 +702,12 @@ class Enclosure(_EnclosureFields):
 
     def __new__(cls, lo: Fraction, hi: Fraction):
         if lo > hi:
-            raise ValueError(f"empty enclosure [{lo}, {hi}]")
+            raise InvalidArgument(f"empty enclosure [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi))
+
+    @classmethod
+    def _ordered(cls, lo: Fraction, hi: Fraction) -> "Enclosure":
+        """An enclosure whose lo <= hi holds by construction: no order check."""
         return tuple.__new__(cls, (lo, hi))
 
     @classmethod
@@ -647,7 +732,7 @@ class Enclosure(_EnclosureFields):
     @property
     def value(self) -> Fraction:
         if not self.is_exact:
-            raise ValueError(f"enclosure [{self.lo}, {self.hi}] is not a point")
+            raise InvalidArgument(f"enclosure [{self.lo}, {self.hi}] is not a point")
         return self.lo
 
     def midpoint(self) -> Fraction:

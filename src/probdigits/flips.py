@@ -18,7 +18,7 @@ from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, ProbVector, _as_int, _as_position, _forward, _horner
-from .core import _same_alphabet
+from .core import _lowest_terms, _same_alphabet
 from .errors import BudgetExceeded, FlipSpecError
 
 
@@ -278,7 +278,7 @@ def flip_image(base: Sequence[int], system: FlipSystem, offset: int = 0) -> Encl
     # the flipped digits are the library's own: no second check
     num, weight = _forward(pv, flipped)
     scale = pv.den ** len(flipped)
-    return Enclosure(Fraction(num, scale), Fraction(num + weight, scale))
+    return Enclosure._ordered(_lowest_terms(num, scale), _lowest_terms(num + weight, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,8 @@ def eval_nega(seq: DigitSeq, pv: ProbVector) -> Enclosure:
     series is num / D**k and the correction odd / D**k.  Positions
     head + 1 .. head + span (span = lcm(len(tail), 2), even) repeat forever,
     so both pieces close over D**span - c_weight with c_weight / D**span the
-    product of one period's weights.  One Fraction is built at the end.
+    product of one period's weights.  One Fraction is built at the end,
+    from the reduced pair.
     """
     _same_alphabet(seq, pv)
     den, beta, p = pv.int_table
@@ -334,4 +335,5 @@ def eval_nega(seq: DigitSeq, pv: ProbVector) -> Enclosure:
     # first / D + (num + odd) / D**head + weight * (c_num + c_odd) / (D**head * closure)
     scale = den ** (head - 1)
     total = (first * scale + num + odd) * closure + weight * (c_num + c_odd)
-    return Enclosure.point(Fraction(total, scale * den * closure))
+    value = _lowest_terms(total, scale * den * closure)
+    return Enclosure._ordered(value, value)

@@ -387,6 +387,6 @@ def covering_measure(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET) -
     rank = _as_int(rank, "rank", 1)
     automaton = _moran_automaton(spec)
     if not automaton:
-        return Fraction(0)
+        return _lowest_terms(0, 1)
     den, _, p = spec.pv.int_table
-    return Fraction(sum(_run_sums(automaton, rank, budget, p)), den ** rank)
+    return _lowest_terms(sum(_run_sums(automaton, rank, budget, p)), den ** rank)

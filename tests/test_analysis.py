@@ -30,7 +30,7 @@ from probdigits import (
     monotone_witness,
     p_rationals,
 )
-from conftest import ASYM_VECTORS, integral_series_by_fractions
+from conftest import ASYM_VECTORS, integral_series_by_fractions, series_by_fractions
 
 
 # ---------------------------------------------------------------------------
@@ -324,3 +324,24 @@ def test_integral_series_respects_tolerance(asym2):
     for tol in (0, Fraction(-1, 10)):
         with pytest.raises(InvalidArgument):
             integral_series(FlipSystem(asym2, FlipSet.all()), tol)
+
+
+@pytest.mark.parametrize("miss", [-3, 3])
+@pytest.mark.parametrize("spec", ["none", "all", "finite:2,5", "mask:;01", "mask:1;011"])
+def test_integral_series_confirms_its_stop_from_a_wrong_estimate(monkeypatch, spec, miss):
+    # an estimate 3 terms short runs the upward loop, 3 terms long the
+    # downward confirmation; both must end on the Fraction loop's sum
+    system = FlipSystem(make_prob_vector(["2/7", "3/11", "34/77"]), FlipSet.parse(spec))
+    tol = Fraction(1, 10**12)
+    lo, hi, terms = series_by_fractions(system, tol)
+    assert terms > 3
+    estimates = []
+
+    def wrong_length(*args):
+        estimates.append(terms + miss)
+        return terms + miss
+
+    monkeypatch.setattr(analysis, "_series_length", wrong_length)
+    enc = integral_series(system, tol)
+    assert estimates == [terms + miss]
+    assert (enc.lo, enc.hi) == (lo, hi)

@@ -11,6 +11,7 @@ from probdigits import (
     BudgetExceeded,
     DigitOutOfRange,
     DigitSeq,
+    Enclosure,
     EndpointOneSided,
     FlipSet,
     FlipSpecError,
@@ -54,7 +55,16 @@ from probdigits import (
     shift_value,
 )
 from probdigits import core
-from conftest import ASYM_VECTORS, random_fraction, random_seq
+from conftest import (
+    ASYM_VECTORS,
+    cylinder_by_fractions,
+    eval_nega_by_fractions,
+    integral_series_by_fractions,
+    orbit_by_fractions,
+    random_fraction,
+    random_seq,
+    riemann_by_walk,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +356,59 @@ def test_classify_examples(pv3, uniform2):
     assert classify(0, pv3, 16).kind is PointKind.P_RATIONAL
     assert classify(1, pv3, 16).kind is PointKind.P_RATIONAL
     assert classify(Fraction(1, 3), uniform2, 16).kind is PointKind.P_IRRATIONAL
+
+
+COPRIME3 = make_prob_vector(["2/7", "3/11", "34/77"])
+MASKED3 = FlipSystem(COPRIME3, FlipSet.parse("mask:1;011"))
+BASE3 = (2, 0, 1, 1, 2, 0)
+FLIPPED3 = tuple(2 - d if MASKED3.flips.contains(k) else d for k, d in enumerate(BASE3, start=1))
+MORAN4 = MoranSpec(make_prob_vector(["1/8", "1/4", "3/8", "1/4"]), 1)
+
+
+def derivative_by_fractions(base, system, rank):
+    ratios, ratio = [], Fraction(1)
+    for k, d in enumerate(base[:rank], start=1):
+        flipped = system.pv.q - 1 - d if system.flips.contains(k) else d
+        ratio *= system.pv.p[flipped] / system.pv.p[d]
+        ratios.append(ratio)
+    return tuple(ratios)
+
+
+#: (id, call returning a tuple of Fractions, the same values built by
+#: Fraction arithmetic) for each function that builds its results with
+#: core._lowest_terms
+REDUCED = [
+    ("shift-value", lambda: (shift_value(Fraction(5, 13), COPRIME3),),
+     lambda: (orbit_by_fractions(Fraction(5, 13), COPRIME3, 1)[1][1],)),
+    ("shift-value-state-0", lambda: (shift_value(Fraction(2, 7), COPRIME3),), lambda: (Fraction(0),)),
+    ("shift-value-one", lambda: (shift_value(1, COPRIME3),), lambda: (Fraction(1),)),
+    ("cylinder-bounds", lambda: cylinder_bounds(BASE3, COPRIME3)[2:], lambda: cylinder_by_fractions(BASE3, COPRIME3)),
+    ("flip-image", lambda: tuple(flip_image(BASE3, MASKED3)), lambda: cylinder_by_fractions(FLIPPED3, COPRIME3)),
+    ("eval-nega", lambda: tuple(eval_nega(DigitSeq(BASE3, 3, (0, 1, 2)), COPRIME3)),
+     lambda: (eval_nega_by_fractions(DigitSeq(BASE3, 3, (0, 1, 2)), COPRIME3),) * 2),
+    ("derivative-estimate", lambda: derivative_estimate(BASE3, MASKED3, 6).ratios,
+     lambda: derivative_by_fractions(BASE3, MASKED3, 6)),
+    ("integral-series", lambda: tuple(integral_series(MASKED3, Fraction(1, 10**9))),
+     lambda: integral_series_by_fractions(MASKED3, Fraction(1, 10**9))),
+    ("integral-riemann", lambda: tuple(integral_riemann(MASKED3, 5)), lambda: riemann_by_walk(MASKED3, 5)),
+    ("covering-measure", lambda: (covering_measure(MORAN4, 6),),
+     lambda: (sum((hi - lo for lo, hi in (cylinder_by_fractions(b, MORAN4.pv)
+                                          for b in moran_set_cylinders(MORAN4, 6))), Fraction(0)),)),
+    ("covering-measure-zero", lambda: (covering_measure(MoranSpec(ProbVector.uniform(2), 1), 3),),
+     lambda: (Fraction(0),)),
+]
+
+
+@pytest.mark.parametrize("call, expected", [row[1:] for row in REDUCED], ids=[row[0] for row in REDUCED])
+def test_results_are_reduced_fractions(call, expected):
+    values, oracle = call(), expected()
+    assert len(values) == len(oracle)
+    for value, want in zip(values, oracle):
+        # exactly a Fraction, in lowest terms over a positive denominator, and
+        # the pair that the constructor builds from the same value
+        assert type(value) is Fraction
+        assert value.denominator > 0 and math.gcd(value.numerator, value.denominator) == 1
+        assert (value.numerator, value.denominator) == (want.numerator, want.denominator)
 
 
 def test_walk_states_stay_reduced_on_a_periodic_orbit():
@@ -723,6 +786,12 @@ REFUSALS = [
     ("cylinder-two-digits", lambda: cylinder_bounds((5, "x"), PLAIN2.pv), DigitOutOfRange, "digit 5 not in [0, 1]"),
     ("shift-past-prefix", lambda: shift_digits(DigitSeq((1,), 2), 2), ShiftPastPrefix,
      "cannot drop 2 digits from a prefix of length 1"),
+    # enclosures
+    ("enclosure-empty", lambda: Enclosure(Fraction(1), Fraction(0)), InvalidArgument, "empty enclosure [1, 0]"),
+    ("enclosure-replace-empty", lambda: Enclosure(Fraction(0), Fraction(1, 2))._replace(lo=Fraction(3, 4)),
+     InvalidArgument, "empty enclosure [3/4, 1/2]"),
+    ("enclosure-value-of-interval", lambda: Enclosure(Fraction(1, 4), Fraction(1, 2)).value, InvalidArgument,
+     "enclosure [1/4, 1/2] is not a point"),
 ]
 
 

@@ -228,10 +228,10 @@ def test_encode_round_trips_on_p_rationals(case):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def family_vectors(draw, dens=(16, 64, 256, 77, 91, 143, 1001)):
-    """q in 2..5 weights over one of dens: by default a dyadic denominator
-    or a product of odd primes."""
-    q = draw(st.integers(2, 5))
+def family_vectors(draw, dens=(16, 64, 256, 77, 91, 143, 1001), qs=None):
+    """q in 2..5 (or drawn from qs) weights over one of dens: by default a
+    dyadic denominator or a product of odd primes."""
+    q = draw(st.sampled_from(qs)) if qs else draw(st.integers(2, 5))
     den = draw(st.sampled_from(dens))
     cuts = draw(st.lists(st.integers(1, den - 1), min_size=q - 1, max_size=q - 1, unique=True))
     edges = [0, *sorted(cuts), den]
@@ -364,6 +364,52 @@ def test_walk_states_are_the_reduced_fraction_orbit(case):
         expected = (WALK_DEPTH, PointKind.UNDETERMINED)
     walked, end, _, _ = _walk(x.numerator, x.denominator, table, WALK_DEPTH, watch=True)
     assert (len(walked), end) == expected
+
+
+# the bench's alphabets, over dyadic denominators and products of two odd primes
+block_vectors = family_vectors((16, 32, 64, 128, 256, 77, 91, 143), (2, 3, 5, 10))
+
+
+@st.composite
+def block_walks(draw):
+    """A vector, a point and a depth in 0 .. 4k - 1 for the block walk (k
+    digits per block): a walk_points point, or the value of a terminating
+    address of j digits, whose orbit reaches 0 after exactly j steps, with j
+    inside a block or at a block boundary."""
+    pv = draw(block_vectors)
+    k = pv._block_table().k
+    kind = draw(st.sampled_from(("other", "inside", "boundary")))
+    if kind == "other":
+        x = draw(walk_points(pv))
+    else:
+        whole = draw(st.integers(0, 3))
+        j = k * (whole + 1) if kind == "boundary" else k * whole + draw(st.integers(1, k - 1))
+        digit = st.integers(0, pv.q - 1)
+        digits = draw(st.lists(digit, min_size=j - 1, max_size=j - 1)) + [draw(st.integers(1, pv.q - 1))]
+        x = eval_digits(DigitSeq(digits, pv.q), pv)
+    return pv, x, draw(st.integers(0, 4 * k - 1))
+
+
+@given(block_walks())
+def test_block_walk_matches_single_steps_and_the_fraction_orbit(case):
+    pv, x, depth = case
+    table = pv.int_table
+    blocks = pv._block_table()
+    assert pv.q ** blocks.k <= 256 < pv.q ** (blocks.k + 1)
+    # repeated one-step walks, until state 0 or the depth
+    a, b = x.numerator, x.denominator
+    stepped = []
+    while len(stepped) < depth and a != 0:
+        step, _, a, b = _walk(a, b, table, 1)
+        stepped += step
+    end = PointKind.P_RATIONAL if a == 0 else PointKind.UNDETERMINED
+    assert _walk(x.numerator, x.denominator, table, depth, blocks=blocks) == (stepped, end, a, b)
+    assert encode(x, pv, depth).digits == tuple(stepped)
+    # the Fraction orbit reads the same digits and reaches the same state
+    digits, states = orbit_by_fractions(x, pv, depth)
+    assert stepped == digits[:len(stepped)]
+    state = states[len(stepped)]
+    assert a == 0 if state == 0 else (a, b) == (state.numerator, state.denominator)
 
 
 @given(systems_and_seqs(), st.integers(-1, 5), st.booleans())
