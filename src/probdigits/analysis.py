@@ -359,6 +359,7 @@ def integral_riemann(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET
     lower = sum_{k<=r} v_k prod_{j<k} w_j, upper = lower + prod_{k<=r} w_k.
     The cost is O(rank); the budget still caps q**rank."""
     rank = _as_int(rank, "rank", 1)
+    budget = _as_int(budget, "budget")
     pv = system.pv
     if pv.q ** rank > budget:
         raise RankTooLarge(f"{pv.q}**{rank} exceeds budget {budget}")

@@ -139,20 +139,18 @@ class IntTable(NamedTuple):
     p: tuple[int, ...]
 
 
-#: encode's walk reads k digits per block step, k the largest with q**k at
-#: most this: the block table holds q**k cylinders
+#: encode's walk reads k digits per step of its block table, k the largest
+#: with q**k at most this: the table holds q**k cylinders
 _BLOCK_CELLS = 256
 
 
 class _Blocks(NamedTuple):
-    """The rank-k cylinders of a vector in lexicographic order, for the block
-    step of _walk: cylinder i is [lefts[i], lefts[i] + weights[i]) / scale
-    with scale = D**k, and its digits are words[i*k:(i+1)*k]."""
+    """The q**k rank-k cylinders of a vector in lexicographic order, as the
+    letters of an IntTable over D**k for _walk; the digits of cylinder i are
+    words[i*k:(i+1)*k]."""
 
     k: int
-    scale: int
-    lefts: tuple[int, ...]
-    weights: tuple[int, ...]
+    table: IntTable
     words: bytes
 
 
@@ -172,7 +170,8 @@ def _blocks_of(table: IntTable) -> _Blocks | tuple[()]:
         lefts = [left * den + beta[c] * w for left, w in zip(lefts, weights) for c in cells]
         weights = [w * p[c] for w in weights for c in cells]
         words = [word + bytes((c,)) for word in words for c in cells]
-    return _Blocks(k, den ** k, tuple(lefts), tuple(weights), b"".join(words))
+    scale = den ** k
+    return _Blocks(k, IntTable(scale, (*lefts, scale), tuple(weights)), b"".join(words))
 
 
 class ProbVector:
@@ -186,8 +185,8 @@ class ProbVector:
     den, the least common denominator D of the weights (every p[c] and
     beta[c] is an integer over D), and int_table, the numerators of beta and
     p over D, are computed, all when the vector is built.  The block table
-    of encode (see _walk) is built on the vector's first encode and kept in
-    a private slot.
+    of encode is built on the vector's first encode and kept in a private
+    slot.
     """
 
     __slots__ = ("p", "beta", "den", "int_table", "_blocks")
@@ -448,7 +447,7 @@ def eval_digits(seq: DigitSeq, pv: ProbVector) -> Fraction:
 # Encoding and the shift map
 # ---------------------------------------------------------------------------
 
-def _walk(a: int, b: int, table: IntTable, steps: int, watch: bool = False, blocks=()):
+def _walk(a: int, b: int, table: IntTable, steps: int, watch: bool = False):
     """The shift orbit of the reduced state a/b in [0, 1): at most `steps`
     steps, stopping at state 0 or, when `watch` is set, at the first state
     that repeats an earlier one.
@@ -466,38 +465,10 @@ def _walk(a: int, b: int, table: IntTable, steps: int, watch: bool = False, bloc
     gcd(n, b*p[c]) = gcd(n, gcd(n, b)*p[c]) (compare prime valuations), so
     the common factor is gcd(n, m) with m = gcd(D, b mod D)*p[c] <= D**2.
     Every state is the pair a reduced Fraction holds, except that state 0
-    is (0, b*p[c] // m); a caller stops there or reduces (a, b).
-
-    Given a vector's block table (ProbVector._block_table) and no `watch`,
-    the walk first takes k steps at a time, one rank-k cylinder per step:
-    its index i is the largest with lefts[i] <= a*D**k // b, the next state
-    is n / (b*W) with n = a*D**k - lefts[i]*b and W = weights[i], and the
-    common factor is gcd(n, m) with m = gcd(D**k, b mod D**k)*W, as above
-    with D**k for D.  A block that lands on state 0 is redone one step at a
-    time, so the walk stops where the single steps stop and ends on their
-    pair; the last steps % k steps are single steps too.  A watched walk
-    keeps one state per step, since a state repeated inside a block would
-    be missed."""
+    is (0, b*p[c] // m); a caller stops there or reduces (a, b)."""
     den, beta, p = table
     q = len(p)
     digits = []
-    if blocks and not watch:
-        k, scale, lefts, weights, words = blocks
-        cells = len(lefts)
-        while steps >= k:
-            scaled = a * scale
-            i = bisect_right(lefts, scaled // b, 1, cells) - 1
-            n = scaled - lefts[i] * b
-            if n == 0:
-                break
-            w = weights[i]
-            m = gcd(scale, b % scale) * w
-            g = gcd(m, n % m)
-            a = n // g
-            b = b * w // g
-            start = i * k
-            digits += words[start:start + k]
-            steps -= k
     seen = set()
     for _ in range(steps):
         if a == 0:
@@ -531,15 +502,25 @@ def encode(x, pv: ProbVector, depth: int = 32) -> DigitSeq:
     which picks the zero-tail (upper cylinder) expansion at cell boundaries.
     If the shift orbit hits 0 the prefix stops there and the result is exact;
     otherwise the returned prefix names the depth-rank cylinder containing x.
-    """
+
+    The orbit is walked k digits per step over the vector's block table, to
+    the first block end at or past the depth, then cut to the depth.  A walk
+    that lands on state 0 drops its trailing zero digits, which the single
+    steps, stopping at 0, never read (see README, "Cost")."""
     depth = _as_int(depth, "depth", 0)
     x = _as_point(x)
     q = pv.q
     a, b = x.numerator, x.denominator
     if a == b:
         return DigitSeq._trusted((q - 1,), q, (q - 1,))
-    digits = _walk(a, b, pv.int_table, depth, blocks=pv._block_table())[0]
-    return DigitSeq._trusted(tuple(digits), q, (0,))
+    if blocks := pv._block_table():
+        k, table, words = blocks
+        cells, _, a, _ = _walk(a, b, table, -(-depth // k))
+        digits = b"".join([words[i * k:i * k + k] for i in cells])
+        if a == 0:
+            digits = digits.rstrip(b"\0")
+        return DigitSeq._trusted(tuple(digits[:depth]), q, (0,))
+    return DigitSeq._trusted(tuple(_walk(a, b, pv.int_table, depth)[0]), q, (0,))
 
 
 def shift_digits(seq: DigitSeq, n: int = 1) -> DigitSeq:

@@ -29,6 +29,21 @@ class FlipKind(Enum):
     MASK = "mask"
 
 
+def _mask_bits(entries: Iterable, label: str) -> tuple[bool, ...]:
+    """A mask's bits as a tuple of bools: each entry a bool, or an int equal
+    to 0 or 1; the first other entry is FlipSpecError."""
+    bits = tuple(entries)
+    for b in bits:
+        if b.__class__ is not bool:
+            break
+    else:
+        return bits
+    for col, b in enumerate(bits):
+        if not isinstance(b, int) or not 0 <= b <= 1:
+            raise FlipSpecError(f"mask {label} column {col}: {b!r} is not a bit")
+    return tuple([b == 1 for b in bits])
+
+
 class FlipSet(NamedTuple):
     """The set of flipped positions; total membership test for every k >= 1.
 
@@ -74,9 +89,8 @@ class FlipSet(NamedTuple):
 
     @classmethod
     def mask(cls, preperiod: Iterable[bool], period: Iterable[bool]) -> "FlipSet":
-        # lists, not generators: tuple() over a generator grows by reallocation
-        pre = tuple([bool(b) for b in preperiod])
-        per = tuple([bool(b) for b in period])
+        pre = _mask_bits(preperiod, "preperiod")
+        per = _mask_bits(period, "period")
         if not per:
             raise FlipSpecError("mask period must be nonempty")
         bits = pre + per
@@ -106,11 +120,8 @@ class FlipSet(NamedTuple):
             pre_txt, sep2, per_txt = payload.partition(";")
             if not sep2:
                 raise FlipSpecError(f"mask spec {payload!r} needs 'PRE;PERIOD'")
-            for label, txt in (("preperiod", pre_txt), ("period", per_txt)):
-                for col, ch in enumerate(txt):
-                    if ch not in "01":
-                        raise FlipSpecError(f"mask {label} column {col}: {ch!r} is not a bit")
-            return cls.mask([c == "1" for c in pre_txt], [c == "1" for c in per_txt])
+            bit = {"0": False, "1": True}  # mask refuses any other character
+            return cls.mask([bit.get(c, c) for c in pre_txt], [bit.get(c, c) for c in per_txt])
         raise FlipSpecError(f"unknown flip kind {kind!r}")
 
     # -- queries ------------------------------------------------------------

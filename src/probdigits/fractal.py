@@ -73,6 +73,7 @@ def _graph_points(system: FlipSystem, depth: int, budget: int, coord) -> list[tu
     scale * t_den, or, when t is 0 or 1, the x of ends[j + t]: then at is
     shifted by t, and each distinct value is made once."""
     depth = _as_int(depth, "depth", 0)
+    budget = _as_int(budget, "budget")
     pv = system.pv
     q = pv.q
     if q ** depth > budget:
@@ -159,6 +160,7 @@ def _rectangle_groups(system: FlipSystem, rank: int, budget: int, coord) -> list
     group lists are built once and crossed, flipped groups outermost; the
     budget caps the C(a+q-1, q-1) * C(b+q-1, q-1) groups."""
     rank = _as_int(rank, "rank", 0)
+    budget = _as_int(budget, "budget")
     groups = _group_count(system, rank)
     if groups > budget:
         raise BudgetExceeded(f"{groups} rectangle groups at rank {rank} exceed budget {budget}")
@@ -208,6 +210,7 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
     sum crosses sqrt(2), for 64 halvings or until the float midpoint equals an
     end, whichever is first; the estimates trend to 1.  The budget caps the
     digit-count groups of all ranks together, counted before any is built."""
+    budget = _as_int(budget, "budget")
     if not system.shift_invariant:
         raise NotShiftInvariant("dimension estimation needs flips none or all")
     try:
@@ -358,6 +361,7 @@ def moran_set_cylinders(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET
     built.  Each base is then a head of rank // 2 digits from run 0, joined to
     one of the tails of the remaining digits from the head's end run."""
     rank = _as_int(rank, "rank", 1)
+    budget = _as_int(budget, "budget")
     automaton = _moran_automaton(spec)
     if not automaton:
         return []
@@ -385,6 +389,7 @@ def covering_measure(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET) -
     so no base is built.  Refuses more than `budget` consistent bases, as
     `moran_set_cylinders` does."""
     rank = _as_int(rank, "rank", 1)
+    budget = _as_int(budget, "budget")
     automaton = _moran_automaton(spec)
     if not automaton:
         return _lowest_terms(0, 1)

@@ -606,6 +606,8 @@ def test_non_rational_input_is_invalid_argument(uniform2, call):
 SYSTEM2 = FlipSystem(ProbVector.uniform(2), FlipSet.parse("mask:;01"))
 PLAIN2 = FlipSystem(ProbVector.uniform(2), FlipSet.none())
 MORAN4 = MoranSpec(ProbVector.uniform(4), 1)
+#: q = 2 with marker 1 leaves no block digit: the Moran walks return early
+MORAN_EMPTY = MoranSpec(ProbVector.uniform(2), 1)
 
 
 @pytest.mark.parametrize("call, error", [
@@ -711,12 +713,31 @@ REFUSALS = [
     ("encode-float-depth", lambda: encode(Fraction(1, 3), PLAIN2.pv, 1.5), InvalidArgument,
      "depth must be an integer, got 1.5"),
     ("entropy-str-rank", lambda: entropy_sum(SYSTEM2, 1, "2"), InvalidArgument, "rank must be an integer, got '2'"),
+    # budgets: no minimum here, a negative budget is refused as over it
+    ("riemann-budget", lambda: integral_riemann(SYSTEM2, 3, "x"), InvalidArgument,
+     "budget must be an integer, got 'x'"),
+    ("graph-points-budget", lambda: ifs_graph_points(SYSTEM2, 3, 8.5), InvalidArgument,
+     "budget must be an integer, got 8.5"),
+    ("diagonals-budget", lambda: rectangle_diagonals_sq(SYSTEM2, 2, None), InvalidArgument,
+     "budget must be an integer, got None"),
+    ("entropy-budget", lambda: entropy_sum(SYSTEM2, 1, 2, "8"), InvalidArgument, "budget must be an integer, got '8'"),
+    ("dimension-budget", lambda: graph_dimension_estimate(SYSTEM2, [1, 2], 1.0), InvalidArgument,
+     "budget must be an integer, got 1.0"),
+    ("moran-cylinders-budget", lambda: moran_set_cylinders(MORAN_EMPTY, 3, 2.5), InvalidArgument,
+     "budget must be an integer, got 2.5"),
+    ("covering-budget", lambda: covering_measure(MORAN_EMPTY, 3, None), InvalidArgument,
+     "budget must be an integer, got None"),
     # bounds that keep their own form
     ("dimension-ranks", lambda: graph_dimension_estimate(PLAIN2, [0, 1]), InvalidArgument,
      "ranks must be >= 1, got [0, 1]"),
     ("digitseq-q", lambda: DigitSeq((0,), 1), BaseTooSmall, "alphabet size 1 < 2"),
     ("digit-at-position", lambda: DigitSeq((1, 0), 2).digit_at(0), InvalidArgument, "positions are 1-based, got 0"),
     ("finite-positions", lambda: FlipSet.finite([2, 0]), FlipSpecError, "flip positions must be >= 1, got (0, 2)"),
+    # mask bits
+    ("mask-str-bit", lambda: FlipSet.mask(["0"], ["0", "1"]), FlipSpecError,
+     "mask preperiod column 0: '0' is not a bit"),
+    ("mask-int-bit", lambda: FlipSet.mask((), (True, 2)), FlipSpecError, "mask period column 1: 2 is not a bit"),
+    ("parse-mask-bit", lambda: FlipSet.parse("mask:0x;1"), FlipSpecError, "mask preperiod column 1: 'x' is not a bit"),
     # points
     ("encode-point", lambda: encode(2, PLAIN2.pv), OutOfUnitInterval, "2 not in [0, 1]"),
     ("encode-negative-point", lambda: encode("-1/2", PLAIN2.pv), OutOfUnitInterval, "-1/2 not in [0, 1]"),

@@ -65,6 +65,8 @@ def test_flipset_normalization():
     assert FlipSet.mask((), (True,)) == FlipSet.all()
     assert FlipSet.mask((False,), (False,)) == FlipSet.none()
     assert FlipSet.mask((True, True), (True,)).kind is FlipKind.ALL
+    # the ints 0 and 1 are bits too
+    assert FlipSet.mask((0,), (0, 1)) == FlipSet.mask((False,), (False, True))
 
 
 def test_flipset_parse_round_trip():

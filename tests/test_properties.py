@@ -394,16 +394,24 @@ def block_walks(draw):
 def test_block_walk_matches_single_steps_and_the_fraction_orbit(case):
     pv, x, depth = case
     table = pv.int_table
-    blocks = pv._block_table()
-    assert pv.q ** blocks.k <= 256 < pv.q ** (blocks.k + 1)
+    k, block_table, words = pv._block_table()
+    assert pv.q ** k <= 256 < pv.q ** (k + 1)
     # repeated one-step walks, until state 0 or the depth
     a, b = x.numerator, x.denominator
-    stepped = []
+    stepped, pairs = [], [(a, b)]
     while len(stepped) < depth and a != 0:
         step, _, a, b = _walk(a, b, table, 1)
         stepped += step
-    end = PointKind.P_RATIONAL if a == 0 else PointKind.UNDETERMINED
-    assert _walk(x.numerator, x.denominator, table, depth, blocks=blocks) == (stepped, end, a, b)
+        pairs.append((a, b))
+    # a block step is k single steps: j of them read the first j*k digits and
+    # reach the same reduced pair, for each j*k before state 0
+    for j in range(depth // k + 1):
+        n = j * k
+        if n >= len(pairs) or pairs[n][0] == 0:
+            break
+        cells, _, *pair = _walk(x.numerator, x.denominator, block_table, j)
+        assert b"".join([words[i * k:i * k + k] for i in cells]) == bytes(stepped[:n])
+        assert tuple(pair) == pairs[n]
     assert encode(x, pv, depth).digits == tuple(stepped)
     # the Fraction orbit reads the same digits and reaches the same state
     digits, states = orbit_by_fractions(x, pv, depth)
