@@ -79,8 +79,9 @@ def jump_at(x0, system: FlipSystem, max_depth: int = 128) -> JumpReport:
     zero_rep = DigitSeq._trusted(tuple(digits), q, (0,))
     digits[-1] -= 1
     max_rep = DigitSeq._trusted(tuple(digits), q, (q - 1,))
-    right = _flip_value(zero_rep, system.flips, pv)
-    left = _flip_value(max_rep, system.flips, pv)
+    pattern = system.flips.pattern_from(1)
+    right = _flip_value(zero_rep, pattern, pv)
+    left = _flip_value(max_rep, pattern, pv)
     return JumpReport(point=x0, left_limit=left, right_limit=right, jump=right - left)
 
 

@@ -179,29 +179,18 @@ class ProbVector:
 
     beta has q+1 entries with beta[0] = 0 and beta[q] = 1; cell t of the
     unit interval is [beta[t], beta[t+1]] and has length p[t].  Immutable;
-    equal and hashed by (p, beta).
+    equal and hashed by p.
 
-    The weights are coerced and checked, beta must be their running sum, and
-    den, the least common denominator D of the weights (every p[c] and
-    beta[c] is an integer over D), and int_table, the numerators of beta and
-    p over D, are computed, all when the vector is built.  The block table
-    of encode is built on the vector's first encode and kept in a private
-    slot.
+    The weights are coerced and checked, and beta, den, the least common
+    denominator D of the weights (every p[c] and beta[c] is an integer over
+    D), and int_table, the numerators of beta and p over D, are computed,
+    all when the vector is built.  The block table of encode is built on
+    the vector's first encode and kept in a private slot.
     """
 
     __slots__ = ("p", "beta", "den", "int_table", "_blocks")
 
-    def __init__(self, p: Iterable[RationalLike], beta: Sequence[RationalLike]):
-        self._fill(p)
-        try:
-            same = tuple(beta) == self.beta
-        except TypeError:
-            same = False
-        if not same:
-            raise InvalidArgument(f"beta must be the running sum ({', '.join(map(str, self.beta))}) of p, got {beta!r}")
-
-    def _fill(self, p: Iterable[RationalLike]) -> None:
-        """Coerce and check the weights, then set every slot from them."""
+    def __init__(self, p: Iterable[RationalLike]):
         p = tuple(as_fraction(v) for v in p)
         if len(p) < 2:
             raise BaseTooSmall(f"need at least 2 weights, got {len(p)}")
@@ -236,13 +225,13 @@ class ProbVector:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.p == other.p and self.beta == other.beta
+        return self.p == other.p
 
     def __hash__(self) -> int:
-        return hash((self.p, self.beta))
+        return hash(self.p)
 
     def __reduce__(self):
-        return ProbVector, (self.p, self.beta)
+        return ProbVector, (self.p,)
 
     @property
     def q(self) -> int:
@@ -254,7 +243,7 @@ class ProbVector:
 
     @classmethod
     def uniform(cls, q: int) -> "ProbVector":
-        return make_prob_vector([Fraction(1, q)] * q)
+        return cls([Fraction(1, q)] * q)
 
     def check_digit(self, d: int) -> int:
         return _check_digits((d,), self.q)[0]
@@ -264,11 +253,8 @@ class ProbVector:
 
 
 def make_prob_vector(values: Iterable[RationalLike]) -> ProbVector:
-    """The vector of these weights, coerced and checked as ProbVector does,
-    with their running sum as beta (so there is no beta to compare)."""
-    pv = object.__new__(ProbVector)
-    pv._fill(values)
-    return pv
+    """The vector of these weights, coerced and checked (see ProbVector)."""
+    return ProbVector(values)
 
 
 # ---------------------------------------------------------------------------

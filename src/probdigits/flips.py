@@ -21,6 +21,9 @@ from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, ProbVector, _as_int, _as_
 from .core import _lowest_terms, _same_alphabet
 from .errors import BudgetExceeded, FlipSpecError
 
+#: Flip bits as (preperiod, period): bit k is preperiod[k-1], then period repeats.
+_Pattern = tuple[tuple[bool, ...], tuple[bool, ...]]
+
 
 class FlipKind(Enum):
     NONE = "none"
@@ -31,8 +34,11 @@ class FlipKind(Enum):
 
 def _mask_bits(entries: Iterable, label: str) -> tuple[bool, ...]:
     """A mask's bits as a tuple of bools: each entry a bool, or an int equal
-    to 0 or 1; the first other entry is FlipSpecError."""
-    bits = tuple(entries)
+    to 0 or 1; entries that do not iterate, or the first other entry, is FlipSpecError."""
+    try:
+        bits = tuple(entries)
+    except TypeError:
+        raise FlipSpecError(f"mask {label} must be a sequence of bits, got {entries!r}") from None
     for b in bits:
         if b.__class__ is not bool:
             break
@@ -44,17 +50,43 @@ def _mask_bits(entries: Iterable, label: str) -> tuple[bool, ...]:
     return tuple([b == 1 for b in bits])
 
 
-class FlipSet(NamedTuple):
+class _FlipFields(NamedTuple):
+    kind: FlipKind
+    preperiod: tuple[bool, ...] = ()
+    period: tuple[bool, ...] = (False,)
+
+
+class FlipSet(_FlipFields):
     """The set of flipped positions; total membership test for every k >= 1.
 
     Every kind is stored as one eventually periodic bit stream: bit k is
     preperiod[k-1] for k <= len(preperiod), then period repeats.  `kind`
-    only records how the set is spelled (see __str__).
+    records how the set is spelled (see __str__) and must fit the bits,
+    checked by every construction, _replace included: none is ((), (False,)),
+    all ((), (True,)), finite has period (False,) and a preperiod ending in
+    a set bit, and mask mixes both values (equal bits build none or all).
     """
 
-    kind: FlipKind
-    preperiod: tuple[bool, ...] = ()
-    period: tuple[bool, ...] = (False,)
+    __slots__ = ()
+
+    def __new__(cls, kind: FlipKind, preperiod: Iterable[bool] = (), period: Iterable[bool] = (False,)):
+        if not isinstance(kind, FlipKind):
+            raise FlipSpecError(f"flip kind must be a FlipKind, got {kind!r}")
+        pre = _mask_bits(preperiod, "preperiod")
+        per = _mask_bits(period, "period")
+        if not per:
+            raise FlipSpecError("mask period must be nonempty")
+        if kind is FlipKind.MASK:
+            if len(set(pre + per)) == 1:
+                kind, pre, per = FlipKind.ALL if per[0] else FlipKind.NONE, (), per[:1]
+        elif per != (kind is FlipKind.ALL,) or pre[-1:] != ((True,) if kind is FlipKind.FINITE else ()):
+            raise FlipSpecError(f"flip kind {kind.value} does not spell the bits {pre}, {per}")
+        return tuple.__new__(cls, (kind, pre, per))
+
+    @classmethod
+    def _make(cls, iterable) -> "FlipSet":
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
     # -- constructors -------------------------------------------------------
 
@@ -68,6 +100,10 @@ class FlipSet(NamedTuple):
 
     @classmethod
     def finite(cls, positions: Iterable[int]) -> "FlipSet":
+        try:
+            positions = list(positions)
+        except TypeError:
+            raise FlipSpecError(f"flip positions must be a sequence of integers, got {positions!r}") from None
         pos = set()
         for k in positions:
             try:
@@ -85,24 +121,17 @@ class FlipSet(NamedTuple):
         bits = [False] * pos[-1]
         for k in pos:
             bits[k - 1] = True
-        return cls(FlipKind.FINITE, preperiod=tuple(bits))
+        return cls(FlipKind.FINITE, preperiod=bits)
 
     @classmethod
     def mask(cls, preperiod: Iterable[bool], period: Iterable[bool]) -> "FlipSet":
-        pre = _mask_bits(preperiod, "preperiod")
-        per = _mask_bits(period, "period")
-        if not per:
-            raise FlipSpecError("mask period must be nonempty")
-        bits = pre + per
-        if all(bits):
-            return cls.all()
-        if not any(bits):
-            return cls.none()
-        return cls(FlipKind.MASK, preperiod=pre, period=per)
+        return cls(FlipKind.MASK, preperiod, period)
 
     @classmethod
     def parse(cls, text: str) -> "FlipSet":
         """Parse 'none' | 'all' | 'finite:2,5' | 'mask:PRE;PERIOD' (bit strings)."""
+        if not isinstance(text, str):
+            raise FlipSpecError(f"flip spec must be a string, got {text!r}")
         if text == "none":
             return cls.none()
         if text == "all":
@@ -158,7 +187,7 @@ class FlipSet(NamedTuple):
         bits = self.preperiod + self.period
         return bits.index(True) + 1 if True in bits else None
 
-    def pattern_from(self, start: int) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+    def pattern_from(self, start: int) -> _Pattern:
         """Flip bits for positions start, start+1, ... as (preperiod, period)."""
         start = _as_position(start)
         npre = len(self.preperiod)
@@ -212,31 +241,32 @@ class FlipSystem(NamedTuple):
 # Digit-level map
 # ---------------------------------------------------------------------------
 
-def flip_prefix(seq: DigitSeq, flips: FlipSet, length: int) -> tuple[int, ...]:
-    """The digits of flip_digits(seq, flips) at positions 1..length, read in
-    one pass over the digit stream and the flip-bit stream together."""
+def flip_prefix(seq: DigitSeq, pattern: _Pattern, length: int) -> tuple[int, ...]:
+    """The digits of seq flipped by the bits of pattern at positions 1..length,
+    read in one pass over the digit stream and the flip-bit stream together."""
+    preperiod, period = pattern
     top = seq.q - 1
     digits = islice(chain(seq.digits, cycle(seq.tail)), length)
     # a list, not a generator: tuple() over a generator grows by reallocation,
     # which left the heap fragmented and peak RSS climbing pass after pass
-    return tuple([top - d if flipped else d for d, flipped in zip(digits, flips.bits())])
+    return tuple([top - d if flipped else d for d, flipped in zip(digits, chain(preperiod, cycle(period)))])
 
 
-def _flipped_stream(seq: DigitSeq, flips: FlipSet) -> tuple[tuple[int, ...], int]:
+def _flipped_stream(seq: DigitSeq, pattern: _Pattern) -> tuple[tuple[int, ...], int]:
     """The flipped digits at positions 1..n+span, and n.
 
     Both streams are eventually periodic, so those positions spell the
     result: the prefix runs through both preperiods (n) and the tail is one
     common period of the digit tail and the flip bits (span)."""
-    n = max(len(seq.digits), len(flips.preperiod))
-    span = lcm(len(seq.tail), len(flips.period))
-    return flip_prefix(seq, flips, n + span), n
+    n = max(len(seq.digits), len(pattern[0]))
+    span = lcm(len(seq.tail), len(pattern[1]))
+    return flip_prefix(seq, pattern, n + span), n
 
 
 def flip_digits(seq: DigitSeq, flips: FlipSet) -> DigitSeq:
     """Complement the digits of seq at the flipped positions, exactly: the
     prefix of _flipped_stream, then its last common period repeated."""
-    stream, n = _flipped_stream(seq, flips)
+    stream, n = _flipped_stream(seq, flips.pattern_from(1))
     return DigitSeq(stream[:n], seq.q, stream[n:])
 
 
@@ -250,14 +280,6 @@ def nega_to_digits(seq: DigitSeq) -> DigitSeq:
 # Value-level map
 # ---------------------------------------------------------------------------
 
-def _shifted(flips: FlipSet, offset: int) -> FlipSet:
-    """The flip set seen from position offset + 1: bit k is bit k + offset of flips."""
-    offset = _as_int(offset, "offset", 0)
-    if offset == 0:
-        return flips
-    return FlipSet.mask(*flips.pattern_from(offset + 1))
-
-
 def eval_flip(seq: DigitSeq, system: FlipSystem, offset: int = 0) -> Enclosure:
     """Exact value of the flipped series of seq (a degenerate enclosure).
 
@@ -265,18 +287,18 @@ def eval_flip(seq: DigitSeq, system: FlipSystem, offset: int = 0) -> Enclosure:
     absolute position k + offset, which is the n-th unknown of the
     functional system f(shift^{n-1} x) = offset_n + weight_n * f(shift^n x).
     """
-    flips = _shifted(system.flips, offset)
+    pattern = system.flips.pattern_from(_as_int(offset, "offset", 0) + 1)
     pv = system.pv
     _same_alphabet(seq, pv)
-    return Enclosure.point(_flip_value(seq, flips, pv))
+    return Enclosure.point(_flip_value(seq, pattern, pv))
 
 
-def _flip_value(seq: DigitSeq, flips: FlipSet, pv: ProbVector) -> Fraction:
-    """Exact value under pv of seq flipped by flips, for seq over pv's
+def _flip_value(seq: DigitSeq, pattern: _Pattern, pv: ProbVector) -> Fraction:
+    """Exact value under pv of seq flipped by pattern, for seq over pv's
     alphabet: the flipped stream goes straight to the integer Horner kernel,
     as flip_digits spells it, without a DigitSeq; a tail block that is not
     primitive has the same value."""
-    stream, n = _flipped_stream(seq, flips)
+    stream, n = _flipped_stream(seq, pattern)
     return _horner(pv, stream[:n], stream[n:])
 
 
@@ -285,7 +307,7 @@ def flip_image(base: Sequence[int], system: FlipSystem, offset: int = 0) -> Encl
     which is the cylinder of the flipped base; offset is as in eval_flip."""
     pv = system.pv
     seq = DigitSeq(base, pv.q)
-    flipped = flip_prefix(seq, _shifted(system.flips, offset), len(seq.digits))
+    flipped = flip_prefix(seq, system.flips.pattern_from(_as_int(offset, "offset", 0) + 1), len(seq.digits))
     # the flipped digits are the library's own: no second check
     num, weight = _forward(pv, flipped)
     scale = pv.den ** len(flipped)

@@ -10,6 +10,7 @@ from probdigits import (
     DigitSeq,
     Enclosure,
     EndpointOneSided,
+    FlipSet,
     JumpReport,
     NotPRational,
     PointKind,
@@ -25,7 +26,7 @@ from probdigits import (
     make_prob_vector,
     rectangle_diagonals_sq,
 )
-from probdigits.flips import _shifted
+from probdigits.core import _as_int
 from probdigits.fractal import _moran_automaton
 
 try:
@@ -327,7 +328,8 @@ def eval_nega_by_fractions(seq: DigitSeq, pv) -> Fraction:
 def eval_flip_by_digits(seq: DigitSeq, system, offset: int = 0) -> Enclosure:
     """eval_flip through a checked DigitSeq: flip_digits on the flip set seen
     from position offset + 1, then eval_digits on the flipped sequence."""
-    flipped = flip_digits(seq, _shifted(system.flips, offset))
+    shifted = FlipSet.mask(*system.flips.pattern_from(_as_int(offset, "offset", 0) + 1))
+    flipped = flip_digits(seq, shifted)
     return Enclosure.point(eval_digits(flipped, system.pv))
 
 

@@ -103,8 +103,8 @@ def test_make_prob_vector_rejections():
 
 
 def test_prob_vector_coerces_and_checks_its_input():
-    # the constructor runs make_prob_vector's coercion and checks; beta need only equal the running sum
-    built = ProbVector((0.5, "1/2"), (0, 0.5, 1))
+    # the constructor coerces and checks as make_prob_vector does, and takes the running sum as beta
+    built = ProbVector((0.5, "1/2"))
     assert built == make_prob_vector(["1/2", "1/2"])
     assert all(type(v) is Fraction for v in built.p + built.beta)
     assert built.int_table == (2, (0, 1, 2), (1, 1))
@@ -738,6 +738,13 @@ REFUSALS = [
      "mask preperiod column 0: '0' is not a bit"),
     ("mask-int-bit", lambda: FlipSet.mask((), (True, 2)), FlipSpecError, "mask period column 1: 2 is not a bit"),
     ("parse-mask-bit", lambda: FlipSet.parse("mask:0x;1"), FlipSpecError, "mask preperiod column 1: 'x' is not a bit"),
+    # flip specs and bit lists of the wrong type
+    ("parse-none", lambda: FlipSet.parse(None), FlipSpecError, "flip spec must be a string, got None"),
+    ("parse-bytes", lambda: FlipSet.parse(b"none"), FlipSpecError, "flip spec must be a string, got b'none'"),
+    ("finite-none", lambda: FlipSet.finite(None), FlipSpecError,
+     "flip positions must be a sequence of integers, got None"),
+    ("mask-none-preperiod", lambda: FlipSet.mask(None, (1,)), FlipSpecError,
+     "mask preperiod must be a sequence of bits, got None"),
     # points
     ("encode-point", lambda: encode(2, PLAIN2.pv), OutOfUnitInterval, "2 not in [0, 1]"),
     ("encode-negative-point", lambda: encode("-1/2", PLAIN2.pv), OutOfUnitInterval, "-1/2 not in [0, 1]"),
@@ -768,18 +775,10 @@ REFUSALS = [
     ("system-digit", lambda: SYSTEM2.digit(1, 2), DigitOutOfRange, "digit 2 not in [0, 1]"),
     ("check-digit-none", lambda: PV4.check_digit(None), DigitOutOfRange, "digit None not in [0, 3]"),
     # probability vectors, made directly
-    ("prob-vector-unparsable", lambda: ProbVector(("a", "b"), ()), InvalidArgument, "not a rational number: 'a'"),
-    ("prob-vector-short", lambda: ProbVector((1,), (0, 1)), BaseTooSmall, "need at least 2 weights, got 1"),
-    ("prob-vector-nonpositive", lambda: ProbVector(("3/2", "-1/2"), (0, "3/2", 1)), NonPositiveWeight,
-     "weight -1/2 is not positive"),
-    ("prob-vector-sum", lambda: ProbVector(("1/2", "1/3"), (0, "1/2", "5/6")), SumNotOne,
-     "weights sum to 5/6, not 1"),
-    ("prob-vector-beta", lambda: ProbVector(("1/2", "1/2"), (0, Fraction(1, 3), 1)), InvalidArgument,
-     "beta must be the running sum (0, 1/2, 1) of p, got (0, Fraction(1, 3), 1)"),
-    ("prob-vector-short-beta", lambda: ProbVector(("1/4", "3/4"), (0, "1/4")), InvalidArgument,
-     "beta must be the running sum (0, 1/4, 1) of p, got (0, '1/4')"),
-    ("prob-vector-beta-not-a-sequence", lambda: ProbVector(("1/2", "1/2"), None), InvalidArgument,
-     "beta must be the running sum (0, 1/2, 1) of p, got None"),
+    ("prob-vector-unparsable", lambda: ProbVector(("a", "b")), InvalidArgument, "not a rational number: 'a'"),
+    ("prob-vector-short", lambda: ProbVector((1,)), BaseTooSmall, "need at least 2 weights, got 1"),
+    ("prob-vector-nonpositive", lambda: ProbVector(("3/2", "-1/2")), NonPositiveWeight, "weight -1/2 is not positive"),
+    ("prob-vector-sum", lambda: ProbVector(("1/2", "1/3")), SumNotOne, "weights sum to 5/6, not 1"),
     # alphabets
     ("eval-digits-alphabet", lambda: eval_digits(DigitSeq((1,), 3), PLAIN2.pv), DigitOutOfRange,
      "sequence alphabet 3 != vector alphabet 2"),
@@ -803,7 +802,6 @@ REFUSALS = [
      "max_rank must be >= 1, got 0"),
     ("digitseq-q-and-digit", lambda: DigitSeq((7,), 1), BaseTooSmall, "alphabet size 1 < 2"),
     ("digitseq-digit-and-tail-digit", lambda: DigitSeq((7,), 3, (9,)), DigitOutOfRange, "digit 7 not in [0, 2]"),
-    ("prob-vector-sum-and-beta", lambda: ProbVector(("1/2", "1/3"), None), SumNotOne, "weights sum to 5/6, not 1"),
     ("cylinder-two-digits", lambda: cylinder_bounds((5, "x"), PLAIN2.pv), DigitOutOfRange, "digit 5 not in [0, 1]"),
     ("shift-past-prefix", lambda: shift_digits(DigitSeq((1,), 2), 2), ShiftPastPrefix,
      "cannot drop 2 digits from a prefix of length 1"),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 
@@ -20,6 +21,7 @@ from probdigits import (
     eval_nega,
     flip_digits,
     flip_image,
+    jump_at,
     nega_to_digits,
     shift_digits,
 )
@@ -177,6 +179,17 @@ def test_eval_flip_equals_flipped_digits():
                 assert eval_flip(seq, system).value == eval_digits(flip_digits(seq, fs), pv)
                 for offset in range(6):
                     assert eval_flip(seq, system, offset) == eval_flip_by_digits(seq, system, offset)
+
+
+def test_kernel_builds_no_flip_set():
+    # an offset shifts the (preperiod, period) bits; no FlipSet is rebuilt per call
+    system = FlipSystem(ASYM_VECTORS[3], FlipSet.mask((True, False), (False, True, True)))
+    seq = DigitSeq((1, 2, 0), 3, (2, 1))
+    with patch.object(FlipSet, "__new__", side_effect=AssertionError("a FlipSet was built")):
+        for offset in (0, 1, 4):
+            eval_flip(seq, system, offset)
+            flip_image((1, 2, 0), system, offset)
+        jump_at(system.pv.beta[1], system)
 
 
 def test_eval_flip_errors_match_the_flip_digits_route():

@@ -57,6 +57,17 @@ def test_ifs_maps_flipped_ternary(pv3):
     assert (digit0.y_scale, digit0.y_offset) == (Fraction(1, 2), Fraction(1, 2))
 
 
+@pytest.mark.parametrize("weights", [("1/4", "3/4"), ("1/5", "3/10", "1/2"), ("2/7", "3/11", "34/77")])
+@pytest.mark.parametrize("spec", ["none", "all"])
+def test_ifs_maps_carry_the_graph_points_one_rank_down(weights, spec):
+    # the graph is the attractor: the maps send the depth d-1 points, in
+    # base order, onto the depth d points
+    system = FlipSystem(make_prob_vector(weights), FlipSet.parse(spec))
+    for depth in range(1, 6):
+        below = ifs_graph_points(system, depth - 1)
+        assert ifs_graph_points(system, depth) == [m.apply(pt) for m in ifs_maps(system) for pt in below]
+
+
 def test_ifs_maps_need_invariant_flips(uniform2):
     with pytest.raises(NotShiftInvariant):
         ifs_maps(FlipSystem(uniform2, FlipSet.finite([1])))

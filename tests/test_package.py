@@ -33,7 +33,7 @@ from probdigits import (
     make_prob_vector,
     monotone_witness,
 )
-from probdigits.errors import DigitOutOfRange
+from probdigits.errors import DigitOutOfRange, FlipSpecError
 
 PUBLIC = {
     "core": {
@@ -161,6 +161,12 @@ def test_validating_records_still_refuse():
         MoranSpec(pv, pv.q)
     with pytest.raises(DigitOutOfRange):
         MoranSpec(pv, 0)._replace(u=pv.q)
+    with pytest.raises(FlipSpecError):
+        FlipSet(FlipKind.MASK, (), ())
+    with pytest.raises(FlipSpecError):
+        FlipSet.all()._replace(period=("0",))
+    with pytest.raises(FlipSpecError):
+        FlipSet.all()._replace(period=(False,))
 
 
 def test_prob_vector_contract():
@@ -174,7 +180,7 @@ def test_prob_vector_contract():
     # computed once: the second read returns the same object
     assert pv.den == 3**50 and pv.den is pv.den
     assert pv.int_table is pv.int_table
-    again = ProbVector(p=pv.p, beta=pv.beta)
+    again = ProbVector(p=pv.p)
     assert again == pv and hash(again) == hash(pv)
     assert pickle.loads(pickle.dumps(pv)) == pv and copy.deepcopy(pv) == pv
     assert repr(pv) == f"ProbVector(({small}, {1 - small}))"

@@ -25,7 +25,9 @@ from probdigits import (
     BudgetExceeded,
     DigitSeq,
     Enclosure,
+    FlipKind,
     FlipSet,
+    FlipSpecError,
     FlipSystem,
     PointClass,
     PointKind,
@@ -131,6 +133,18 @@ def test_str_parse_round_trip(flips):
     text = str(flips)
     assert FlipSet.parse(text) == flips
     assert str(FlipSet.parse(text)) == text
+
+
+@given(st.sampled_from(FlipKind), st.lists(st.booleans(), max_size=4), st.lists(st.booleans(), max_size=3))
+def test_raw_flip_set_is_refused_or_round_trips(kind, preperiod, period):
+    # the raw constructor checks as the named ones do: a record it builds
+    # prints as a spec that parses back to it, and _replace rebuilds it
+    try:
+        flips = FlipSet(kind, preperiod, period)
+    except FlipSpecError:
+        return
+    assert FlipSet.parse(str(flips)) == flips
+    assert flips._replace() == flips
 
 
 @given(flip_sets(), st.integers(1, 20))
