@@ -87,8 +87,12 @@ def _check_digits(digits: Iterable, q: int, what: str = "digit") -> tuple[int, .
     """digits as a tuple of digits of a q-letter alphabet, ints in [0, q-1];
     the first entry that is not one is DigitOutOfRange, named as `what`.
     One type-and-range test per digit; the full test runs only on a digit
-    that fails it, to accept an int subclass other than bool."""
-    digits = tuple(digits)
+    that fails it, to accept an int subclass other than bool.  digits that
+    do not iterate are InvalidArgument."""
+    try:
+        digits = tuple(digits)
+    except TypeError:
+        raise InvalidArgument(f"{what}s must be a sequence of integers, got {digits!r}") from None
     for d in digits:
         if type(d) is not int or not 0 <= d < q:
             if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d < q:
@@ -191,7 +195,11 @@ class ProbVector:
     __slots__ = ("p", "beta", "den", "int_table", "_blocks")
 
     def __init__(self, p: Iterable[RationalLike]):
-        p = tuple(as_fraction(v) for v in p)
+        try:
+            values = iter(p)
+        except TypeError:
+            raise InvalidArgument(f"weights must be an iterable of rationals, got {p!r}") from None
+        p = tuple(as_fraction(v) for v in values)
         if len(p) < 2:
             raise BaseTooSmall(f"need at least 2 weights, got {len(p)}")
         for v in p:

@@ -46,7 +46,8 @@ class NotShiftInvariant(ProbDigitsError):
 
 
 class RankTooLarge(ProbDigitsError):
-    """q**rank exceeds the configured enumeration budget."""
+    """q**rank exceeds the configured enumeration budget, or the rank's
+    entropy-sum groups leave the float range."""
 
 
 class BudgetExceeded(ProbDigitsError):

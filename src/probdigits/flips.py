@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, ProbVector, _as_int, _as_position, _forward, _horner
 from .core import _lowest_terms, _same_alphabet
-from .errors import BudgetExceeded, FlipSpecError
+from .errors import BudgetExceeded, FlipSpecError, InvalidArgument
 
 #: Flip bits as (preperiod, period): bit k is preperiod[k-1], then period repeats.
 _Pattern = tuple[tuple[bool, ...], tuple[bool, ...]]
@@ -211,16 +211,32 @@ class FlipSet(_FlipFields):
 EVEN_POSITIONS = FlipSet.mask((), (False, True))
 
 
-class FlipSystem(NamedTuple):
+class _SystemFields(NamedTuple):
+    pv: ProbVector
+    flips: FlipSet
+
+
+class FlipSystem(_SystemFields):
     """A probability vector paired with a flip schedule.
 
     weight/offset at position k are those of the complemented digit whenever
     k is flipped, so the flipped series equals the plain evaluation of the
-    flipped digit stream.
+    flipped digit stream.  A field of another type is InvalidArgument.
     """
 
-    pv: ProbVector
-    flips: FlipSet
+    __slots__ = ()
+
+    def __new__(cls, pv: ProbVector, flips: FlipSet):
+        if not isinstance(pv, ProbVector):
+            raise InvalidArgument(f"pv must be a ProbVector, got {pv!r}")
+        if not isinstance(flips, FlipSet):
+            raise InvalidArgument(f"flips must be a FlipSet, got {flips!r}")
+        return tuple.__new__(cls, (pv, flips))
+
+    @classmethod
+    def _make(cls, iterable) -> "FlipSystem":
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
     def digit(self, k: int, d: int) -> int:
         self.pv.check_digit(d)

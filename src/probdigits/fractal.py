@@ -12,12 +12,14 @@ given by the root of a Moran equation over the block weights.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
-from operator import truediv
+from itertools import repeat
+from operator import mul, truediv
 from typing import NamedTuple
 
 from .core import DEFAULT_BUDGET, DigitSeq, ProbVector, _as_int, _lowest_terms
-from .errors import BudgetExceeded, EmptyAlphabet, InvalidArgument, NotShiftInvariant
+from .errors import BudgetExceeded, EmptyAlphabet, InvalidArgument, NotShiftInvariant, RankTooLarge
 from .flips import FlipSystem, eval_flip
 
 #: Fixed crossing level for the dimension bisection.  At alpha = 1 the
@@ -26,6 +28,9 @@ from .flips import FlipSystem, eval_flip
 #: sum sqrt(x^2+y^2) >= (sum x + sum y)/sqrt(2) = sqrt(2) in general, so the
 #: crossing sits at or just above 1 and the sandwich drives it to 1.
 ENTROPY_THRESHOLD = math.sqrt(2.0)
+
+#: Relative margin eta of the checked bracket of graph_dimension_estimate
+_ETA = 2.0 ** -40
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +186,25 @@ def rectangle_diagonals_sq(system: FlipSystem, rank: int, budget: int = DEFAULT_
     return _rectangle_groups(system, rank, budget, _lowest_terms)
 
 
-def _entropy(diags, alpha: float) -> float:
-    """Sum of mult * diag_sq**(alpha/2) over float (multiplicity, diag_sq) pairs."""
-    half = alpha / 2.0
-    return math.fsum(mult * d2 ** half for mult, d2 in diags)
+def _float_groups(system: FlipSystem, rank: int, budget: int) -> tuple[list[float], list[float]]:
+    """The groups of _rectangle_groups as floats: the multiplicities and the
+    squared diagonals, each correctly rounded.  A multiplicity past the float
+    range, or a squared diagonal below the smallest normal float, is
+    RankTooLarge: the float entropy sum would be garbage."""
+    groups = _rectangle_groups(system, rank, budget, truediv)
+    try:
+        mults = [float(m) for m, _ in groups]
+    except OverflowError:
+        raise RankTooLarge(f"rank {rank}: a rectangle multiplicity exceeds the float range") from None
+    d2s = [d2 for _, d2 in groups]
+    if min(d2s) < sys.float_info.min:
+        raise RankTooLarge(f"rank {rank}: a squared diagonal is below the float range")
+    return mults, d2s
+
+
+def _entropy(mults: list[float], d2s: list[float], alpha: float) -> float:
+    """Sum of mult * d2**(alpha/2) over the float groups, rounded once."""
+    return math.fsum(map(mul, mults, map(pow, d2s, repeat(alpha / 2.0))))
 
 
 def entropy_sum(system: FlipSystem, alpha, rank: int, budget: int = DEFAULT_BUDGET) -> float:
@@ -192,7 +212,8 @@ def entropy_sum(system: FlipSystem, alpha, rank: int, budget: int = DEFAULT_BUDG
 
     Diagonals squared are exact rationals; only the alpha/2 power is floating
     point (num / den is correctly rounded, so it equals float(Fraction)).
-    alpha = 0 counts rectangles, and the sum is strictly decreasing in alpha."""
+    alpha = 0 counts rectangles, and the sum is strictly decreasing in alpha.
+    A rank whose groups leave the float range is RankTooLarge."""
     try:
         alpha = float(alpha)
     except (TypeError, ValueError, OverflowError):
@@ -200,7 +221,52 @@ def entropy_sum(system: FlipSystem, alpha, rank: int, budget: int = DEFAULT_BUDG
     if not 0 <= alpha < math.inf:
         raise InvalidArgument(f"alpha must be finite and >= 0, got {alpha}")
     rank = _as_int(rank, "rank", 1)
-    return _entropy(_rectangle_groups(system, rank, budget, truediv), alpha)
+    return _entropy(*_float_groups(system, rank, budget), alpha)
+
+
+def _newton(mults: list[float], d2s: list[float], threshold: float) -> tuple[float, float] | None:
+    """A guess at the alpha where the entropy sum crosses threshold, and the
+    slope of ln E there: Newton's method on ln E from alpha = 1, until ln E
+    is within eta of ln threshold.  None when it does not get there."""
+    rates = [math.log(d2) / 2.0 for d2 in d2s]  # d/d alpha of ln(d2**(alpha/2))
+    target = math.log(threshold)
+    alpha = 1.0
+    for _ in range(64):
+        terms = list(map(mul, mults, map(pow, d2s, repeat(alpha / 2.0))))
+        total = math.fsum(terms)
+        slope = math.fsum(map(mul, terms, rates)) / total
+        if not slope < 0.0:
+            return None
+        gap = math.log(total) - target
+        alpha -= gap / slope
+        if abs(gap) <= _ETA:
+            return alpha, slope
+    return None
+
+
+def _bracket(mults: list[float], d2s: list[float], threshold: float) -> tuple[float, float]:
+    """Checked ends (below, above) around the alpha where the entropy sum
+    crosses threshold: the sum exceeds it at every alpha <= below and does
+    not at every alpha >= above (see graph_dimension_estimate).
+
+    The ends are a -+ 4 * eta / |d ln E / d alpha| around Newton's guess a,
+    each kept only if its evaluation clears threshold by the relative margin
+    eta; an end not kept is -inf or inf."""
+    unchecked = (-math.inf, math.inf)
+    # the sum must fall in alpha, and its underflow error M * 2**-1072 stay within T * eta / 8
+    if max(d2s) >= 1.0 or math.ldexp(sum(mults), -1069) > threshold * _ETA:
+        return unchecked
+    try:
+        guess = _newton(mults, d2s, threshold)
+        if guess is None:
+            return unchecked
+        alpha, slope = guess
+        width = 4.0 * _ETA / -slope
+        below, above = alpha - width, alpha + width
+        return (below if _entropy(mults, d2s, below) > threshold * (1.0 + _ETA) else -math.inf,
+                above if _entropy(mults, d2s, above) < threshold * (1.0 - _ETA) else math.inf)
+    except (OverflowError, ZeroDivisionError):
+        return unchecked  # a guess so far off that a power leaves the float range
 
 
 def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BUDGET) -> dict[int, float]:
@@ -209,7 +275,24 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
     For each rank, bisects the alpha where the (strictly decreasing) entropy
     sum crosses sqrt(2), for 64 halvings or until the float midpoint equals an
     end, whichever is first; the estimates trend to 1.  The budget caps the
-    digit-count groups of all ranks together, counted before any is built."""
+    digit-count groups of all ranks together, counted before any is built.
+    A rank whose groups leave the float range is RankTooLarge, found at the
+    largest rank before any is estimated.
+
+    A step whose alpha lies at or past an end of the checked bracket (see
+    _bracket) takes that end's answer without evaluating the sum; any other
+    step evaluates it, so every estimate is the one of evaluating every step.
+    Sound when every d2 < 1 and U = M * 2**-1072 <= T * eta / 8 (M the float
+    sum of the multiplicities, T the threshold, eta = 2**-40); else no end
+    is kept.  The exact sum S(h) of mult * d2**h over the same floats is then
+    strictly decreasing in h = fl(alpha / 2), itself monotone in alpha.  An
+    evaluation E is within eps * S + U of S, eps = 2**-50: pow within 2 ulps
+    (a subnormal power within 2**-1073 absolute), one rounding per product,
+    and fsum rounds the exact sum of the terms once.  A kept below has
+    E(below) > T * (1 + eta), so S(below) > T * (1 + 7 * eta / 8) / (1 + eps),
+    and every alpha <= below has E(alpha) >= (1 - eps) * S(below) - U >
+    T * (1 + 3 * eta / 4 - 3 * eps) > T: an evaluation would say "exceeds"
+    too.  A kept above gives E(alpha) < T for every alpha >= above alike."""
     budget = _as_int(budget, "budget")
     if not system.shift_invariant:
         raise NotShiftInvariant("dimension estimation needs flips none or all")
@@ -225,17 +308,26 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
     groups = sum(_group_count(system, rank) for rank in ranks)
     if groups > budget:
         raise BudgetExceeded(f"{groups} rectangle groups over {len(ranks)} ranks exceed budget {budget}")
+    threshold = ENTROPY_THRESHOLD
     out: dict[int, float] = {}
+    # the largest rank has the largest multiplicity and the smallest diagonal:
+    # refuse there before estimating any rank
+    top = _float_groups(system, ranks[-1], budget) if ranks else None
     for rank in ranks:
-        diags = _rectangle_groups(system, rank, budget, truediv)
+        mults, d2s = top if rank == ranks[-1] else _float_groups(system, rank, budget)
+        below, above = _bracket(mults, d2s, threshold)
+
+        def exceeds(alpha: float) -> bool:
+            return alpha <= below or (alpha < above and _entropy(mults, d2s, alpha) > threshold)
+
         lo, hi = 0.0, 1.0
-        while _entropy(diags, hi) > ENTROPY_THRESHOLD and hi < 64.0:
+        while hi < 64.0 and exceeds(hi):
             hi *= 2.0
         for _ in range(64):
             mid = (lo + hi) / 2.0
             if mid == lo or mid == hi:
                 break  # a fixed point: every further halving leaves (lo + hi) / 2 at mid
-            if _entropy(diags, mid) > ENTROPY_THRESHOLD:
+            if exceeds(mid):
                 lo = mid
             else:
                 hi = mid
@@ -260,6 +352,8 @@ class MoranSpec(_MoranFields):
     __slots__ = ()
 
     def __new__(cls, pv: ProbVector, u: int):
+        if not isinstance(pv, ProbVector):
+            raise InvalidArgument(f"pv must be a ProbVector, got {pv!r}")
         pv.check_digit(u)
         return tuple.__new__(cls, (pv, u))
 

@@ -281,6 +281,13 @@ def test_dimension_refuses_the_groups_of_all_ranks_at_once(capsys):
     assert err == "error: BudgetExceeded: 2253000 rectangle groups over 1500 ranks exceed budget 1048576\n"
 
 
+def test_dimension_refuses_a_rank_past_the_float_range(capsys):
+    # C(1100, 550) is no float; the largest rank is checked before any is estimated
+    code, out, err = run_cli(capsys, "dimension", "--p", "1/2,1/2", "--flips", "none", "--rank", "1100")
+    assert (code, out) == (2, "")
+    assert err == "error: RankTooLarge: rank 1100: a rectangle multiplicity exceeds the float range\n"
+
+
 #: Options every subcommand took before each listed only what its body reads.
 UNREAD_OPTIONS = [
     ("convert", "--flips", "all"), ("convert", "--rank", "12"), ("convert", "--tol", "1/1000"),

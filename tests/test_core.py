@@ -25,6 +25,7 @@ from probdigits import (
     PrefixTooShort,
     ProbDigitsError,
     ProbVector,
+    RankTooLarge,
     ShiftPastPrefix,
     SumNotOne,
     bernoulli_cdf,
@@ -745,6 +746,25 @@ REFUSALS = [
      "flip positions must be a sequence of integers, got None"),
     ("mask-none-preperiod", lambda: FlipSet.mask(None, (1,)), FlipSpecError,
      "mask preperiod must be a sequence of bits, got None"),
+    # records and sequences of the wrong type
+    ("flip-system-pv", lambda: FlipSystem(None, None), InvalidArgument, "pv must be a ProbVector, got None"),
+    ("flip-system-flips", lambda: FlipSystem(PV4, "none"), InvalidArgument, "flips must be a FlipSet, got 'none'"),
+    ("flip-system-replace-flips", lambda: SYSTEM2._replace(flips=None), InvalidArgument,
+     "flips must be a FlipSet, got None"),
+    ("moran-pv", lambda: MoranSpec(None, 1), InvalidArgument, "pv must be a ProbVector, got None"),
+    ("make-prob-vector-none", lambda: make_prob_vector(None), InvalidArgument,
+     "weights must be an iterable of rationals, got None"),
+    ("prob-vector-int", lambda: ProbVector(5), InvalidArgument, "weights must be an iterable of rationals, got 5"),
+    ("digitseq-none", lambda: DigitSeq(None, 2), InvalidArgument, "digits must be a sequence of integers, got None"),
+    # entropy sums whose groups leave the float range
+    ("entropy-multiplicity", lambda: entropy_sum(PLAIN2, 1, 1100), RankTooLarge,
+     "rank 1100: a rectangle multiplicity exceeds the float range"),
+    ("entropy-diagonal", lambda: entropy_sum(PLAIN2, 1, 540), RankTooLarge,
+     "rank 540: a squared diagonal is below the float range"),
+    ("dimension-diagonal", lambda: graph_dimension_estimate(PLAIN2, [540]), RankTooLarge,
+     "rank 540: a squared diagonal is below the float range"),
+    ("dimension-largest-rank-first", lambda: graph_dimension_estimate(PLAIN2, [512, 600, 1100]), RankTooLarge,
+     "rank 1100: a rectangle multiplicity exceeds the float range"),
     # points
     ("encode-point", lambda: encode(2, PLAIN2.pv), OutOfUnitInterval, "2 not in [0, 1]"),
     ("encode-negative-point", lambda: encode("-1/2", PLAIN2.pv), OutOfUnitInterval, "-1/2 not in [0, 1]"),

@@ -321,6 +321,67 @@ def test_dimension_bisection_equals_64_halvings(monkeypatch, uniform2, asym2, pv
             assert graph_dimension_estimate(system, ranks) == expected
 
 
+def test_dimension_checks_the_newton_guess(monkeypatch):
+    # a guess far off the crossing keeps at most the end that truly holds,
+    # and the estimate is the 64-halving one whatever the guess
+    threshold = fractal.ENTROPY_THRESHOLD
+    system = FlipSystem(make_prob_vector(["1/5", "3/10", "1/2"]), FlipSet.all())
+    expected = {6: dimension_by_bisection(system, 6, threshold)}
+    mults, d2s = fractal._float_groups(system, 6, fractal.DEFAULT_BUDGET)
+    below, above = fractal._bracket(mults, d2s, threshold)
+    assert below < expected[6] < above
+    alpha, slope = fractal._newton(mults, d2s, threshold)
+    for guess, kept in [((alpha + 0.25, slope), (False, True)), ((alpha - 0.25, slope), (True, False)),
+                        ((alpha, slope * 2.0 ** 30), (False, False)), ((-900.0, slope), (False, False)),
+                        (None, (False, False))]:
+        monkeypatch.setattr(fractal, "_newton", lambda *args, guess=guess: guess)
+        below, above = fractal._bracket(mults, d2s, threshold)
+        assert (below > -math.inf, above < math.inf) == kept
+        assert graph_dimension_estimate(system, [6]) == expected
+
+
+def test_dimension_evaluates_every_step_without_a_bracket(monkeypatch):
+    # 1/4,3/4 with flips none at rank 1 has d2 = 9/8 >= 1, so the sum need
+    # not fall in alpha: every doubling test and every halving reads it
+    threshold = fractal.ENTROPY_THRESHOLD
+    system = FlipSystem(make_prob_vector(["1/4", "3/4"]), FlipSet.none())
+    mults, d2s = fractal._float_groups(system, 1, fractal.DEFAULT_BUDGET)
+    assert max(d2s) == 9 / 8
+    assert fractal._bracket(mults, d2s, threshold) == (-math.inf, math.inf)
+    entropy, seen = fractal._entropy, []
+    monkeypatch.setattr(fractal, "_entropy", lambda m, d, alpha: seen.append(alpha) or entropy(m, d, alpha))
+    estimate = graph_dimension_estimate(system, [1])[1]
+    steps, lo, hi = [], 0.0, 1.0
+    while hi < 64.0:
+        steps.append(hi)
+        if not entropy(mults, d2s, hi) > threshold:
+            break
+        hi *= 2.0
+    while (lo + hi) / 2.0 not in (lo, hi):
+        mid = (lo + hi) / 2.0
+        steps.append(mid)
+        lo, hi = (mid, hi) if entropy(mults, d2s, mid) > threshold else (lo, mid)
+    assert seen == steps
+    assert estimate == (lo + hi) / 2.0 == dimension_by_bisection(system, 1, threshold)
+
+
+def test_dimension_evaluations_per_rank(monkeypatch):
+    # every step would read the sum about 55 times per rank; the checked
+    # bracket leaves the two checks and the steps inside it
+    system = FlipSystem(make_prob_vector(["1/5", "3/10", "1/2"]), FlipSet.all())
+    entropy, calls = fractal._entropy, []
+    monkeypatch.setattr(fractal, "_entropy", lambda *args: calls.append(args[2]) or entropy(*args))
+    graph_dimension_estimate(system, [10])
+    assert len(calls) <= 24
+
+
+def test_entropy_sum_in_float_range(uniform2):
+    # the last ranks whose groups are normal floats still give sqrt(2) and 1
+    system = FlipSystem(uniform2, FlipSet.none())
+    assert entropy_sum(system, 1, 511) == pytest.approx(math.sqrt(2), rel=1e-12)
+    assert graph_dimension_estimate(system, [511]) == {511: 1.0}
+
+
 def test_dimension_needs_invariant_flips(uniform2):
     with pytest.raises(NotShiftInvariant):
         graph_dimension_estimate(FlipSystem(uniform2, FlipSet.finite([2])), [4])

@@ -21,6 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import probdigits.analysis as analysis
+import probdigits.fractal as fractal
 from probdigits import (
     BudgetExceeded,
     DigitSeq,
@@ -45,6 +46,7 @@ from probdigits import (
     eval_nega,
     flip_digits,
     flip_image,
+    graph_dimension_estimate,
     horner_sum,
     ifs_graph_points,
     integral_closed_form,
@@ -62,6 +64,7 @@ from conftest import (
     cylinder_by_fractions,
     diagonal_multiset,
     diagonals_by_walk,
+    dimension_by_bisection,
     eval_digits_by_horner,
     eval_flip_by_digits,
     eval_nega_by_fractions,
@@ -635,6 +638,35 @@ def test_entropy_sum_matches_the_cylinder_walk(pv, flips, rank, alpha):
     system = FlipSystem(pv, flips)
     expected = math.fsum(float(d2) ** (alpha / 2) for _, d2 in diagonals_by_walk(system, rank))
     assert entropy_sum(system, alpha, rank) == pytest.approx(expected, rel=1e-12)
+
+
+@st.composite
+def dimension_vectors(draw):
+    """Weights over q in {2, 3, 5} with a dyadic or a coprime denominator."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    den = draw(st.sampled_from((8, 64, 1024, 77, 91, 143, 1001)))
+    cuts = sorted(draw(st.lists(st.integers(1, den - 1), min_size=q - 1, max_size=q - 1, unique=True)))
+    return make_prob_vector([Fraction(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])])
+
+
+@settings(max_examples=60, deadline=None)
+@given(dimension_vectors(), st.sampled_from((FlipSet.none(), FlipSet.all())),
+       st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True).map(sorted),
+       st.one_of(st.just(math.sqrt(2.0)), st.floats(0.1, 10.0)))
+def test_dimension_equals_the_bisection_of_every_step(pv, flips, ranks, threshold):
+    # the steps a checked bracket decides come out as evaluating every step would
+    system = FlipSystem(pv, flips)
+    with patch.object(fractal, "ENTROPY_THRESHOLD", threshold):
+        estimates = graph_dimension_estimate(system, ranks)
+    assert estimates == {rank: dimension_by_bisection(system, rank, threshold) for rank in ranks}
+
+
+@given(dimension_vectors(), flip_sets(), st.integers(1, 6), st.floats(0, 3))
+def test_entropy_sum_is_the_generator_sum(pv, flips, rank, alpha):
+    # bit for bit: the same terms in the same order, each mult * d2**(alpha/2)
+    system = FlipSystem(pv, flips)
+    expected = math.fsum(mult * float(d2) ** (alpha / 2.0) for mult, d2 in rectangle_diagonals_sq(system, rank))
+    assert entropy_sum(system, alpha, rank) == expected
 
 
 @given(st.integers(-(1 << 200), 1 << 200), st.integers(1, 1 << 200), st.integers(0, 1 << 100))
