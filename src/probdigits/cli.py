@@ -4,6 +4,10 @@ Rationals cross this boundary as "num/den" strings so scripts can keep the
 exact values; *_float fields are presentation only.  JSON goes to stdout
 with stable keys; CSV columns are fixed per subcommand (see README).
 
+Argparse checks only syntax: the library parses the option values (PARSERS)
+inside _run's one handler, so every refusal and every failed write of the
+output is exit 2 and one line `error: <Class>: <message>`.
+
 One process answers one command, so start-up is part of every answer: the
 parser needs only core, and each command body imports the rest of what it
 calls (flips, analysis, fractal, the output encoders) when it runs.
@@ -18,31 +22,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .core import make_prob_vector
+from .core import as_fraction, make_prob_vector
 from .errors import ProbDigitsError
-
-
-def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}") from None
-
-
-def _flipset(text: str):
-    from .flips import FlipSet
-
-    try:
-        return FlipSet.parse(text)
-    except ProbDigitsError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _prob_vector(text: str):
-    try:
-        return make_prob_vector([_rational(tok) for tok in text.split(",")])
-    except ProbDigitsError as exc:
-        raise argparse.ArgumentTypeError(f"bad weight vector {text!r}: {exc}") from None
 
 
 def q_str(x: Fraction) -> str:
@@ -157,6 +138,8 @@ def cmd_graph(args):
 
 
 def cmd_dimension(args):
+    from math import fsum
+
     from .fractal import MoranSpec, graph_dimension_estimate, moran_dimension
 
     system = _system(args)
@@ -166,10 +149,9 @@ def cmd_dimension(args):
     if args.u is not None:
         spec = MoranSpec(args.p, args.u)
         alpha = moran_dimension(spec, float(args.tol))
-        weights = spec.block_weights().values()
-        residual = sum(float(w) ** alpha for w in weights) - 1.0 if weights else 0.0
         payload["moran_alpha"] = alpha
-        payload["moran_residual"] = residual
+        # the residual moran_dimension stopped on, summed as it sums it
+        payload["moran_residual"] = fsum(float(w) ** alpha for w in spec.block_weights().values()) - 1.0
     return "json", payload
 
 
@@ -192,14 +174,28 @@ def cmd_scan_derivative(args):
     return "csv", (header, rows)
 
 
+def _parse_flips(text: str):
+    from .flips import FlipSet
+
+    return FlipSet.parse(text)
+
+
+#: The options argparse keeps as text, by dest, each with the library call
+#: that parses it in _run; flips loads only for a command that reads --flips.
+PARSERS = {
+    "p": lambda text: make_prob_vector(text.split(",")),
+    "x": as_fraction,
+    "tol": as_fraction,
+    "flips": _parse_flips,
+}
+
 #: Options several subcommands read, each declared once; a subcommand lists
-#: the flag with its own default.  --flips defaults to the spec text "none",
-#: which argparse parses through _flipset only when the flag is absent.
+#: the flag with its own default.  --flips defaults to the spec text "none".
 SHARED = {
-    "--flips": dict(type=_flipset, metavar="SPEC", help="none | all | finite:2,5 | mask:PRE;PERIOD (default %(default)s)"),
+    "--flips": dict(metavar="SPEC", help="none | all | finite:2,5 | mask:PRE;PERIOD (default %(default)s)"),
     "--depth": dict(type=int),
     "--rank": dict(type=int),
-    "--tol": dict(type=_rational),
+    "--tol": dict(),
     "--seed": dict(type=int),
 }
 
@@ -207,9 +203,9 @@ SHARED = {
 #: SHARED flag maps to its default here, any other flag to its argparse spec.
 SUBCOMMANDS = {
     "convert": (cmd_convert, "digit expansion, classification and cylinder of x",
-                {"--x": dict(type=_rational, required=True), "--depth": 32}),
+                {"--x": dict(required=True), "--depth": 32}),
     "eval": (cmd_eval, "certified value of the flip map at x",
-             {"--x": dict(type=_rational, required=True), "--flips": "none", "--depth": 32}),
+             {"--x": dict(required=True), "--flips": "none", "--depth": 32}),
     "integral": (cmd_integral, "the Lebesgue integral three ways",
                  {"--flips": "none", "--rank": 10, "--tol": Fraction(1, 10**12)}),
     "jumps": (cmd_jumps, "jump reports at the first COUNT two-expansion points",
@@ -237,7 +233,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if command not in (None, name):
             continue
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--p", type=_prob_vector, required=True, metavar="P",
+        p.add_argument("--p", required=True, metavar="P",
                        help="comma-separated digit weights, e.g. 1/5,3/10,1/2")
         for flag, spec in options.items():
             if flag in SHARED:
@@ -301,20 +297,19 @@ def _run(argv) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
+        for dest, parse in PARSERS.items():
+            if dest in vars(args):
+                setattr(args, dest, parse(getattr(args, dest)))
         shape, payload = SUBCOMMANDS[args.command][0](args)
         text = _render(shape, payload, args.format)
-    except ProbDigitsError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    if args.out:
-        try:
+        if args.out:
             with open(args.out, "w", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ProbDigitsError, OSError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -196,6 +196,8 @@ class ProbVector:
 
     def __init__(self, p: Iterable[RationalLike]):
         try:
+            if isinstance(p, (str, bytes)):  # it would iterate its characters
+                raise TypeError
             values = iter(p)
         except TypeError:
             raise InvalidArgument(f"weights must be an iterable of rationals, got {p!r}") from None

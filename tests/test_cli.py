@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import io
+import math
 import os
 import re
 import shlex
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from probdigits import FlipSet, FlipSystem, ifs_graph_points, make_prob_vector
+from probdigits import FlipSet, FlipSystem, MoranSpec, ifs_graph_points, make_prob_vector, moran_dimension
 from probdigits.cli import build_parser, main, q_str
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,23 +65,27 @@ def test_convert_out_of_range_exits_nonzero(capsys):
     assert out == ""
 
 
-def test_bad_rational_rejected(capsys):
-    with pytest.raises(SystemExit):
-        main(["convert", "--p", "1/2,1/2", "--x", "one-half"])
-
-
-def test_bad_weight_vector_rejected(capsys):
-    for bad in ("1/2,1/3", "1/2", "1/2,-1/2,1"):
-        with pytest.raises(SystemExit) as exc_info:
-            main(["convert", "--p", bad, "--x", "1/2"])
-        assert exc_info.value.code == 2
-
-
-def test_flip_spec_over_budget_rejected(capsys):
+#: A bad value of each option the library parses, and the one stderr line it gives.
+OPTION_VALUE_REFUSALS = [
+    ("convert", "--x", "one-half", "InvalidArgument: not a rational number: 'one-half'"),
+    ("convert", "--x", "1/0", "InvalidArgument: not a rational number: '1/0'"),
+    ("integral", "--tol", "1/0", "InvalidArgument: not a rational number: '1/0'"),
+    ("integral", "--p", "1/2,1/3", "SumNotOne: weights sum to 5/6, not 1"),
+    ("convert", "--p", "1/2", "BaseTooSmall: need at least 2 weights, got 1"),
+    ("convert", "--p", "1/2,-1/2,1", "NonPositiveWeight: weight -1/2 is not positive"),
+    ("eval", "--flips", "mask:;2", "FlipSpecError: mask period column 0: '2' is not a bit"),
     # a finite flip set stores one bit per position up to its largest
-    with pytest.raises(SystemExit) as exc_info:
-        main(["eval", "--p", "1/2,1/2", "--flips", "finite:2000000", "--x", "1/3"])
-    assert exc_info.value.code == 2
+    ("eval", "--flips", "finite:2000000", "BudgetExceeded: flip position 2000000 exceeds budget 1048576"),
+]
+
+
+@pytest.mark.parametrize("command, option, value, line", OPTION_VALUE_REFUSALS,
+                         ids=[" ".join(case[:3]) for case in OPTION_VALUE_REFUSALS])
+def test_option_value_refused_in_one_line(capsys, command, option, value, line):
+    # the library parses each option value, so its refusal is one line naming its class
+    options = {"--p": "1/2,1/2", **({} if command == "integral" else {"--x": "1/3"}), option: value}
+    argv = [command, *(word for item in options.items() for word in item)]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +233,22 @@ def test_dimension_payload(capsys):
     assert abs(payload["moran_residual"]) <= 1e-12
 
 
+def test_dimension_prints_the_residual_moran_dimension_stopped_on(capsys):
+    # summed with plain sum, this residual reads 7.44737604918555e-13
+    payload = run_json(capsys, "dimension", "--p", ",".join(["1/6"] * 6), "--rank", "2", "--u", "5")
+    spec = MoranSpec(make_prob_vector(["1/6"] * 6), 5)
+    alpha = moran_dimension(spec, 1e-12)
+    assert payload["moran_alpha"] == alpha
+    assert payload["moran_residual"] == math.fsum(float(w) ** alpha for w in spec.block_weights().values()) - 1.0
+    assert payload["moran_residual"] == 7.4495964952348e-13
+
+
+def test_dimension_empty_moran_alphabet_exits_2(capsys):
+    # q = 2 with marker 1 leaves no block digit, so there is no residual to print
+    code, out, err = run_cli(capsys, "dimension", "--p", "1/2,1/2", "--u", "1")
+    assert (code, out, err) == (2, "", "error: EmptyAlphabet: no admissible block digits for q=2, u=1\n")
+
+
 def test_dimension_high_rank_groups_by_digit_counts(capsys):
     # 2**40 rectangles, but rank 40 builds only 41 digit-count groups
     payload = run_json(capsys, "dimension", "--p", "1/2,1/2", "--flips", "all", "--rank", "40")
@@ -335,6 +356,17 @@ def test_out_unwritable_exits_2(tmp_path, capsys, target, error):
     assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
 
 
+class FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_stdout_unwritable_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    code = main(["convert", "--p", "1/2,1/2", "--x", "1/3"])
+    assert (code, capsys.readouterr().err) == (2, "error: OSError: [Errno 28] No space left on device\n")
+
+
 def test_csv_command_as_json(capsys):
     code, out, err = run_cli(capsys, "jumps", "--p", "1/2,1/2", "--flips", "finite:1",
                              "--count", "2", "--format", "json")
@@ -407,8 +439,7 @@ def test_main_restores_int_digit_limit(capsys, int_digit_limit):
     sys.set_int_max_str_digits(5000)
     assert run_cli(capsys, "convert", "--p", "1/2,1/2", "--x", "1/3")[0] == 0
     assert run_cli(capsys, "convert", "--p", "1/2,1/2", "--x", "3/2")[0] == 2
-    with pytest.raises(SystemExit):
-        main(["convert", "--p", "1/2,1/2", "--x", "one-half"])
+    assert run_cli(capsys, "convert", "--p", "1/2,1/2", "--x", "one-half")[0] == 2
     assert sys.get_int_max_str_digits() == 5000
 
 

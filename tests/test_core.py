@@ -755,6 +755,13 @@ REFUSALS = [
     ("make-prob-vector-none", lambda: make_prob_vector(None), InvalidArgument,
      "weights must be an iterable of rationals, got None"),
     ("prob-vector-int", lambda: ProbVector(5), InvalidArgument, "weights must be an iterable of rationals, got 5"),
+    # a string of weights is refused by name, not character by character
+    ("prob-vector-str", lambda: ProbVector("1/2,1/2"), InvalidArgument,
+     "weights must be an iterable of rationals, got '1/2,1/2'"),
+    ("make-prob-vector-str", lambda: make_prob_vector("1/2"), InvalidArgument,
+     "weights must be an iterable of rationals, got '1/2'"),
+    ("prob-vector-bytes", lambda: ProbVector(b"1/2,1/2"), InvalidArgument,
+     "weights must be an iterable of rationals, got b'1/2,1/2'"),
     ("digitseq-none", lambda: DigitSeq(None, 2), InvalidArgument, "digits must be a sequence of integers, got None"),
     # entropy sums whose groups leave the float range
     ("entropy-multiplicity", lambda: entropy_sum(PLAIN2, 1, 1100), RankTooLarge,
