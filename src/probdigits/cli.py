@@ -22,7 +22,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .core import as_fraction, make_prob_vector
+from .core import DEFAULT_BUDGET, _lowest_terms_over, as_fraction, make_prob_vector
 from .errors import ProbDigitsError
 
 
@@ -125,16 +125,15 @@ def cmd_jumps(args):
     return "csv", (header, rows)
 
 
+def _exact_cells(nums, scale):
+    return list(map(q_str, _lowest_terms_over(nums, scale)))
+
+
 def cmd_graph(args):
-    from operator import truediv
+    from .fractal import _divided, _graph_points
 
-    from .core import DEFAULT_BUDGET, _lowest_terms
-    from .fractal import _graph_points
-
-    # int / int true division is correctly rounded, so each float is that of
-    # the exact coordinate, with no Fraction built
-    coord = (lambda num, den: q_str(_lowest_terms(num, den))) if args.exact else truediv
-    return "csv", (["x", "y"], _graph_points(_system(args), args.depth, DEFAULT_BUDGET, coord))
+    coords = _exact_cells if args.exact else _divided
+    return "csv", (["x", "y"], _graph_points(_system(args), args.depth, DEFAULT_BUDGET, coords))
 
 
 def cmd_dimension(args):
@@ -148,7 +147,8 @@ def cmd_dimension(args):
     payload = {"entropy_estimates": {str(r): a for r, a in estimates.items()}}
     if args.u is not None:
         spec = MoranSpec(args.p, args.u)
-        alpha = moran_dimension(spec, float(args.tol))
+        # the exact tol: moran_dimension compares it with the float residual exactly
+        alpha = moran_dimension(spec, args.tol)
         payload["moran_alpha"] = alpha
         # the residual moran_dimension stopped on, summed as it sums it
         payload["moran_residual"] = fsum(float(w) ** alpha for w in spec.block_weights().values()) - 1.0

@@ -130,6 +130,18 @@ def _lowest_terms(num: int, den: int) -> Fraction:
     return out
 
 
+def _lowest_terms_over(nums: list[int], scale: int) -> list[Fraction]:
+    """[_lowest_terms(num, scale) for num in nums], for ints nums over one
+    scale > 0, in one loop rather than one call per value."""
+    new = object.__new__
+    out = [new(Fraction) for _ in nums]
+    for value, num in zip(out, nums):
+        g = gcd(num, scale)
+        value._numerator = num // g
+        value._denominator = scale // g
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Probability vectors
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ import math
 import sys
 from fractions import Fraction
 from itertools import repeat
-from operator import mul, truediv
+from operator import mul
 from typing import NamedTuple
 
-from .core import DEFAULT_BUDGET, DigitSeq, ProbVector, _as_int, _lowest_terms
+from .core import DEFAULT_BUDGET, DigitSeq, ProbVector, _as_int, _lowest_terms, _lowest_terms_over
 from .errors import BudgetExceeded, EmptyAlphabet, InvalidArgument, NotShiftInvariant, RankTooLarge
 from .flips import FlipSystem, eval_flip
 
@@ -64,9 +64,17 @@ def ifs_maps(system: FlipSystem) -> list[AffineMap2D]:
     ]
 
 
-def _graph_points(system: FlipSystem, depth: int, budget: int, coord) -> list[tuple]:
+def _divided(nums: list[int], scale: int) -> list[float]:
+    """The floats nums[i] / scale.  int / int true division is correctly
+    rounded, so each equals float of the exact value, with no Fraction
+    built."""
+    return [num / scale for num in nums]
+
+
+def _graph_points(system: FlipSystem, depth: int, budget: int, coords) -> list[tuple]:
     """The q**depth graph points over the rank-depth cylinder left endpoints,
-    in lexicographic base order, each coordinate made by coord(num, den).
+    in lexicographic base order, the coordinates made one list at a time by
+    coords(nums, scale), the values nums[i] / scale.
 
     ends, the q**depth + 1 cylinder ends over scale = D**depth, follow the
     suffix recurrence lo(d1...dn) = beta[d1] * D**(n-1) + p[d1] * lo(d2...dn),
@@ -76,7 +84,8 @@ def _graph_points(system: FlipSystem, depth: int, budget: int, coord) -> list[tu
     t_num / t_den, the flipped zero tail past the depth.  The cylinders are
     adjacent, so that is ends[j] * (t_den - t_num) + ends[j+1] * t_num over
     scale * t_den, or, when t is 0 or 1, the x of ends[j + t]: then at is
-    shifted by t, and each distinct value is made once."""
+    shifted by t, and the one call over ends makes each distinct value once.
+    Otherwise a second call makes the q**depth y values."""
     depth = _as_int(depth, "depth", 0)
     budget = _as_int(budget, "budget")
     pv = system.pv
@@ -90,16 +99,16 @@ def _graph_points(system: FlipSystem, depth: int, budget: int, coord) -> list[tu
     scale = size = 1
     for k in range(depth, 0, -1):
         # the lists hold the suffixes at positions k+1..depth; put each digit of position k in front
-        ends = [b * scale + c * x for b, c in zip(beta, p) for x in ends]
+        ends = [lead + c * x for lead, c in zip([b * scale for b in beta], p) for x in ends]
         flipped = range(q - 1, -1, -1) if system.flips.contains(k) else range(q)
-        at = [f * size + j for f in flipped for j in at]
+        at = [lead + j for lead in [f * size for f in flipped] for j in at]
         scale *= den
         size *= q
     ends.append(scale)
-    xs = [coord(x, scale) for x in ends]
-    keep, y_den = t_den - t_num, scale * t_den
-    ys = xs if t_den == 1 else [coord(lo * keep + hi * t_num, y_den) for lo, hi in zip(ends, ends[1:])]
-    return [(x, ys[j]) for x, j in zip(xs, at)]
+    xs = coords(ends, scale)
+    keep = t_den - t_num
+    ys = xs if t_den == 1 else coords([lo * keep + hi * t_num for lo, hi in zip(ends, ends[1:])], scale * t_den)
+    return list(zip(xs, map(ys.__getitem__, at)))
 
 
 def ifs_graph_points(system: FlipSystem, depth: int, budget: int = DEFAULT_BUDGET) -> list[tuple[Fraction, Fraction]]:
@@ -112,7 +121,7 @@ def ifs_graph_points(system: FlipSystem, depth: int, budget: int = DEFAULT_BUDGE
     a reduced Fraction; when that tail is worth 0 or 1 (flips none or all, a
     finite set ending by the depth) each distinct value is one Fraction, so
     for flips none every y is its x."""
-    return _graph_points(system, depth, budget, _lowest_terms)
+    return _graph_points(system, depth, budget, _lowest_terms_over)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +163,10 @@ def _group_count(system: FlipSystem, rank: int) -> int:
     return math.comb(flipped + q - 1, q - 1) * math.comb(rank - flipped + q - 1, q - 1)
 
 
-def _rectangle_groups(system: FlipSystem, rank: int, budget: int, coord) -> list[tuple[int, object]]:
-    """The rank-r rectangles grouped by digit counts, as (multiplicity,
-    diag_sq) pairs, diag_sq made by coord(num, den) over den = D**(2*rank).
+def _rectangle_groups(system: FlipSystem, rank: int, budget: int, coords) -> tuple[list[int], list]:
+    """The rank-r rectangles grouped by digit counts, as two lists: the
+    multiplicities, and the diag_sq values made by one call coords(nums,
+    scale) over scale = D**(2*rank).
 
     A rectangle's sides depend only on the digit counts m over the a flipped
     positions up to the rank and n over the b = rank - a unflipped ones:
@@ -175,7 +185,7 @@ def _rectangle_groups(system: FlipSystem, rank: int, budget: int, coord) -> list
     # side products are integers over D**rank; a flipped position reads the complement's weight
     sides = [(mult, x * x + y * y) for mult, x, y in _count_groups(flipped, p, p[::-1])]
     plain = [(mult, w * w) for mult, w, _ in _count_groups(rank - flipped, p, p)]
-    return [(m * n, coord(s * w, scale)) for m, s in sides for n, w in plain]
+    return [m * n for m, _ in sides for n, _ in plain], coords([s * w for _, s in sides for _, w in plain], scale)
 
 
 def rectangle_diagonals_sq(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, Fraction]]:
@@ -183,7 +193,7 @@ def rectangle_diagonals_sq(system: FlipSystem, rank: int, budget: int = DEFAULT_
     as (multiplicity, diag_sq) pairs, one per digit-count group (see
     _rectangle_groups): the multiplicities add up to q**rank.  A diagonal may
     recur across groups.  The budget caps the groups built."""
-    return _rectangle_groups(system, rank, budget, _lowest_terms)
+    return list(zip(*_rectangle_groups(system, rank, budget, _lowest_terms_over)))
 
 
 def _float_groups(system: FlipSystem, rank: int, budget: int) -> tuple[list[float], list[float]]:
@@ -191,12 +201,11 @@ def _float_groups(system: FlipSystem, rank: int, budget: int) -> tuple[list[floa
     squared diagonals, each correctly rounded.  A multiplicity past the float
     range, or a squared diagonal below the smallest normal float, is
     RankTooLarge: the float entropy sum would be garbage."""
-    groups = _rectangle_groups(system, rank, budget, truediv)
+    mults, d2s = _rectangle_groups(system, rank, budget, _divided)
     try:
-        mults = [float(m) for m, _ in groups]
+        mults = [float(m) for m in mults]
     except OverflowError:
         raise RankTooLarge(f"rank {rank}: a rectangle multiplicity exceeds the float range") from None
-    d2s = [d2 for _, d2 in groups]
     if min(d2s) < sys.float_info.min:
         raise RankTooLarge(f"rank {rank}: a squared diagonal is below the float range")
     return mults, d2s
@@ -374,12 +383,13 @@ class MoranSpec(_MoranFields):
         return {i: pv.p[i] * pv.p[self.u] ** (i - 1) for i in self.alphabet}
 
 
-def moran_dimension(spec: MoranSpec, tol: float = 1e-12) -> float:
+def moran_dimension(spec: MoranSpec, tol: float | Fraction = 1e-12) -> float:
     """Root alpha in [0, 1] of sum of block_weight**alpha = 1.
 
     The sum is strictly decreasing with value |alphabet| at 0 and < 1 at 1;
     degenerate alphabets (empty product mass) return 0.  Stops when the
-    residual |F(alpha) - 1| is within tol."""
+    residual |F(alpha) - 1| is within tol, a real number compared exactly:
+    a Fraction tol may lie outside the float range."""
     try:
         positive = tol > 0
     except TypeError:

@@ -243,6 +243,16 @@ def test_dimension_prints_the_residual_moran_dimension_stopped_on(capsys):
     assert payload["moran_residual"] == 7.4495964952348e-13
 
 
+@pytest.mark.parametrize("tol", ["1e400", "1e-400"])
+def test_dimension_takes_a_tol_outside_the_float_range(capsys, tol):
+    # float(tol) overflowed, or underflowed to 0.0 and was refused as not positive
+    payload = run_json(capsys, "dimension", "--p", "1/4,1/4,1/4,1/4", "--rank", "2", "--u", "1", "--tol", tol)
+    alpha = moran_dimension(MoranSpec(make_prob_vector(["1/4"] * 4), 1), Fraction(tol))
+    assert payload["moran_alpha"] == alpha
+    # any tol past the first residual stops at the first midpoint
+    assert (alpha == 0.5) == (tol == "1e400")
+
+
 def test_dimension_empty_moran_alphabet_exits_2(capsys):
     # q = 2 with marker 1 leaves no block digit, so there is no residual to print
     code, out, err = run_cli(capsys, "dimension", "--p", "1/2,1/2", "--u", "1")

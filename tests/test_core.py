@@ -412,6 +412,22 @@ def test_results_are_reduced_fractions(call, expected):
         assert (value.numerator, value.denominator) == (want.numerator, want.denominator)
 
 
+@pytest.mark.parametrize("base", [2, 4, 12, 36, 64, 77, 343, 360, 1024])
+def test_lowest_terms_over_a_power_is_lowest_terms(base):
+    # every residue mod base, 0 and the scale itself, and multiples of high
+    # powers of base's primes, whose gcd with the scale is a prime power
+    primes = [ell for ell in range(2, base + 1) if base % ell == 0 and all(ell % k for k in range(2, ell))]
+    for n in range(1, 9):
+        scale = base ** n
+        nums = [*range(2 * base), scale - 1, scale, scale + 1, 5 * scale]
+        nums += [ell ** e * m for ell in primes for e in range(1, scale.bit_length() + 3) for m in (1, 3, base + 1)]
+        for over in (scale, scale * 5, 1):  # a power of base, and two scales that are not
+            built = core._lowest_terms_over(nums, over)
+            assert all(type(value) is Fraction for value in built)
+            assert [(v.numerator, v.denominator) for v in built] == \
+                [(v.numerator, v.denominator) for v in (Fraction(num, over) for num in nums)]
+
+
 def test_walk_states_stay_reduced_on_a_periodic_orbit():
     # on 1/3,2/3 the orbit of 1/7 is 1/7 -> 3/7 -> 1/7: a walk that kept
     # unreduced pairs would grow them at every step

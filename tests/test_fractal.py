@@ -111,17 +111,21 @@ def test_graph_points_build_each_value_once(pv3):
     (FlipSet.mask((True,), (False, True, True)), 3, False),
 ])
 def test_graph_points_make_each_coordinate_once(pv3, flips, depth, tail_is_0_or_1):
-    # one coord per cylinder boundary, plus one per point's y when the tail is worth neither 0 nor 1
+    # one batch of the 3**depth + 1 cylinder ends over D**depth, plus one of
+    # the 3**depth y values when the tail is worth neither 0 nor 1
     calls = []
 
-    def coord(num, den):
-        calls.append((num, den))
-        return Fraction(num, den)
+    def coords(nums, scale):
+        calls.append((len(nums), scale))
+        return [Fraction(num, scale) for num in nums]
 
     system = FlipSystem(pv3, flips)
-    points = fractal._graph_points(system, depth, fractal.DEFAULT_BUDGET, coord)
+    points = fractal._graph_points(system, depth, fractal.DEFAULT_BUDGET, coords)
     assert points == ifs_graph_points(system, depth)
-    assert len(calls) == (1 if tail_is_0_or_1 else 2) * 3**depth + 1
+    x_scale = pv3.den ** depth
+    assert calls[0] == (3**depth + 1, x_scale)
+    assert [n for n, _ in calls[1:]] == ([] if tail_is_0_or_1 else [3**depth])
+    assert all(scale % x_scale == 0 for _, scale in calls[1:])
 
 
 def test_cylinder_images_match_per_base_fractions():

@@ -17,7 +17,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import probdigits.analysis as analysis
@@ -678,6 +678,38 @@ def test_lowest_terms_is_the_reduced_fraction(num, den, common):
     assert (built.numerator, built.denominator) == (expected.numerator, expected.denominator)
     assert hash(built) == hash(expected) and repr(built) == repr(expected)
     assert pickle.dumps(built) == pickle.dumps(expected) and pickle.loads(pickle.dumps(built)) == expected
+
+
+@st.composite
+def repeated_prime_vectors(draw):
+    """Weights over q in 2..5 with a denominator D that has a repeated prime,
+    so a value over D**n can share any power of that prime with it."""
+    den = draw(st.sampled_from((4, 8, 12, 18, 36, 64, 72)))
+    q = draw(st.integers(2, min(5, den)))
+    cuts = sorted(draw(st.lists(st.integers(1, den - 1), min_size=q - 1, max_size=q - 1, unique=True)))
+    # the numerators' partial sums are the cuts: with no prime in common with den, D == den
+    assume(math.gcd(den, *cuts) == 1)
+    pv = make_prob_vector([Fraction(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])])
+    assert pv.den == den
+    return pv
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_prime_vectors(), st.one_of(flip_sets(), bits.map(lambda pre: FlipSet.mask(pre, (False, True)))),
+       st.integers(0, 5))
+# the tail past 4 is 7/15, and the weight 3/8 puts its prime 3 into y numerators
+@example(make_prob_vector(["1/2", "3/8", "1/8"]), FlipSet.parse("mask:00;01"), 4)
+def test_graph_points_and_diagonals_are_in_lowest_terms(pv, flips, n):
+    # both are built by core._lowest_terms_over, without the Fraction constructor;
+    # an alternating period makes the zero tail past n worth neither 0 nor 1,
+    # so the y values are a list of their own, over a scale that is no power of D
+    system = FlipSystem(pv, flips)
+    values = [value for point in ifs_graph_points(system, n) for value in point]
+    values += [d2 for _, d2 in rectangle_diagonals_sq(system, n)]
+    for value in values:
+        num, den = value.numerator, value.denominator
+        assert type(value) is Fraction and den > 0 and math.gcd(num, den) == 1
+        assert value == Fraction(num, den)
 
 
 def zero_tail_image(system: FlipSystem, depth: int) -> Fraction:
