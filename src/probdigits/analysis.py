@@ -132,22 +132,22 @@ class MonotoneWitness(NamedTuple):
 def monotone_witness(system: FlipSystem, rank: int) -> MonotoneWitness | None:
     """A certified order reversal, if some position <= rank is flipped.
 
-    The pair agrees on the first m-1 digits and differs at the first flipped
-    position m; returns None when no position up to rank is flipped."""
+    With m the first flipped position and head the m-1 zero digits before
+    it, none of them flipped, the pair is head+(0,) and head+(1,) with zero
+    tails; returns None when no position up to rank is flipped.  x grows
+    with the digit.  Both points share the flipped zero tail T in [0, 1]
+    after position m, so g(head+(0,)) - g(head+(1,)) =
+    p[0]**(m-1) * (p[q-2]*(1-T) + p[q-1]*T) > 0: the pair always reverses
+    the order, and no other pair needs to be tried."""
     rank = _as_int(rank, "rank", 1)
     m = system.flips.min_position()
     if m is None or m > rank:
         return None
     q = system.pv.q
     head = (0,) * (m - 1)
-    seqs = [DigitSeq(head + (c,), q) for c in range(q)]
-    xs = [eval_digits(s, system.pv) for s in seqs]
-    gs = [eval_flip(s, system) for s in seqs]
-    for c1 in range(q):
-        for c2 in range(c1 + 1, q):
-            if xs[c1] < xs[c2] and gs[c1].lo > gs[c2].hi:
-                return MonotoneWitness(x1=xs[c1], x2=xs[c2], g1=gs[c1], g2=gs[c2])
-    return None
+    s1, s2 = DigitSeq(head + (0,), q), DigitSeq(head + (1,), q)
+    return MonotoneWitness(x1=eval_digits(s1, system.pv), x2=eval_digits(s2, system.pv),
+                           g1=eval_flip(s1, system), g2=eval_flip(s2, system))
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +230,13 @@ def _partial_sum(system: FlipSystem, terms: tuple[int, int, int, int], k: int) -
     weight / scale, where terms are the _expected_terms numerators.  Horner
     over D2 = D**2: each position takes (T, W) to (T*D2 + v*W, W*w).
 
-    The preperiod is folded one position at a time.  One period has its own
-    sums (B, P) over D2**L, and n whole periods take (T, W) to
-    (T*X**n + B*W*G, W*P**n) with X = D2**L and G = (X**n - P**n) / (X - P),
-    the geometric sum of X**(n-1-i) * P**i, which divides exactly.  The last
-    r < L positions are folded one at a time: O(m + L) steps for a preperiod
-    of m and a period of L, plus a few integer powers."""
+    Positions 1..k split as preperiod[:k], then n whole periods, then r more
+    positions.  The first and the last part are folded one position at a
+    time.  One period has its own sums (B, P) over D2**L, and n whole periods
+    take (T, W) to (T*X**n + B*W*G, W*P**n) with X = D2**L and
+    G = (X**n - P**n) / (X - P), the geometric sum of X**(n-1-i) * P**i,
+    which divides exactly: O(m + L) steps for a preperiod of m and a period
+    of L, plus a few integer powers."""
     v_plain, v_flip, w_plain, w_flip = terms
     den_sq = system.pv.den ** 2
     step = ((v_plain, w_plain), (v_flip, w_flip))
@@ -248,13 +249,9 @@ def _partial_sum(system: FlipSystem, terms: tuple[int, int, int, int], k: int) -
         return total, weight
 
     flips = system.flips
-    pre = flips.preperiod
-    if k <= len(pre):
-        total, weight = fold(pre[:k], 0, 1)
-        return total, weight, den_sq ** k
-    total, weight = fold(pre, 0, 1)
-    period = flips.period
+    pre, period = flips.preperiod[:k], flips.period
     n, r = divmod(k - len(pre), len(period))
+    total, weight = fold(pre, 0, 1)
     if n:
         block, block_weight = fold(period, 0, 1)
         x = den_sq ** len(period)
@@ -303,17 +300,18 @@ def integral_series(system: FlipSystem, tol=Fraction(1, 10**12)) -> Enclosure:
     when the estimate exceeds DEFAULT_BUDGET, the call refuses before
     summing.  The tail bound falls strictly with k, so the estimate is then
     confirmed exactly: the test holds at k and fails at k - 1 (or k = 1).
-    The series is summed once, at the estimate; the sums at k - 1 and k + 1
-    follow from those at k by one exact integer step (the test itself reads
-    only the weight product and the scale), so a wrong estimate is walked
-    off one term at a time."""
+    The test reads only the weight product and the scale, so at k - 1 it
+    reads weight // w_k and scale // D**2 from the sum at k.  While the test
+    fails at k, the sum is read again at k + 1; while it holds at k - 1, at
+    k - 1."""
     tol = as_fraction(tol)
     if tol <= 0:
         raise InvalidArgument(f"tol must be positive, got {tol}")
     terms = _expected_terms(system.pv)
     v_max = max(terms[:2])
     # (1 - w_max) * D**2, positive: every weight sum of squares is below 1
-    closure = system.pv.den ** 2 - max(terms[2:])
+    den_sq = system.pv.den ** 2
+    closure = den_sq - max(terms[2:])
     # the stop test below in logs: v_max / (closure * tol) <= prod_{j<=k} D**2 / w_j
     need = log(v_max) - log(closure) - log(tol.numerator) + log(tol.denominator)
     k = _series_length(system, terms, need)
@@ -324,28 +322,14 @@ def integral_series(system: FlipSystem, tol=Fraction(1, 10**12)) -> Enclosure:
         # the tail bound v_max * W / (1 - w_max) is v_max * weight / (scale * closure)
         return v_max * weight * tol.denominator <= tol.numerator * scale * closure
 
-    def term(j: int) -> tuple[int, int]:
-        # the (v, w) numerators _partial_sum folds in at position j
-        return (terms[1], terms[3]) if system.flips.contains(j) else (terms[0], terms[2])
-
-    den_sq = system.pv.den ** 2
-    total, weight, scale = _partial_sum(system, terms, k)
-    if stops(weight, scale):
-        # position k took (T, W) to (T*D2 + v*W, W*w): undo it while k - 1 stops
-        while k > 1:
-            v, w = term(k)
-            before = weight // w
-            if not stops(before, scale // den_sq):
-                break
-            total = (total - v * before) // den_sq
-            k, weight, scale = k - 1, before, scale // den_sq
-    else:
-        while not stops(weight, scale):
+    while True:
+        total, weight, scale = _partial_sum(system, terms, k)
+        if not stops(weight, scale):
             k += 1
-            v, w = term(k)
-            total = total * den_sq + v * weight
-            weight *= w
-            scale *= den_sq
+        elif k > 1 and stops(weight // terms[3 if system.flips.contains(k) else 2], scale // den_sq):
+            k -= 1
+        else:
+            break
     tail = v_max * weight
     return Enclosure._ordered(_lowest_terms(total, scale), _lowest_terms(total * closure + tail, scale * closure))
 

@@ -50,7 +50,7 @@ def _enclosure_json(enc) -> dict:
 
 
 def cmd_convert(args):
-    from .core import classify, cylinder_bounds, encode, eval_digits
+    from .core import PointKind, classify, cylinder_bounds, encode
 
     pv = args.p
     seq = encode(args.x, pv, args.depth)
@@ -63,7 +63,9 @@ def cmd_convert(args):
         "digits": list(seq.digits),
         "digit_string": sep.join(str(d) for d in seq.digits),
         "tail": seq.tail_kind,
-        "exact": eval_digits(seq, pv) == args.x,
+        # with max_depth = depth, P_RATIONAL is x = 1 or an orbit that reaches 0
+        # within the depth: exactly when encode's digits spell x
+        "exact": pc.kind is PointKind.P_RATIONAL,
         "classification": pc.kind.value,
         "cylinder": {
             "lo": q_str(cyl.lo),

@@ -296,12 +296,12 @@ def _normalize_tail(tail, q: int) -> tuple[int, ...]:
         raise InvalidArgument(f"tail must be 'zero', 'max' or a digit block, got {tail!r}") from None
     if not block:
         raise InvalidArgument("tail block must be nonempty")
-    # reduce to the primitive period so equal streams compare equal
+    # reduce to the primitive period so equal streams compare equal; the
+    # whole block is a period of itself, so the loop returns by length n
     n = len(block)
     for length in range(1, n + 1):
         if n % length == 0 and block == block[:length] * (n // length):
             return block[:length]
-    return block
 
 
 class DigitSeq:

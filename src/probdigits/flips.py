@@ -65,6 +65,11 @@ class FlipSet(_FlipFields):
     checked by every construction, _replace included: none is ((), (False,)),
     all ((), (True,)), finite has period (False,) and a preperiod ending in
     a set bit, and mask mixes both values (equal bits build none or all).
+
+    Equality compares the spelling, not the set: mask:;01 != mask:;0101 and
+    mask:01;0 != finite:2, so equal FlipSystems can compare unequal.  Making
+    every equal set spell one way would change str(), which CLI eval prints
+    as the spec was written.
     """
 
     __slots__ = ()

@@ -129,10 +129,9 @@ def ifs_graph_points(system: FlipSystem, depth: int, budget: int = DEFAULT_BUDGE
 # ---------------------------------------------------------------------------
 
 def _flipped_upto(flips, rank: int) -> int:
-    """Number of flipped positions among 1..rank, in O(len(preperiod) + len(period))."""
-    pre, per = flips.preperiod, flips.period
-    if rank <= len(pre):
-        return sum(pre[:rank])
+    """Number of flipped positions among 1..rank, in O(len(preperiod) + len(period)):
+    positions 1..rank split as preperiod[:rank], then whole periods, then the rest."""
+    pre, per = flips.preperiod[:rank], flips.period
     whole, rest = divmod(rank - len(pre), len(per))
     return sum(pre) + whole * sum(per) + sum(per[:rest])
 

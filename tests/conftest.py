@@ -12,6 +12,7 @@ from probdigits import (
     EndpointOneSided,
     FlipSet,
     JumpReport,
+    MonotoneWitness,
     NotPRational,
     PointKind,
     ProbDigitsError,
@@ -323,6 +324,25 @@ def eval_nega_by_fractions(seq: DigitSeq, pv) -> Fraction:
                 cycle_part += running
     correction = head_part + cycle_part / (1 - cycle_product)
     return first + signed + correction
+
+
+def monotone_witness_by_search(system, rank: int) -> MonotoneWitness | None:
+    """monotone_witness by search: the q points head+(c,) with zero tails,
+    head the m-1 zeros before the first flipped position m, and the first pair
+    c1 < c2 (lexicographic) with x ordered and the flip values reversed; None
+    when no position up to rank is flipped or no pair reverses."""
+    m = system.flips.min_position()
+    if m is None or m > rank:
+        return None
+    q = system.pv.q
+    seqs = [DigitSeq((0,) * (m - 1) + (c,), q) for c in range(q)]
+    xs = [eval_digits(s, system.pv) for s in seqs]
+    gs = [eval_flip(s, system) for s in seqs]
+    for c1 in range(q):
+        for c2 in range(c1 + 1, q):
+            if xs[c1] < xs[c2] and gs[c1].lo > gs[c2].hi:
+                return MonotoneWitness(x1=xs[c1], x2=xs[c2], g1=gs[c1], g2=gs[c2])
+    return None
 
 
 def eval_flip_by_digits(seq: DigitSeq, system, offset: int = 0) -> Enclosure:

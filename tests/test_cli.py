@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from probdigits import FlipSet, FlipSystem, MoranSpec, ifs_graph_points, make_prob_vector, moran_dimension
+from probdigits import (
+    DigitSeq, FlipSet, FlipSystem, MoranSpec, eval_digits, ifs_graph_points, make_prob_vector, moran_dimension,
+)
 from probdigits.cli import build_parser, main, q_str
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,6 +58,19 @@ def test_convert_terminating(capsys):
     assert payload["tail"] == "zero"
     assert payload["classification"] == "p-rational"
     assert payload["exact"] is True
+
+
+@pytest.mark.parametrize("p, x, depth, exact", [
+    ("1/5,3/10,1/2", "7/20", 2, True), ("1/5,3/10,1/2", "7/20", 1, False), ("1/5,3/10,1/2", "0", 0, True),
+    ("1/5,3/10,1/2", "1", 0, True), ("1/5,3/10,1/2", "1/3", 40, False),
+    (",".join(["1/17"] * 17), "1/3", 6, False), (",".join(["1/17"] * 17), "5/17", 1, True),
+])
+def test_convert_exact_iff_the_digits_spell_x(capsys, p, x, depth, exact):
+    payload = run_json(capsys, "convert", "--p", p, "--x", x, "--depth", str(depth))
+    pv = make_prob_vector(p.split(","))
+    seq = DigitSeq(payload["digits"], pv.q, payload["tail"])
+    assert payload["exact"] is exact
+    assert exact is (eval_digits(seq, pv) == Fraction(x))
 
 
 def test_convert_out_of_range_exits_nonzero(capsys):

@@ -463,6 +463,10 @@ def test_digitseq_stream_equality():
     assert DigitSeq((1, 0, 0, 2), 3, (0, 2)) == DigitSeq((1, 0), 3, (0, 2))
     assert DigitSeq((1, 2, 0), 3) != DigitSeq((1, 2), 3, "max")
     assert DigitSeq((), 2, "max") == DigitSeq((1,), 2, "max")  # the number 1
+    # equal streams hash equal
+    assert hash(DigitSeq((1, 2, 0), 3)) == hash(DigitSeq((1, 2), 3))
+    assert hash(DigitSeq((1, 0, 0, 2), 3, (0, 2))) == hash(DigitSeq((1, 0), 3, (0, 2, 0, 2)))
+    assert len({DigitSeq((), 2, "max"), DigitSeq((1,), 2, "max"), DigitSeq((1, 1), 2, (1,))}) == 1
 
 
 def test_digitseq_digit_at():
@@ -696,6 +700,8 @@ def test_digitseq_tail_block_reduces_to_primitive():
     assert DigitSeq((1,), 3, (0, 2, 0, 2)).tail == (0, 2)
     assert DigitSeq((1,), 3, (2, 2)).tail_kind == "max"
     assert DigitSeq((), 2, (1, 1)) == DigitSeq((1,), 2, "max")
+    assert repr(DigitSeq((1,), 3, (0, 2, 0, 2))) == "DigitSeq([1], q=3, tail=periodic(0, 2))"
+    assert repr(DigitSeq((1,), 3, (2, 2))) == "DigitSeq([1], q=3, tail=max)"
 
 
 PV4 = ProbVector.uniform(4)
@@ -762,6 +768,8 @@ REFUSALS = [
      "flip positions must be a sequence of integers, got None"),
     ("mask-none-preperiod", lambda: FlipSet.mask(None, (1,)), FlipSpecError,
      "mask preperiod must be a sequence of bits, got None"),
+    ("flip-set-kind", lambda: FlipSet("mask", (), (True,)), FlipSpecError, "flip kind must be a FlipKind, got 'mask'"),
+    ("parse-unknown-kind", lambda: FlipSet.parse("foo:1"), FlipSpecError, "unknown flip kind 'foo'"),
     # records and sequences of the wrong type
     ("flip-system-pv", lambda: FlipSystem(None, None), InvalidArgument, "pv must be a ProbVector, got None"),
     ("flip-system-flips", lambda: FlipSystem(PV4, "none"), InvalidArgument, "flips must be a FlipSet, got 'none'"),

@@ -45,6 +45,8 @@ def test_flipset_membership():
     assert [k in fs for k in range(1, 7)] == [False, True, False, False, True, False]
     mask = FlipSet.mask((True,), (False, True))
     assert [mask.contains(k) for k in range(1, 8)] == [True, False, True, False, True, False, True]
+    # an infinite set lists no positions
+    assert mask.positions == () and FlipSet.all().positions == ()
     with pytest.raises(InvalidArgument):
         mask.contains(0)
     with pytest.raises(InvalidArgument):

@@ -177,6 +177,8 @@ def test_prob_vector_contract():
             setattr(pv, field, None)
     with pytest.raises(AttributeError):
         pv.extra = None
+    with pytest.raises(AttributeError):
+        del pv.p
     # computed once: the second read returns the same object
     assert pv.den == 3**50 and pv.den is pv.den
     assert pv.int_table is pv.int_table

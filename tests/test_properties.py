@@ -54,6 +54,7 @@ from probdigits import (
     integral_series,
     jump_at,
     make_prob_vector,
+    monotone_witness,
     nega_to_digits,
     rectangle_diagonals_sq,
     shift_value,
@@ -71,6 +72,7 @@ from conftest import (
     flip_outcome,
     integral_series_by_fractions,
     jump_at_by_two_walks,
+    monotone_witness_by_search,
     orbit_by_fractions,
     riemann_by_walk,
     series_by_fractions,
@@ -312,7 +314,19 @@ ORBIT_DEPTH = 64
 orbit_vectors = st.one_of(family_vectors(), st.integers(2, 5).map(ProbVector.uniform))
 
 
-@given(orbit_vectors.flatmap(lambda pv: st.tuples(st.just(pv), orbit_points(pv))))
+# q >= 17: no block holds two digits, so encode walks one digit per step
+large_alphabets = st.one_of(family_vectors((1001,), (17, 20)), st.just(ProbVector.uniform(300)))
+V17 = make_prob_vector([Fraction(c + 1, 153) for c in range(17)])
+V300 = make_prob_vector([Fraction(1, 600)] * 150 + [Fraction(1, 200)] * 150)
+
+
+@given(st.one_of(orbit_vectors, large_alphabets).flatmap(lambda pv: st.tuples(st.just(pv), orbit_points(pv))))
+@example((V17, Fraction(1, 3)))
+@example((V17, eval_digits(DigitSeq((16, 0, 5, 1), 17), V17)))
+@example((ProbVector.uniform(20), Fraction(7, 400)))
+@example((ProbVector.uniform(20), Fraction(1, 1)))
+@example((V300, Fraction(2, 7)))
+@example((V300, Fraction(449, 600)))
 def test_kernel_orbit_matches_the_fraction_orbit(case):
     pv, x = case
     digits, states = orbit_by_fractions(x, pv, ORBIT_DEPTH)
@@ -593,6 +607,12 @@ def test_riemann_and_series_enclosures_intersect(pv, flips, rank, tol):
     if system.shift_invariant:
         exact = integral_closed_form(system)
         assert series.contains(exact) and riemann.contains(exact)
+
+
+@given(st.integers(2, 6).flatmap(prob_vectors), flip_sets(), st.integers(1, 8))
+def test_monotone_witness_is_the_first_pair_of_the_search(pv, flips, rank):
+    system = FlipSystem(pv, flips)
+    assert monotone_witness(system, rank) == monotone_witness_by_search(system, rank)
 
 
 @given(prob_vectors().flatmap(lambda pv: st.tuples(st.just(pv), digit_seqs(pv.q))),
