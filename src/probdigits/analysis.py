@@ -22,10 +22,12 @@ from .core import (
     Cylinder,
     DigitSeq,
     Enclosure,
+    IntTable,
     PointKind,
     _as_int,
     _as_point,
     _check_digits,
+    _forward,
     _lowest_terms,
     _walk,
     as_fraction,
@@ -208,67 +210,59 @@ def integral_closed_form(system: FlipSystem) -> Fraction:
     return u / (1 - w)
 
 
-def _expected_terms(pv) -> tuple[int, int, int, int]:
-    """Expected offset and weight of one digit drawn with law p, read from the
-    plain and the flipped column: (v_plain, v_flip, w_plain, w_flip), as
-    integer numerators over D**2 with D = pv.den."""
-    _, beta, p = pv.int_table
+def _expected_terms(pv) -> IntTable:
+    """The expectation table: the expected offset and weight of one digit
+    drawn with law p, as integer numerators over D**2 with D = pv.den.  Its
+    two letters are the flip bit: letter 0 reads the plain column
+    (v_plain, w_plain), letter 1 the flipped one (v_flip, w_flip).  So the
+    flip bits of positions 1..k, folded through core._forward, give the
+    partial sum k of the integral series, and core._horner over the
+    preperiod and the period gives the integral itself."""
+    den, beta, p = pv.int_table
     beta = beta[:-1]
-    return (
-        sum(b * w for b, w in zip(beta, p)),
-        sum(b * w for b, w in zip(reversed(beta), p)),
-        sum(w * w for w in p),
-        sum(a * w for a, w in zip(reversed(p), p)),
+    return IntTable(
+        den * den,
+        (sum(b * w for b, w in zip(beta, p)), sum(b * w for b, w in zip(reversed(beta), p))),
+        (sum(w * w for w in p), sum(a * w for a, w in zip(reversed(p), p))),
     )
 
 
-def _partial_sum(system: FlipSystem, terms: tuple[int, int, int, int], k: int) -> tuple[int, int, int]:
+def _partial_sum(system: FlipSystem, terms: IntTable, k: int) -> tuple[int, int, int]:
     """Partial sum k of the positional-expectation series, in integers.
 
     Returns (total, weight, scale) with scale = D**(2k):
     sum_{j<=k} v_j prod_{i<j} w_i = total / scale and prod_{j<=k} w_j =
-    weight / scale, where terms are the _expected_terms numerators.  Horner
-    over D2 = D**2: each position takes (T, W) to (T*D2 + v*W, W*w).
+    weight / scale, where terms is the _expected_terms table and position j
+    reads the letter of its flip bit.
 
     Positions 1..k split as preperiod[:k], then n whole periods, then r more
-    positions.  The first and the last part are folded one position at a
-    time.  One period has its own sums (B, P) over D2**L, and n whole periods
-    take (T, W) to (T*X**n + B*W*G, W*P**n) with X = D2**L and
-    G = (X**n - P**n) / (X - P), the geometric sum of X**(n-1-i) * P**i,
-    which divides exactly: O(m + L) steps for a preperiod of m and a period
-    of L, plus a few integer powers."""
-    v_plain, v_flip, w_plain, w_flip = terms
-    den_sq = system.pv.den ** 2
-    step = ((v_plain, w_plain), (v_flip, w_flip))
-
-    def fold(bits, total, weight):
-        for bit in bits:
-            v, w = step[bit]
-            total = total * den_sq + v * weight
-            weight *= w
-        return total, weight
-
+    positions.  The preperiod and the r positions are folded through
+    core._forward, the r positions continuing from the sums (T, W) so far.
+    One period, folded from (0, 1), has its own sums (B, P) over X =
+    D2**L with D2 = D**2, and n whole periods take (T, W) to
+    (T*X**n + B*W*G, W*P**n) with G = (X**n - P**n) / (X - P), the
+    geometric sum of X**(n-1-i) * P**i, which divides exactly: O(m + L)
+    steps for a preperiod of m and a period of L, plus a few integer
+    powers."""
     flips = system.flips
     pre, period = flips.preperiod[:k], flips.period
     n, r = divmod(k - len(pre), len(period))
-    total, weight = fold(pre, 0, 1)
+    total, weight = _forward(terms, pre)
     if n:
-        block, block_weight = fold(period, 0, 1)
-        x = den_sq ** len(period)
+        block, block_weight = _forward(terms, period)
+        x = terms.den ** len(period)
         x_n, p_n = x ** n, block_weight ** n
         total = total * x_n + block * weight * ((x_n - p_n) // (x - block_weight))
         weight *= p_n
-    total, weight = fold(period[:r], total, weight)
-    return total, weight, den_sq ** k
+    total, weight = _forward(terms, period[:r], total, weight)
+    return total, weight, terms.den ** k
 
 
-def _series_length(system: FlipSystem, terms: tuple[int, int, int, int], need: float) -> int:
+def _series_length(system: FlipSystem, terms: IntTable, need: float) -> int:
     """Smallest k >= 1 with sum_{j<=k} log(D**2 / w_j) >= need, with w_j the
-    weight numerator _partial_sums uses at position j, found in floating
+    weight numerator _partial_sum uses at position j, found in floating
     point in O(len(preperiod) + len(period)) steps from the flip bits."""
-    _, _, w_plain, w_flip = terms
-    log_den_sq = log(system.pv.den ** 2)
-    decay = {False: log_den_sq - log(w_plain), True: log_den_sq - log(w_flip)}
+    decay = [log(terms.den) - log(w) for w in terms.p]
     flips = system.flips
     k = 0
     for bit in flips.preperiod:
@@ -308,10 +302,9 @@ def integral_series(system: FlipSystem, tol=Fraction(1, 10**12)) -> Enclosure:
     if tol <= 0:
         raise InvalidArgument(f"tol must be positive, got {tol}")
     terms = _expected_terms(system.pv)
-    v_max = max(terms[:2])
+    v_max = max(terms.beta)
     # (1 - w_max) * D**2, positive: every weight sum of squares is below 1
-    den_sq = system.pv.den ** 2
-    closure = den_sq - max(terms[2:])
+    closure = terms.den - max(terms.p)
     # the stop test below in logs: v_max / (closure * tol) <= prod_{j<=k} D**2 / w_j
     need = log(v_max) - log(closure) - log(tol.numerator) + log(tol.denominator)
     k = _series_length(system, terms, need)
@@ -326,7 +319,7 @@ def integral_series(system: FlipSystem, tol=Fraction(1, 10**12)) -> Enclosure:
         total, weight, scale = _partial_sum(system, terms, k)
         if not stops(weight, scale):
             k += 1
-        elif k > 1 and stops(weight // terms[3 if system.flips.contains(k) else 2], scale // den_sq):
+        elif k > 1 and stops(weight // terms.p[system.flips.contains(k)], scale // terms.den):
             k -= 1
         else:
             break

@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import gcd, lcm
 from operator import index
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
@@ -147,11 +147,20 @@ def _lowest_terms_over(nums: list[int], scale: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 class IntTable(NamedTuple):
-    """A vector's offsets and weights as integer numerators over one
-    denominator: ProbVector.beta[c] == beta[c] / den, ProbVector.p[c] == p[c] / den."""
+    """A letter table: integer offset and weight numerators over one
+    denominator, read by the Horner step of _forward.  It has two shapes.
+
+    A vector's table (ProbVector.int_table) or its block power (encode's
+    k-digit blocks): the letters are digits or k-digit words, and beta has
+    q + 1 entries, the running sums of p from 0 to den, which _walk
+    bisects; for a vector ProbVector.beta[c] == beta[c] / den and
+    ProbVector.p[c] == p[c] / den.
+
+    The expectation table of analysis._expected_terms: over D**2, one offset
+    and one weight per letter, and the two letters are the flip bit."""
 
     den: int
-    beta: tuple[int, ...]  # q + 1 numerators, from 0 to den
+    beta: tuple[int, ...]
     p: tuple[int, ...]
 
 
@@ -171,23 +180,19 @@ class _Blocks(NamedTuple):
 
 
 def _blocks_of(table: IntTable) -> _Blocks | tuple[()]:
-    """The block table of a vector's IntTable, by the recurrence of _forward
-    one rank at a time; () when a block would hold fewer than two digits."""
-    den, beta, p = table
-    q = len(p)
+    """The block table of a vector's IntTable: each of the q**k words, in
+    lexicographic order, folded through _forward to its left end and weight
+    over D**k; () when a block would hold fewer than two digits."""
+    q = len(table.p)
     k = 1
     while q ** (k + 1) <= _BLOCK_CELLS:
         k += 1
     if k < 2:
         return ()
-    lefts, weights, words = [0], [1], [b""]
-    cells = range(q)
-    for _ in range(k):
-        lefts = [left * den + beta[c] * w for left, w in zip(lefts, weights) for c in cells]
-        weights = [w * p[c] for w in weights for c in cells]
-        words = [word + bytes((c,)) for word in words for c in cells]
-    scale = den ** k
-    return _Blocks(k, IntTable(scale, (*lefts, scale), tuple(weights)), b"".join(words))
+    words = list(product(range(q), repeat=k))
+    lefts, weights = zip(*[_forward(table, word) for word in words])
+    scale = table.den ** k
+    return _Blocks(k, IntTable(scale, (*lefts, scale), weights), b"".join(map(bytes, words)))
 
 
 class ProbVector:
@@ -417,38 +422,39 @@ def horner_sum(prefix_terms, cycle_terms) -> Fraction:
     return value
 
 
-def _forward(pv: ProbVector, digits: Sequence[int]) -> tuple[int, int]:
-    """Integer Horner numerators of a digit block over D**m (D = pv.den, m its
-    length): its zero-tail value is num / D**m and its weight product
-    weight / D**m.  One step per digit, left to right."""
-    den, beta, p = pv.int_table
-    num = 0
-    weight = 1
-    for d in digits:
-        num = num * den + beta[d] * weight
-        weight *= p[d]
+def _forward(table: IntTable, letters: Iterable[int], num: int = 0, weight: int = 1) -> tuple[int, int]:
+    """The Horner step of a letter table, one letter at a time, left to
+    right: (num, weight) -> (num*den + beta[c]*weight, weight*p[c]), with
+    den, beta and p from the table.  From the default (0, 1), m letters
+    give a zero-tail value num / den**m and a weight product weight / den**m;
+    from a running (num, weight), the sums continue."""
+    den, beta, p = table
+    for c in letters:
+        num = num * den + beta[c] * weight
+        weight *= p[c]
     return num, weight
 
 
-def _horner(pv: ProbVector, prefix: Sequence[int], cycle: Sequence[int]) -> Fraction:
-    """Exact value of the digit stream `prefix` followed by `cycle` forever.
+def _horner(table: IntTable, prefix: Sequence[int], cycle: Sequence[int]) -> Fraction:
+    """Exact value of the letter stream `prefix` followed by `cycle` forever.
 
-    The cycle closes geometrically: its value is c_num / (D**L - c_weight)
-    for a cycle of length L, so the stream's value is one integer fraction
-    over D**m * (D**L - c_weight), reduced once."""
-    num, weight = _forward(pv, prefix)
-    scale = pv.den ** len(prefix)
-    c_num, c_weight = _forward(pv, cycle)
+    The cycle closes geometrically: over den = table.den its value is
+    c_num / (den**L - c_weight) for a cycle of length L, so the stream's
+    value is one integer fraction over den**m * (den**L - c_weight), reduced
+    once."""
+    num, weight = _forward(table, prefix)
+    scale = table.den ** len(prefix)
+    c_num, c_weight = _forward(table, cycle)
     if c_num == 0:  # a cycle of zeros adds nothing
         return _lowest_terms(num, scale)
-    closure = pv.den ** len(cycle) - c_weight
+    closure = table.den ** len(cycle) - c_weight
     return _lowest_terms(num * closure + weight * c_num, scale * closure)
 
 
 def eval_digits(seq: DigitSeq, pv: ProbVector) -> Fraction:
     """Exact value of a digit sequence under the weights of pv."""
     _same_alphabet(seq, pv)
-    return _horner(pv, seq.digits, seq.tail)
+    return _horner(pv.int_table, seq.digits, seq.tail)
 
 
 # ---------------------------------------------------------------------------
@@ -581,13 +587,19 @@ class Cylinder(NamedTuple):
         return cylinder_bounds(self.base + (c,), self.pv)
 
 
+def _ends(pv: ProbVector, digits: Sequence[int]) -> tuple[Fraction, Fraction]:
+    """The ends (lo, hi) of the cylinder of digits, already checked: lo is
+    the zero-tail value of the digits and hi - lo their weight product."""
+    num, weight = _forward(pv.int_table, digits)
+    scale = pv.den ** len(digits)
+    return _lowest_terms(num, scale), _lowest_terms(num + weight, scale)
+
+
 def cylinder_bounds(base: Sequence[int], pv: ProbVector) -> Cylinder:
     """Endpoints of the rank-m cylinder: lo is the zero-tail value of the base,
     and hi - lo equals the product of the base digit weights."""
     digits = _check_digits(base, pv.q)
-    num, weight = _forward(pv, digits)
-    scale = pv.den ** len(digits)
-    return Cylinder(base=digits, pv=pv, lo=_lowest_terms(num, scale), hi=_lowest_terms(num + weight, scale))
+    return Cylinder(digits, pv, *_ends(pv, digits))
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +675,7 @@ def bernoulli_cdf(x, pv: ProbVector) -> Fraction:
     for _ in range(preperiod + period):
         d, num = divmod(q * num, den)
         digits.append(d)
-    return _horner(pv, digits[:preperiod], digits[preperiod:])
+    return _horner(pv.int_table, digits[:preperiod], digits[preperiod:])
 
 
 def sample_digits(pv: ProbVector, length: int, rng: random.Random) -> tuple[int, ...]:

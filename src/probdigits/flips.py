@@ -17,7 +17,7 @@ from math import lcm
 from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, ProbVector, _as_int, _as_position, _forward, _horner
+from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, ProbVector, _as_int, _as_position, _ends, _horner
 from .core import _lowest_terms, _same_alphabet
 from .errors import BudgetExceeded, FlipSpecError, InvalidArgument
 
@@ -320,7 +320,7 @@ def _flip_value(seq: DigitSeq, pattern: _Pattern, pv: ProbVector) -> Fraction:
     as flip_digits spells it, without a DigitSeq; a tail block that is not
     primitive has the same value."""
     stream, n = _flipped_stream(seq, pattern)
-    return _horner(pv, stream[:n], stream[n:])
+    return _horner(pv.int_table, stream[:n], stream[n:])
 
 
 def flip_image(base: Sequence[int], system: FlipSystem, offset: int = 0) -> Enclosure:
@@ -330,9 +330,7 @@ def flip_image(base: Sequence[int], system: FlipSystem, offset: int = 0) -> Encl
     seq = DigitSeq(base, pv.q)
     flipped = flip_prefix(seq, system.flips.pattern_from(_as_int(offset, "offset", 0) + 1), len(seq.digits))
     # the flipped digits are the library's own: no second check
-    num, weight = _forward(pv, flipped)
-    scale = pv.den ** len(flipped)
-    return Enclosure._ordered(_lowest_terms(num, scale), _lowest_terms(num + weight, scale))
+    return Enclosure._ordered(*_ends(pv, flipped))
 
 
 # ---------------------------------------------------------------------------

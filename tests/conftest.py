@@ -235,6 +235,39 @@ def bernoulli_cdf_by_digits(x: Fraction, pv) -> Fraction:
     return horner_sum(terms[:seen[num]], terms[seen[num]:])
 
 
+def block_table_by_levels(table):
+    """encode's block table built one rank at a time, as (k, (den, lefts,
+    weights), words): k the largest with q**k <= 256, and () when k < 2.
+    Each level extends every word by every digit c, taking its left end
+    and weight (l, w) over D**j to (l*D + beta[c]*w, w*p[c]) over D**(j+1)."""
+    den, beta, p = table
+    q = len(p)
+    k = max(j for j in range(1, 9) if q ** j <= 256)
+    if k < 2:
+        return ()
+    lefts, weights, words = [0], [1], [b""]
+    cells = range(q)
+    for _ in range(k):
+        lefts = [left * den + beta[c] * w for left, w in zip(lefts, weights) for c in cells]
+        weights = [w * p[c] for w in weights for c in cells]
+        words = [word + bytes((c,)) for word in words for c in cells]
+    scale = den ** k
+    return k, (scale, (*lefts, scale), tuple(weights)), b"".join(words)
+
+
+def integral_by_horner_sum(system) -> Fraction:
+    """The exact integral of the flip map for an eventually periodic flip set:
+    the expected offset and weight of a digit drawn with law p at each
+    position, read per digit from FlipSystem over the preperiod and one
+    period, closed by horner_sum."""
+    pv = system.pv
+    m = len(system.flips.preperiod)
+    span = len(system.flips.period)
+    terms = [(sum(p * system.offset(k, d) for d, p in enumerate(pv.p)),
+              sum(p * system.weight(k, d) for d, p in enumerate(pv.p))) for k in range(1, m + span + 1)]
+    return horner_sum(terms[:m], terms[m:])
+
+
 def integral_series_by_fractions(system, tol: Fraction) -> tuple[Fraction, Fraction]:
     """The positional-expectation series summed in Fractions until the
     geometric tail bound v_max * W / (1 - w_max) is at most tol."""

@@ -30,7 +30,8 @@ from probdigits import (
     monotone_witness,
     p_rationals,
 )
-from conftest import ASYM_VECTORS, integral_series_by_fractions, series_by_fractions
+from probdigits.core import _horner
+from conftest import ASYM_VECTORS, integral_by_horner_sum, integral_series_by_fractions, series_by_fractions
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +212,18 @@ def test_integral_closed_form_values(uniform2, asym2):
     assert integral_closed_form(FlipSystem(asym2, FlipSet.all())) == Fraction(1, 10)
     with pytest.raises(NotShiftInvariant):
         integral_closed_form(FlipSystem(uniform2, FlipSet.finite([1])))
+
+
+@pytest.mark.parametrize("weights, spec, value", [
+    ("1/4,3/4", "mask:;01", Fraction(29, 98)),  # the paper's map
+    ("1/4,3/4", "all", Fraction(1, 10)),
+    ("1/5,3/10,1/2", "mask:1;011", Fraction(133766, 484021)),
+])
+def test_period_block_limit_values(weights, spec, value):
+    pv = make_prob_vector(weights.split(","))
+    flips = FlipSet.parse(spec)
+    assert _horner(analysis._expected_terms(pv), flips.preperiod, flips.period) == value
+    assert integral_by_horner_sum(FlipSystem(pv, flips)) == value
 
 
 def test_integral_series_examples(uniform2, asym2, pv3):

@@ -59,9 +59,10 @@ from probdigits import (
     rectangle_diagonals_sq,
     shift_value,
 )
-from probdigits.core import _lowest_terms, _walk
+from probdigits.core import _horner, _lowest_terms, _walk
 from conftest import (
     bernoulli_cdf_by_digits,
+    block_table_by_levels,
     cylinder_by_fractions,
     diagonal_multiset,
     diagonals_by_walk,
@@ -70,6 +71,7 @@ from conftest import (
     eval_flip_by_digits,
     eval_nega_by_fractions,
     flip_outcome,
+    integral_by_horner_sum,
     integral_series_by_fractions,
     jump_at_by_two_walks,
     monotone_witness_by_search,
@@ -451,6 +453,12 @@ def test_block_walk_matches_single_steps_and_the_fraction_orbit(case):
     assert a == 0 if state == 0 else (a, b) == (state.numerator, state.denominator)
 
 
+@given(family_vectors(qs=tuple(range(2, 17))))
+def test_block_table_folds_each_word_as_the_levels_do(pv):
+    # q 2..16 over dyadic denominators and products of odd primes
+    assert pv._block_table() == block_table_by_levels(pv.int_table)
+
+
 @given(systems_and_seqs(), st.integers(-1, 5), st.booleans())
 def test_kernel_eval_flip_matches_the_flip_digits_route(case, offset, mismatch):
     system, seq = case
@@ -607,6 +615,25 @@ def test_riemann_and_series_enclosures_intersect(pv, flips, rank, tol):
     if system.shift_invariant:
         exact = integral_closed_form(system)
         assert series.contains(exact) and riemann.contains(exact)
+
+
+#: none, all, finite, or a mask of up to 7 + 7 bits
+integral_flip_sets = st.one_of(flip_sets(), st.builds(
+    FlipSet.mask, st.lists(st.booleans(), max_size=7), st.lists(st.booleans(), min_size=1, max_size=7)))
+
+
+@given(st.one_of(prob_vectors(), series_vectors), integral_flip_sets)
+def test_period_block_limit_is_the_exact_integral(pv, flips):
+    # the flip bits of the preperiod and the period, as letters of the expectation table
+    system = FlipSystem(pv, flips)
+    exact = _horner(analysis._expected_terms(pv), flips.preperiod, flips.period)
+    assert exact == integral_by_horner_sum(system)
+    for tol in (Fraction(1, 10**12), Fraction(1, 10**30)):
+        assert integral_series(system, tol).contains(exact)
+    for rank in range(1, 9):
+        assert integral_riemann(system, rank).contains(exact)
+    if system.shift_invariant:
+        assert exact == integral_closed_form(system)
 
 
 @given(st.integers(2, 6).flatmap(prob_vectors), flip_sets(), st.integers(1, 8))
