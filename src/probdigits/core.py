@@ -148,7 +148,7 @@ def _lowest_terms_over(nums: list[int], scale: int) -> list[Fraction]:
 
 class IntTable(NamedTuple):
     """A letter table: integer offset and weight numerators over one
-    denominator, read by the Horner step of _forward.  It has two shapes.
+    denominator, read by the Horner step of _forward.  It has three shapes.
 
     A vector's table (ProbVector.int_table) or its block power (encode's
     k-digit blocks): the letters are digits or k-digit words, and beta has
@@ -157,7 +157,12 @@ class IntTable(NamedTuple):
     ProbVector.p[c] == p[c] / den.
 
     The expectation table of analysis._expected_terms: over D**2, one offset
-    and one weight per letter, and the two letters are the flip bit."""
+    and one weight per letter, and the two letters are the flip bit.
+
+    The alternating table of flips.eval_nega: over D, 2q letters, digit d
+    at an odd position (letter d) and at an even one (letter q + d); the
+    offsets are no running sums, and those of the even letters are
+    negative."""
 
     den: int
     beta: tuple[int, ...]
@@ -349,7 +354,14 @@ class DigitSeq:
         return seq
 
     def __setattr__(self, name, value):
-        raise AttributeError("DigitSeq is immutable")
+        raise AttributeError(f"DigitSeq is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"DigitSeq is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which checks the parts
+        return DigitSeq, (self.digits, self.q, self.tail)
 
     @property
     def tail_kind(self) -> str:
@@ -404,21 +416,26 @@ def horner_sum(prefix_terms, cycle_terms) -> Fraction:
     o_1 + w_1*(o_2 + w_2*(o_3 + ...)) with `cycle_terms` repeating forever
     after `prefix_terms`.  All cycle weights must lie in (0, 1) so the
     geometric closure 1 - prod(w) is positive; a cycle whose weight product
-    is not below 1 is InvalidArgument.
+    is not below 1 is InvalidArgument, and so is a term that is not a pair
+    of rationals (see as_fraction).
     """
+    try:
+        prefix_terms = [(o, w) for o, w in prefix_terms]
+        cycle_terms = [(o, w) for o, w in cycle_terms]
+    except (TypeError, ValueError):
+        raise InvalidArgument("series terms must be iterables of (offset, weight) pairs") from None
+    value = Fraction(0)
     if cycle_terms:
         partial = Fraction(0)
         weight = Fraction(1)
         for o, w in cycle_terms:
-            partial += weight * o
-            weight *= w
+            partial += weight * as_fraction(o)
+            weight *= as_fraction(w)
         if weight >= 1:
             raise InvalidArgument(f"cycle weight product {weight} is not below 1")
         value = partial / (1 - weight)
-    else:
-        value = Fraction(0)
     for o, w in reversed(prefix_terms):
-        value = o + w * value
+        value = as_fraction(o) + as_fraction(w) * value
     return value
 
 
@@ -691,17 +708,32 @@ def sample_digits(pv: ProbVector, length: int, rng: random.Random) -> tuple[int,
 # Certified intervals
 # ---------------------------------------------------------------------------
 
+class _Checked:
+    """Mixin for a NamedTuple record whose __new__ checks its fields:
+    _replace builds through _make, so _make goes through __new__ too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _EnclosureFields(NamedTuple):
     lo: Fraction
     hi: Fraction
 
 
-class Enclosure(_EnclosureFields):
-    """A rational interval [lo, hi] certified to contain an exact value."""
+class Enclosure(_Checked, _EnclosureFields):
+    """A rational interval [lo, hi] certified to contain an exact value.
+
+    Both ends are coerced with as_fraction, so a value it refuses is
+    InvalidArgument, and so is lo > hi."""
 
     __slots__ = ()
 
-    def __new__(cls, lo: Fraction, hi: Fraction):
+    def __new__(cls, lo: RationalLike, hi: RationalLike):
+        lo, hi = as_fraction(lo), as_fraction(hi)
         if lo > hi:
             raise InvalidArgument(f"empty enclosure [{lo}, {hi}]")
         return tuple.__new__(cls, (lo, hi))
@@ -710,11 +742,6 @@ class Enclosure(_EnclosureFields):
     def _ordered(cls, lo: Fraction, hi: Fraction) -> "Enclosure":
         """An enclosure whose lo <= hi holds by construction: no order check."""
         return tuple.__new__(cls, (lo, hi))
-
-    @classmethod
-    def _make(cls, iterable) -> "Enclosure":
-        # _replace builds through _make: validate there too
-        return cls(*iterable)
 
     @classmethod
     def point(cls, value) -> "Enclosure":

@@ -17,8 +17,8 @@ from math import lcm
 from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, ProbVector, _as_int, _as_position, _ends, _horner
-from .core import _lowest_terms, _same_alphabet
+from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, IntTable, ProbVector, _as_int, _as_position, _ends, _horner
+from .core import _Checked, _same_alphabet
 from .errors import BudgetExceeded, FlipSpecError, InvalidArgument
 
 #: Flip bits as (preperiod, period): bit k is preperiod[k-1], then period repeats.
@@ -56,7 +56,7 @@ class _FlipFields(NamedTuple):
     period: tuple[bool, ...] = (False,)
 
 
-class FlipSet(_FlipFields):
+class FlipSet(_Checked, _FlipFields):
     """The set of flipped positions; total membership test for every k >= 1.
 
     Every kind is stored as one eventually periodic bit stream: bit k is
@@ -87,11 +87,6 @@ class FlipSet(_FlipFields):
         elif per != (kind is FlipKind.ALL,) or pre[-1:] != ((True,) if kind is FlipKind.FINITE else ()):
             raise FlipSpecError(f"flip kind {kind.value} does not spell the bits {pre}, {per}")
         return tuple.__new__(cls, (kind, pre, per))
-
-    @classmethod
-    def _make(cls, iterable) -> "FlipSet":
-        # _replace builds through _make: validate there too
-        return cls(*iterable)
 
     # -- constructors -------------------------------------------------------
 
@@ -221,7 +216,7 @@ class _SystemFields(NamedTuple):
     flips: FlipSet
 
 
-class FlipSystem(_SystemFields):
+class FlipSystem(_Checked, _SystemFields):
     """A probability vector paired with a flip schedule.
 
     weight/offset at position k are those of the complemented digit whenever
@@ -237,11 +232,6 @@ class FlipSystem(_SystemFields):
         if not isinstance(flips, FlipSet):
             raise InvalidArgument(f"flips must be a FlipSet, got {flips!r}")
         return tuple.__new__(cls, (pv, flips))
-
-    @classmethod
-    def _make(cls, iterable) -> "FlipSystem":
-        # _replace builds through _make: validate there too
-        return cls(*iterable)
 
     def digit(self, k: int, d: int) -> int:
         self.pv.check_digit(d)
@@ -334,58 +324,39 @@ def flip_image(base: Sequence[int], system: FlipSystem, offset: int = 0) -> Encl
 
 
 # ---------------------------------------------------------------------------
-# Alternating (nega) expansion, evaluated literally
+# Alternating (nega) expansion
 # ---------------------------------------------------------------------------
 
 def eval_nega(seq: DigitSeq, pv: ProbVector) -> Enclosure:
     """Exact value of the alternating expansion with address seq.
 
-    Three pieces, summed literally: the leading offset beta[d_1]; the signed
-    series over positions k >= 2, whose term at k is +beta[d] at odd k and
-    -(1 - beta[q-1-d]) at even k, with the weight p[d] at odd k and
+    The paper's series has three pieces: the leading offset beta[d_1]; the
+    signed series over positions k >= 2, whose term at k is +beta[d] at odd
+    k and -(1 - beta[q-1-d]) at even k, with the weight p[d] at odd k and
     p[q-1-d] at even k; and the correction sum over odd n of the product of
-    the first n weights.  Equals the plain evaluation of the
-    even-position-complemented stream.
+    the first n weights.  Regrouped term by term, at each odd n the
+    correction prod_{j<=n} w_j joins that position's offset, since
+    beta[d] + p[d] = beta[d+1] (at n = 1 this takes in the leading offset
+    too), so the series is one offset/weight series over 2q letters: a
+    digit d at an odd position is letter d, with offset beta[d+1] and
+    weight p[d], and at an even position letter q + d, with offset
+    beta[q-1-d] - 1 and weight p[q-1-d].  _horner sums it exactly, with the
+    cycle over span = lcm(len(tail), 2) positions, which keeps each
+    letter's parity around the cycle.
 
-    Each piece runs in integers over D = pv.den: after position k the
-    series is num / D**k and the correction odd / D**k.  Positions
-    head + 1 .. head + span (span = lcm(len(tail), 2), even) repeat forever,
-    so both pieces close over D**span - c_weight with c_weight / D**span the
-    product of one period's weights.  One Fraction is built at the end,
-    from the reduced pair.
+    No digit is flipped here, so the plain value of nega_to_digits(seq) is
+    a second, independent route to the same number: it reads the vector's
+    own q letters, and the two agree because the +p[d] of each odd
+    position and the -1 of the even position after it cancel.
     """
     _same_alphabet(seq, pv)
     den, beta, p = pv.int_table
-    top = pv.q - 1
-    # (offset, weight) numerators of digit d at an odd and at an even position
-    odd_terms = [(beta[d], p[d]) for d in range(pv.q)]
-    even_terms = [(beta[top - d] - den, p[top - d]) for d in range(pv.q)]
-    digits = seq.digits
-    block = seq.tail
-    head = max(len(digits), 1)
-    span = lcm(len(block), 2)
-    # the stream at positions 1 .. head + span: the prefix, then the tail block
-    stream = list(digits)
-    while len(stream) < head + span:
-        stream.extend(block)
-
-    def fold(start: int, stop: int, num: int, weight: int, odd: int) -> tuple[int, int, int]:
-        # positions start .. stop - 1, one Horner step of each piece per position
-        for k in range(start, stop):
-            o, w = (odd_terms if k % 2 else even_terms)[stream[k - 1]]
-            num = num * den + o * weight
-            weight *= w
-            odd = odd * den + weight if k % 2 else odd * den
-        return num, weight, odd
-
-    first = beta[stream[0]]
-    # position 1 adds its weight but not its offset to the signed series
-    w1 = p[stream[0]]
-    num, weight, odd = fold(2, head + 1, 0, w1, w1)
-    c_num, c_weight, c_odd = fold(head + 1, head + span + 1, 0, 1, 0)
-    closure = den ** span - c_weight
-    # first / D + (num + odd) / D**head + weight * (c_num + c_odd) / (D**head * closure)
-    scale = den ** (head - 1)
-    total = (first * scale + num + odd) * closure + weight * (c_num + c_odd)
-    value = _lowest_terms(total, scale * den * closure)
+    q = pv.q
+    table = IntTable(den, beta[1:] + tuple([beta[q - 1 - d] - den for d in range(q)]), p + p[::-1])
+    m = len(seq.digits)
+    span = lcm(len(seq.tail), 2)
+    stream = islice(chain(seq.digits, cycle(seq.tail)), m + span)
+    # position k is index k - 1: even positions take the letters q .. 2q-1
+    letters = [d + q * (i % 2) for i, d in enumerate(stream)]
+    value = _horner(table, letters[:m], letters[m:])
     return Enclosure._ordered(value, value)

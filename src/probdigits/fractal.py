@@ -18,7 +18,7 @@ from itertools import repeat
 from operator import mul
 from typing import NamedTuple
 
-from .core import DEFAULT_BUDGET, DigitSeq, ProbVector, _as_int, _lowest_terms, _lowest_terms_over
+from .core import DEFAULT_BUDGET, DigitSeq, ProbVector, _as_int, _Checked, _lowest_terms, _lowest_terms_over
 from .errors import BudgetExceeded, EmptyAlphabet, InvalidArgument, NotShiftInvariant, RankTooLarge
 from .flips import FlipSystem, eval_flip
 
@@ -352,7 +352,7 @@ class _MoranFields(NamedTuple):
     u: int
 
 
-class MoranSpec(_MoranFields):
+class MoranSpec(_Checked, _MoranFields):
     """The block fractal built from runs of the marker digit u: admissible
     streams are concatenations of blocks (u repeated i-1 times, then the
     digit i), with i ranging over the nonzero non-u digits."""
@@ -364,11 +364,6 @@ class MoranSpec(_MoranFields):
             raise InvalidArgument(f"pv must be a ProbVector, got {pv!r}")
         pv.check_digit(u)
         return tuple.__new__(cls, (pv, u))
-
-    @classmethod
-    def _make(cls, iterable) -> "MoranSpec":
-        # _replace builds through _make: validate there too
-        return cls(*iterable)
 
     @property
     def alphabet(self) -> tuple[int, ...]:

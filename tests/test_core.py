@@ -862,6 +862,20 @@ REFUSALS = [
      InvalidArgument, "empty enclosure [3/4, 1/2]"),
     ("enclosure-value-of-interval", lambda: Enclosure(Fraction(1, 4), Fraction(1, 2)).value, InvalidArgument,
      "enclosure [1/4, 1/2] is not a point"),
+    # the ends are coerced before the order check: text does not compare as text
+    ("enclosure-empty-text", lambda: Enclosure("1/2", "1/3"), InvalidArgument, "empty enclosure [1/2, 1/3]"),
+    ("enclosure-unparsable", lambda: Enclosure("a", "b"), InvalidArgument, "not a rational number: 'a'"),
+    ("enclosure-replace-unparsable", lambda: Enclosure(0, 1)._replace(hi=None), InvalidArgument,
+     "not a rational number: None"),
+    # series terms
+    ("horner-sum-short-term", lambda: horner_sum([(1,)], []), InvalidArgument,
+     "series terms must be iterables of (offset, weight) pairs"),
+    ("horner-sum-not-iterable", lambda: horner_sum([], 5), InvalidArgument,
+     "series terms must be iterables of (offset, weight) pairs"),
+    ("horner-sum-unparsable-offset", lambda: horner_sum([("a", Fraction(1, 2))], []), InvalidArgument,
+     "not a rational number: 'a'"),
+    ("horner-sum-unparsable-weight", lambda: horner_sum([], [(0, "x")]), InvalidArgument,
+     "not a rational number: 'x'"),
 ]
 
 

@@ -16,6 +16,7 @@ import pytest
 import probdigits
 from probdigits import (
     ContinuityClass,
+    DigitSeq,
     Enclosure,
     FlipKind,
     FlipSet,
@@ -28,6 +29,8 @@ from probdigits import (
     continuity_class,
     cylinder_bounds,
     derivative_estimate,
+    encode,
+    flip_digits,
     ifs_maps,
     jump_at,
     make_prob_vector,
@@ -186,3 +189,22 @@ def test_prob_vector_contract():
     assert again == pv and hash(again) == hash(pv)
     assert pickle.loads(pickle.dumps(pv)) == pv and copy.deepcopy(pv) == pv
     assert repr(pv) == f"ProbVector(({small}, {1 - small}))"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: encode("1/3", make_prob_vector(["1/4", "3/4"]), 8),
+    # a flipped constant tail is periodic
+    lambda: flip_digits(DigitSeq((2, 0), 3, "max"), FlipSet.mask((), (False, True))),
+], ids=["encode", "flip-digits-periodic"])
+def test_digit_seq_contract(make):
+    seq = make()
+    for field in ("digits", "q", "tail"):
+        with pytest.raises(AttributeError):
+            setattr(seq, field, None)
+        with pytest.raises(AttributeError):
+            delattr(seq, field)
+    assert seq == seq
+    # pickle and copy rebuild through the checking constructor
+    for again in (pickle.loads(pickle.dumps(seq)), copy.copy(seq), copy.deepcopy(seq)):
+        assert type(again) is DigitSeq and again == seq and hash(again) == hash(seq)
+        assert (again.digits, again.q, again.tail) == (seq.digits, seq.q, seq.tail)

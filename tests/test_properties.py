@@ -467,20 +467,26 @@ def test_kernel_eval_flip_matches_the_flip_digits_route(case, offset, mismatch):
     assert flip_outcome(eval_flip, seq, system, offset) == flip_outcome(eval_flip_by_digits, seq, system, offset)
 
 
+# drawn letters are taken mod q, so one strategy serves every alphabet
+nega_letters = st.integers(0, 299)
+
+
 @pytest.mark.parametrize("tail", ["zero", "max", "odd", "even"])
 @pytest.mark.parametrize("prefix", ["empty", "digits"])
-@given(data=st.data())
-def test_kernel_eval_nega_matches_the_fraction_pieces(prefix, tail, data):
-    pv = data.draw(family_vectors())
-    digit = st.integers(0, pv.q - 1)
-    digits = () if prefix == "empty" else tuple(data.draw(st.lists(digit, min_size=1, max_size=24)))
+@given(pv=st.one_of(family_vectors(), large_alphabets), digits=st.lists(nega_letters, min_size=1, max_size=24),
+       block=st.lists(nega_letters, min_size=1, max_size=6))
+# an odd- and an even-length prefix under a tail of period 3: the series
+# closes over a cycle of 6 positions, which starts at an even and at an odd one
+@example(pv=V17, digits=[3, 16, 0], block=[5, 1, 9])
+@example(pv=V300, digits=[299, 0], block=[7, 150, 2])
+def test_kernel_eval_nega_matches_the_fraction_pieces(prefix, tail, pv, digits, block):
+    digits = () if prefix == "empty" else tuple([d % pv.q for d in digits])
     if tail in ("zero", "max"):
         seq = DigitSeq(digits, pv.q, tail)
     else:
-        length = data.draw(st.sampled_from((1, 3, 5) if tail == "odd" else (2, 4, 6)))
-        seq = DigitSeq(digits, pv.q, data.draw(st.lists(digit, min_size=length, max_size=length)))
+        seq = DigitSeq(digits, pv.q, [d % pv.q for d in block])
         # a block that repeats a shorter one reduces to it
-        assume(len(seq.tail) == length)
+        assume(len(seq.tail) == len(block) and len(block) % 2 == (tail == "odd"))
     value = eval_nega(seq, pv)
     assert value.lo == value.hi == eval_nega_by_fractions(seq, pv) == eval_digits(nega_to_digits(seq), pv)
 
