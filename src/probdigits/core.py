@@ -132,14 +132,29 @@ def _lowest_terms(num: int, den: int) -> Fraction:
 
 def _lowest_terms_over(nums: list[int], scale: int) -> list[Fraction]:
     """[_lowest_terms(num, scale) for num in nums], for ints nums over one
-    scale > 0, in one loop rather than one call per value."""
+    scale > 0, in one loop rather than one call per value.  The values that
+    share a reduced denominator share one int object for it: dens maps each
+    gcd g met to scale // g, so the list holds one int per distinct
+    denominator, not one per value."""
     new = object.__new__
     out = [new(Fraction) for _ in nums]
+    dens: dict[int, int] = {}
     for value, num in zip(out, nums):
         g = gcd(num, scale)
         value._numerator = num // g
-        value._denominator = scale // g
+        value._denominator = dens.get(g) or dens.setdefault(g, scale // g)
     return out
+
+
+class _Checked:
+    """Mixin for a NamedTuple record whose __new__ checks its fields:
+    _replace builds through _make, so _make goes through __new__ too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +429,10 @@ def horner_sum(prefix_terms, cycle_terms) -> Fraction:
 
     Terms are (offset, weight) pairs; the series is
     o_1 + w_1*(o_2 + w_2*(o_3 + ...)) with `cycle_terms` repeating forever
-    after `prefix_terms`.  All cycle weights must lie in (0, 1) so the
-    geometric closure 1 - prod(w) is positive; a cycle whose weight product
-    is not below 1 is InvalidArgument, and so is a term that is not a pair
-    of rationals (see as_fraction).
+    after `prefix_terms`.  The product of the cycle weights must lie in
+    (-1, 1) for the series to converge, to partial / (1 - prod(w)); a cycle
+    whose weight product is not below 1 in absolute value is InvalidArgument,
+    and so is a term that is not a pair of rationals (see as_fraction).
     """
     try:
         prefix_terms = [(o, w) for o, w in prefix_terms]
@@ -431,8 +446,8 @@ def horner_sum(prefix_terms, cycle_terms) -> Fraction:
         for o, w in cycle_terms:
             partial += weight * as_fraction(o)
             weight *= as_fraction(w)
-        if weight >= 1:
-            raise InvalidArgument(f"cycle weight product {weight} is not below 1")
+        if abs(weight) >= 1:
+            raise InvalidArgument(f"cycle weight product {weight} is not below 1 in absolute value")
         value = partial / (1 - weight)
     for o, w in reversed(prefix_terms):
         value = as_fraction(o) + as_fraction(w) * value
@@ -576,13 +591,30 @@ def shift_value(x, pv: ProbVector) -> Fraction:
 # Cylinders
 # ---------------------------------------------------------------------------
 
-class Cylinder(NamedTuple):
-    """The closed interval of all points whose expansion starts with `base`."""
-
+class _CylinderFields(NamedTuple):
     base: tuple[int, ...]
     pv: ProbVector
     lo: Fraction
     hi: Fraction
+
+
+class Cylinder(_Checked, _CylinderFields):
+    """The closed interval of all points whose expansion starts with `base`.
+
+    pv must be a ProbVector, base a digit sequence of its alphabet, and the
+    ends are coerced with as_fraction; anything else is refused, and so is
+    lo > hi.  cylinder_bounds builds its result unchecked."""
+
+    __slots__ = ()
+
+    def __new__(cls, base: Sequence[int], pv: ProbVector, lo: RationalLike, hi: RationalLike):
+        if not isinstance(pv, ProbVector):
+            raise InvalidArgument(f"pv must be a ProbVector, got {pv!r}")
+        base = _check_digits(base, pv.q)
+        lo, hi = as_fraction(lo), as_fraction(hi)
+        if lo > hi:
+            raise InvalidArgument(f"empty cylinder [{lo}, {hi}]")
+        return tuple.__new__(cls, (base, pv, lo, hi))
 
     @property
     def rank(self) -> int:
@@ -616,7 +648,8 @@ def cylinder_bounds(base: Sequence[int], pv: ProbVector) -> Cylinder:
     """Endpoints of the rank-m cylinder: lo is the zero-tail value of the base,
     and hi - lo equals the product of the base digit weights."""
     digits = _check_digits(base, pv.q)
-    return Cylinder(digits, pv, *_ends(pv, digits))
+    # the parts are checked and ordered already: no second check
+    return tuple.__new__(Cylinder, (digits, pv, *_ends(pv, digits)))
 
 
 # ---------------------------------------------------------------------------
@@ -707,17 +740,6 @@ def sample_digits(pv: ProbVector, length: int, rng: random.Random) -> tuple[int,
 # ---------------------------------------------------------------------------
 # Certified intervals
 # ---------------------------------------------------------------------------
-
-class _Checked:
-    """Mixin for a NamedTuple record whose __new__ checks its fields:
-    _replace builds through _make, so _make goes through __new__ too."""
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
 
 class _EnclosureFields(NamedTuple):
     lo: Fraction

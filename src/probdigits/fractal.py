@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from operator import mul
 from typing import NamedTuple
 
@@ -78,14 +78,19 @@ def _graph_points(system: FlipSystem, depth: int, budget: int, coords) -> list[t
 
     ends, the q**depth + 1 cylinder ends over scale = D**depth, follow the
     suffix recurrence lo(d1...dn) = beta[d1] * D**(n-1) + p[d1] * lo(d2...dn),
-    one position at a time from the last; at[i], the index j of base i's
-    flipped base, is built alongside, the digit order reversed at a flipped
-    position.  A point's y is base j's lower end plus its width times t =
-    t_num / t_den, the flipped zero tail past the depth.  The cylinders are
-    adjacent, so that is ends[j] * (t_den - t_num) + ends[j+1] * t_num over
-    scale * t_den, or, when t is 0 or 1, the x of ends[j + t]: then at is
-    shifted by t, and the one call over ends makes each distinct value once.
-    Otherwise a second call makes the q**depth y values."""
+    one position at a time from the last.  A point's y is base j's lower end
+    plus its width times t = t_num / t_den, the flipped zero tail past the
+    depth, j the index of base i's flipped base.  The cylinders are adjacent,
+    so that is ends[j] * (t_den - t_num) + ends[j+1] * t_num over
+    scale * t_den, or, when t is 0 or 1, the x of ends[j + t]: then the one
+    call over ends makes each distinct value once, and y is read at
+    at[i] = j + t.  Otherwise a second call makes the q**depth y values, and
+    at[i] = j.  ends is dropped once the coordinate lists exist.
+
+    When the flip bits of positions 1..depth agree, j is i (no bit set) or
+    q**depth - 1 - i (every bit set), and at is a range.  Only when they
+    differ is at a list, built alongside ends, the digit order reversed at a
+    flipped position."""
     depth = _as_int(depth, "depth", 0)
     budget = _as_int(budget, "budget")
     pv = system.pv
@@ -94,20 +99,28 @@ def _graph_points(system: FlipSystem, depth: int, budget: int, coords) -> list[t
         raise BudgetExceeded(f"{q}**{depth} points exceed budget {budget}")
     tail = eval_flip(DigitSeq((), q), system, offset=depth).value
     t_num, t_den = tail.numerator, tail.denominator
+    shift = t_num if t_den == 1 else 0
+    bits = [system.flips.contains(k) for k in range(1, depth + 1)]
+    mixed = len(set(bits)) > 1
     den, beta, p = pv.int_table
-    ends, at = [0], [t_num if t_den == 1 else 0]
+    ends, at = [0], [shift]
     scale = size = 1
     for k in range(depth, 0, -1):
         # the lists hold the suffixes at positions k+1..depth; put each digit of position k in front
         ends = [lead + c * x for lead, c in zip([b * scale for b in beta], p) for x in ends]
-        flipped = range(q - 1, -1, -1) if system.flips.contains(k) else range(q)
-        at = [lead + j for lead in [f * size for f in flipped] for j in at]
+        if mixed:
+            flipped = range(q - 1, -1, -1) if bits[k - 1] else range(q)
+            at = [lead + j for lead in [f * size for f in flipped] for j in at]
         scale *= den
         size *= q
+    if not mixed:  # j is i, or size - 1 - i when every bit is set
+        at = range(shift, shift + size)[::-1 if any(bits) else 1]
     ends.append(scale)
     xs = coords(ends, scale)
     keep = t_den - t_num
-    ys = xs if t_den == 1 else coords([lo * keep + hi * t_num for lo, hi in zip(ends, ends[1:])], scale * t_den)
+    ys = xs if t_den == 1 else coords([lo * keep + hi * t_num for lo, hi in zip(ends, islice(ends, 1, None))],
+                                      scale * t_den)
+    del ends
     return list(zip(xs, map(ys.__getitem__, at)))
 
 

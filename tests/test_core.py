@@ -9,6 +9,7 @@ import pytest
 from probdigits import (
     BaseTooSmall,
     BudgetExceeded,
+    Cylinder,
     DigitOutOfRange,
     DigitSeq,
     Enclosure,
@@ -689,11 +690,14 @@ def test_positions_are_one_based_in_every_message():
 
 def test_horner_sum_refuses_a_cycle_weight_product_not_below_one():
     half = Fraction(1, 2)
-    for cycle in ([(0, 1)], [(half, 2)], [(half, 2), (half, half)], [(1, 3), (0, half)]):
+    # a product at or below -1 diverges as well: 1 - 2 + 4 - ... has no sum
+    for cycle in ([(0, 1)], [(half, 2)], [(half, 2), (half, half)], [(1, 3), (0, half)], [(1, -2)], [(0, -1)]):
         with pytest.raises(InvalidArgument, match="not below 1"):
             horner_sum([], cycle)
     # a product just below 1 still closes: 1/2 / (1 - 3/4)
     assert horner_sum([], [(half, Fraction(3, 2)), (0, half)]) == 2
+    # and so does a negative one above -1: 1 - 1/2 + 1/4 - ... = 1 / (1 + 1/2)
+    assert horner_sum([], [(1, -half)]) == Fraction(2, 3)
 
 
 def test_digitseq_tail_block_reduces_to_primitive():
@@ -867,6 +871,16 @@ REFUSALS = [
     ("enclosure-unparsable", lambda: Enclosure("a", "b"), InvalidArgument, "not a rational number: 'a'"),
     ("enclosure-replace-unparsable", lambda: Enclosure(0, 1)._replace(hi=None), InvalidArgument,
      "not a rational number: None"),
+    # cylinders made directly: the vector first, then the digits, then the ends
+    ("cylinder-vector", lambda: Cylinder((5,), "x", "1", 0), InvalidArgument, "pv must be a ProbVector, got 'x'"),
+    ("cylinder-made-digit", lambda: Cylinder((5,), PLAIN2.pv, "1", 0), DigitOutOfRange, "digit 5 not in [0, 1]"),
+    ("cylinder-unparsable-end", lambda: Cylinder((1,), PLAIN2.pv, "a", 1), InvalidArgument,
+     "not a rational number: 'a'"),
+    ("cylinder-empty", lambda: Cylinder((1,), PLAIN2.pv, "1", 0), InvalidArgument, "empty cylinder [1, 0]"),
+    ("cylinder-replace-empty", lambda: cylinder_bounds((0, 1), PLAIN2.pv)._replace(hi=0), InvalidArgument,
+     "empty cylinder [1/4, 0]"),
+    ("cylinder-replace-digit", lambda: cylinder_bounds((0, 1), PLAIN2.pv)._replace(base=(2,)), DigitOutOfRange,
+     "digit 2 not in [0, 1]"),
     # series terms
     ("horner-sum-short-term", lambda: horner_sum([(1,)], []), InvalidArgument,
      "series terms must be iterables of (offset, weight) pairs"),

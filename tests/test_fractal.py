@@ -82,19 +82,37 @@ def test_graph_points_identity_and_complement(uniform2, pv3):
     assert all(y == 1 - x for x, y in pts)
 
 
+#: flip sets whose bits agree over positions 1..depth although they are not
+#: shift-invariant, with that depth: (spec, depth, the flipped tail on pv3)
+AGREEING_BITS = [
+    ("finite:1,2,3", 3, Fraction(0)),  # every bit 1
+    ("mask:00;1", 2, Fraction(1)),  # every bit 0
+    ("finite:5", 3, Fraction(1, 10)),  # every bit 0
+    ("mask:111;01", 3, Fraction(1, 9)),  # every bit 1
+]
+
+
 def test_graph_points_membership_and_completeness(asym2, pv3):
-    for system, depth in (
+    agreeing = [(FlipSystem(pv3, FlipSet.parse(spec)), depth) for spec, depth, _ in AGREEING_BITS]
+    # each agreeing set is what AGREEING_BITS says: no shift invariance, one bit, that tail
+    for (system, depth), (_, _, tail) in zip(agreeing, AGREEING_BITS):
+        assert not system.shift_invariant
+        assert len({system.flips.contains(k) for k in range(1, depth + 1)}) == 1
+        assert eval_flip(DigitSeq((), 3), system, offset=depth).value == tail
+    for system, depth in [
         (FlipSystem(asym2, FlipSet.all()), 8),
         (FlipSystem(asym2, FlipSet.mask((), (False, True))), 8),
         (FlipSystem(pv3, FlipSet.finite([2, 5])), 4),
-    ):
+    ] + agreeing:
         q = system.pv.q
         pts = ifs_graph_points(system, depth)
+        floats = fractal._graph_points(system, depth, fractal.DEFAULT_BUDGET, fractal._divided)
         words = list(product(range(q), repeat=depth))
-        assert len(pts) == len(words)
-        for word, (x, y) in zip(words, pts):
+        assert len(pts) == len(floats) == len(words)
+        for word, (x, y), (fx, fy) in zip(words, pts, floats):
             assert x == cylinder_bounds(word, system.pv).lo
             assert y == eval_flip(DigitSeq(word, q), system).value
+            assert (type(x), type(y), fx, fy) == (Fraction, Fraction, float(x), float(y))
 
 
 def test_graph_points_build_each_value_once(pv3):
@@ -109,23 +127,47 @@ def test_graph_points_build_each_value_once(pv3):
     (FlipSet.none(), 4, True), (FlipSet.all(), 4, True), (FlipSet.finite([2]), 4, True),
     (FlipSet.finite([2]), 1, False), (FlipSet.mask((), (False, True)), 4, False),
     (FlipSet.mask((True,), (False, True, True)), 3, False),
-])
+] + [(FlipSet.parse(spec), depth, tail in (0, 1)) for spec, depth, tail in AGREEING_BITS])
 def test_graph_points_make_each_coordinate_once(pv3, flips, depth, tail_is_0_or_1):
     # one batch of the 3**depth + 1 cylinder ends over D**depth, plus one of
-    # the 3**depth y values when the tail is worth neither 0 nor 1
-    calls = []
-
-    def coords(nums, scale):
-        calls.append((len(nums), scale))
-        return [Fraction(num, scale) for num in nums]
-
+    # the 3**depth y values when the tail is worth neither 0 nor 1, for
+    # exact and for float coordinates
     system = FlipSystem(pv3, flips)
-    points = fractal._graph_points(system, depth, fractal.DEFAULT_BUDGET, coords)
-    assert points == ifs_graph_points(system, depth)
-    x_scale = pv3.den ** depth
-    assert calls[0] == (3**depth + 1, x_scale)
-    assert [n for n, _ in calls[1:]] == ([] if tail_is_0_or_1 else [3**depth])
-    assert all(scale % x_scale == 0 for _, scale in calls[1:])
+    exact = ifs_graph_points(system, depth)
+    for kind in (Fraction, float):
+        calls = []
+
+        def coords(nums, scale):
+            calls.append((len(nums), scale))
+            return [kind(Fraction(num, scale)) for num in nums]
+
+        points = fractal._graph_points(system, depth, fractal.DEFAULT_BUDGET, coords)
+        assert points == [(kind(x), kind(y)) for x, y in exact]
+        assert all(type(value) is kind for point in points for value in point)
+        x_scale = pv3.den ** depth
+        assert calls[0] == (3**depth + 1, x_scale)
+        assert [n for n, _ in calls[1:]] == ([] if tail_is_0_or_1 else [3**depth])
+        assert all(scale % x_scale == 0 for _, scale in calls[1:])
+
+
+@pytest.mark.parametrize("spec", ["all", "none"])
+def test_graph_points_peak_near_their_result(spec):
+    # the coordinates share one int per distinct denominator, and the
+    # cylinder ends and the flip permutation are gone before the points are
+    # paired: the call's traced peak stays within 1.25 times what its
+    # result retains (1.5 when every coordinate held its own denominator)
+    system = FlipSystem(make_prob_vector(["1/4", "3/4"]), FlipSet.parse(spec))
+    ifs_graph_points(system, 2)  # any first-use state is built outside the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        points = ifs_graph_points(system, 14)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.25 * (retained - before)
+    dens = [value.denominator for point in points for value in point]
+    assert len({id(den) for den in dens}) == len(set(dens))
 
 
 def test_cylinder_images_match_per_base_fractions():
