@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from operator import mul
 from typing import NamedTuple
 
@@ -29,8 +29,9 @@ from .flips import FlipSystem, eval_flip
 #: crossing sits at or just above 1 and the sandwich drives it to 1.
 ENTROPY_THRESHOLD = math.sqrt(2.0)
 
-#: Relative margin eta of the checked bracket of graph_dimension_estimate
-_ETA = 2.0 ** -40
+#: Relative margin eta of the checked bracket of graph_dimension_estimate:
+#: its proof needs eta > 4 * 2**-50, and 2**-46 leaves a factor of 4
+_ETA = 2.0 ** -46
 
 
 # ---------------------------------------------------------------------------
@@ -151,21 +152,38 @@ def _flipped_upto(flips, rank: int) -> int:
 
 def _count_groups(total: int, px, py) -> list[tuple[int, int, int]]:
     """(multinomial(total; n), prod px[c]**n_c, prod py[c]**n_c) for every
-    digit-count vector n of total positions, n_0 outermost and each count
-    ascending.  The vectors grow one digit at a time: digit c takes n_c of the
-    r positions still free, with C(r, n_c) ways, and the last digit takes them
-    all."""
+    digit-count vector n of total positions over q >= 2 digits, n_0
+    outermost and each count ascending.
+
+    Depth first, on an explicit stack (q is not capped, so no recursion):
+    a node holds a digit c, the positions r still free, and the products so
+    far; its children give digit c each count n of 0..r, with C(r, n) ways
+    and the powers read from per-digit tables.  A node with no position
+    free is a finished group (every remaining count is 0), and the children
+    of the second-last digit are finished groups at once, the last digit
+    taking the rest.  Each group is one tuple, and no vector is carried
+    through the digits it leaves at 0."""
     last = len(px) - 1
-    groups = [(total, 1, 1, 1)]
-    for c, (x, y) in enumerate(zip(px, py)):
-        xpow, ypow = [1], [1]
-        for _ in range(total):
-            xpow.append(xpow[-1] * x)
-            ypow.append(ypow[-1] * y)
-        groups = [(free - n, mult * math.comb(free, n), wx * xpow[n], wy * ypow[n])
-                  for free, mult, wx, wy in groups
-                  for n in (range(free + 1) if c < last else (free,))]
-    return [(mult, wx, wy) for _, mult, wx, wy in groups]
+    xpow = [list(accumulate(repeat(x, total), mul, initial=1)) for x in px]
+    ypow = xpow if py is px else [list(accumulate(repeat(y, total), mul, initial=1)) for y in py]
+    groups = []
+    emit = groups.append
+    stack = [(0, total, 1, 1, 1)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        c, free, mult, wx, wy = pop()
+        if not free:
+            emit((mult, wx, wy))
+        elif c == last - 1:
+            xs, ys, xl, yl = xpow[c], ypow[c], xpow[last], ypow[last]
+            for n in range(free + 1):
+                emit((mult * math.comb(free, n), wx * xs[n] * xl[free - n], wy * ys[n] * yl[free - n]))
+        else:
+            xs, ys = xpow[c], ypow[c]
+            c += 1
+            for n in range(free, -1, -1):  # pushed last, n = 0 is popped first
+                push((c, free - n, mult * math.comb(free, n), wx * xs[n], wy * ys[n]))
+    return groups
 
 
 def _group_count(system: FlipSystem, rank: int) -> int:
@@ -272,7 +290,8 @@ def _bracket(mults: list[float], d2s: list[float], threshold: float) -> tuple[fl
 
     The ends are a -+ 4 * eta / |d ln E / d alpha| around Newton's guess a,
     each kept only if its evaluation clears threshold by the relative margin
-    eta; an end not kept is -inf or inf."""
+    eta; an end not kept is -inf or inf.  The narrower the bracket, the fewer
+    bisection steps fall inside it and are evaluated."""
     unchecked = (-math.inf, math.inf)
     # the sum must fall in alpha, and its underflow error M * 2**-1072 stay within T * eta / 8
     if max(d2s) >= 1.0 or math.ldexp(sum(mults), -1069) > threshold * _ETA:
@@ -304,16 +323,21 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
     _bracket) takes that end's answer without evaluating the sum; any other
     step evaluates it, so every estimate is the one of evaluating every step.
     Sound when every d2 < 1 and U = M * 2**-1072 <= T * eta / 8 (M the float
-    sum of the multiplicities, T the threshold, eta = 2**-40); else no end
-    is kept.  The exact sum S(h) of mult * d2**h over the same floats is then
-    strictly decreasing in h = fl(alpha / 2), itself monotone in alpha.  An
+    sum of the multiplicities, T the threshold, eta = 2**-46); else no end
+    is kept.  Past the float range check M is at most about 2**512 (the
+    widths and the heights each sum to 1, so some group has x + y <= 2 / M
+    and d2 <= 4 / M**2, and every d2 >= 2**-1022), so U <= about 2**-560
+    and the underflow guard fires only for T below about 2**-511.  The
+    exact sum S(h) of mult * d2**h over the same floats is then strictly
+    decreasing in h = fl(alpha / 2), itself monotone in alpha.  An
     evaluation E is within eps * S + U of S, eps = 2**-50: pow within 2 ulps
     (a subnormal power within 2**-1073 absolute), one rounding per product,
     and fsum rounds the exact sum of the terms once.  A kept below has
     E(below) > T * (1 + eta), so S(below) > T * (1 + 7 * eta / 8) / (1 + eps),
     and every alpha <= below has E(alpha) >= (1 - eps) * S(below) - U >
-    T * (1 + 3 * eta / 4 - 3 * eps) > T: an evaluation would say "exceeds"
-    too.  A kept above gives E(alpha) < T for every alpha >= above alike."""
+    T * (1 + 3 * eta / 4 - 3 * eps) > T, since eta = 2**-46 > 4 * eps: an
+    evaluation would say "exceeds" too.  A kept above gives E(alpha) < T for
+    every alpha >= above alike."""
     budget = _as_int(budget, "budget")
     if not system.shift_invariant:
         raise NotShiftInvariant("dimension estimation needs flips none or all")

@@ -1,7 +1,9 @@
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -168,6 +170,24 @@ def moran_bases_by_walk(spec, rank: int, budget: int) -> list[tuple[int, ...]]:
 
     walk([], 0)
     return out
+
+
+def count_groups_by_words(total: int, px, py) -> list[tuple[int, int, int]]:
+    """The digit-count groups of fractal._count_groups by brute force: every
+    word of total digits, from itertools.product, is counted into its count
+    vector with a Counter, so a vector's multiplicity is the number of its
+    words, and its products are those of its first word's letters.  Sorting
+    the vectors puts n_0 outermost and each count ascending."""
+    q = len(px)
+    mults: Counter = Counter()
+    first = {}
+    for word in product(range(q), repeat=total):
+        counts = [0] * q
+        for c in word:
+            counts[c] += 1
+        mults[tuple(counts)] += 1
+        first.setdefault(tuple(counts), word)
+    return [(mults[n], math.prod(px[c] for c in first[n]), math.prod(py[c] for c in first[n])) for n in sorted(mults)]
 
 
 def diagonal_multiset(pairs) -> dict[Fraction, int]:

@@ -31,7 +31,7 @@ from probdigits import (
     moran_set_cylinders,
     rectangle_diagonals_sq,
 )
-from conftest import ASYM_VECTORS, cylinder_images, diagonal_multiset, dimension_by_bisection, moran_bases_by_walk
+from conftest import ASYM_VECTORS, count_groups_by_words, cylinder_images, diagonal_multiset, dimension_by_bisection, moran_bases_by_walk
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +314,15 @@ def test_rectangle_groups_refuse_a_huge_rank_at_once(uniform2, flips):
     assert time.perf_counter() - start < 0.2
 
 
+def test_count_groups_on_a_large_alphabet():
+    # q = 1500 digits deep, past the default recursion limit: one group per digit
+    q = 1500
+    px, py = list(range(1, q + 1)), list(range(q, 0, -1))
+    groups = fractal._count_groups(1, px, py)
+    assert groups == count_groups_by_words(1, px, py)
+    assert groups == [(1, px[c], py[c]) for c in range(q - 1, -1, -1)]
+
+
 def test_entropy_sandwich_bounds(asym2):
     a, b = min(asym2.p), max(asym2.p)
     for fs in (FlipSet.none(), FlipSet.all()):
@@ -365,6 +374,17 @@ def test_dimension_bisection_equals_64_halvings(monkeypatch, uniform2, asym2, pv
             system = FlipSystem(pv, fs)
             expected = {rank: dimension_by_bisection(system, rank, threshold) for rank in ranks}
             assert graph_dimension_estimate(system, ranks) == expected
+            if threshold != math.sqrt(2.0):
+                # far from 1 a float step of alpha can move ln E by more than
+                # eta, and ln 1e300 is spaced wider than Newton's stop at eta
+                continue
+            # the estimates are the same with no bracket at all, so check that
+            # both ends were kept wherever the sum falls in alpha
+            for rank in ranks:
+                mults, d2s = fractal._float_groups(system, rank, fractal.DEFAULT_BUDGET)
+                if max(d2s) < 1.0:
+                    below, above = fractal._bracket(mults, d2s, threshold)
+                    assert -math.inf < below < expected[rank] < above < math.inf
 
 
 def test_dimension_checks_the_newton_guess(monkeypatch):
@@ -413,12 +433,13 @@ def test_dimension_evaluates_every_step_without_a_bracket(monkeypatch):
 
 def test_dimension_evaluations_per_rank(monkeypatch):
     # every step would read the sum about 55 times per rank; the checked
-    # bracket leaves the two checks and the steps inside it
+    # bracket, 8 * eta / |d ln E / d alpha| wide with eta = 2**-46, leaves the
+    # two checks and the few steps inside it (8 calls here)
     system = FlipSystem(make_prob_vector(["1/5", "3/10", "1/2"]), FlipSet.all())
     entropy, calls = fractal._entropy, []
     monkeypatch.setattr(fractal, "_entropy", lambda *args: calls.append(args[2]) or entropy(*args))
     graph_dimension_estimate(system, [10])
-    assert len(calls) <= 24
+    assert len(calls) <= 10
 
 
 def test_entropy_sum_in_float_range(uniform2):

@@ -63,6 +63,7 @@ from probdigits.core import _horner, _lowest_terms, _walk
 from conftest import (
     bernoulli_cdf_by_digits,
     block_table_by_levels,
+    count_groups_by_words,
     cylinder_by_fractions,
     diagonal_multiset,
     diagonals_by_walk,
@@ -676,6 +677,17 @@ def test_grouped_diagonals_match_the_cylinder_walk(pv, flips, rank):
     flipped = sum(flips.contains(k) for k in range(1, rank + 1))
     q = pv.q
     assert len(pairs) == math.comb(flipped + q - 1, q - 1) * math.comb(rank - flipped + q - 1, q - 1)
+
+
+@given(st.integers(2, 12), st.integers(0, 7), st.data())
+def test_count_groups_match_the_words(q, total, data):
+    # the same groups in the same order as counting every word; py may be px
+    # itself, whose power tables the builder shares
+    assume(q ** total <= 20000)
+    weights = st.lists(st.integers(1, 1000), min_size=q, max_size=q)
+    px = data.draw(weights)
+    py = px if data.draw(st.booleans()) else data.draw(weights)
+    assert fractal._count_groups(total, px, py) == count_groups_by_words(total, px, py)
 
 
 @given(flip_sets(), st.integers(0, 40))
