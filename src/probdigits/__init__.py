@@ -15,8 +15,7 @@ _SOURCES = {
     **dict.fromkeys((
         "DEFAULT_BUDGET", "Cylinder", "DigitSeq", "Enclosure", "PointClass", "PointKind",
         "ProbVector", "as_fraction", "bernoulli_cdf", "classify", "cylinder_bounds", "encode",
-        "eval_digits", "horner_sum", "make_prob_vector", "sample_digits", "shift_digits",
-        "shift_value",
+        "eval_digits", "make_prob_vector", "sample_digits", "shift_digits", "shift_value",
     ), "core"),
     **dict.fromkeys((
         "BaseTooSmall", "BudgetExceeded", "DigitOutOfRange", "EmptyAlphabet", "EndpointOneSided",

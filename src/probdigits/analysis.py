@@ -41,7 +41,6 @@ from .errors import (
     NotPRational,
     NotShiftInvariant,
     PrefixTooShort,
-    RankTooLarge,
 )
 from .flips import FlipSet, FlipSystem, _flip_value, eval_flip, flip_image
 
@@ -335,13 +334,13 @@ def integral_riemann(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET
     the measure-weighted sum of image widths.  The digits are independent
     with law p, so the sums are the rank-r partial sums of the series:
     lower = sum_{k<=r} v_k prod_{j<k} w_j, upper = lower + prod_{k<=r} w_k.
-    The cost is O(rank); the budget still caps q**rank."""
+    The budget counts those rank terms, as integral_series counts its own:
+    a rank above it is BudgetExceeded."""
     rank = _as_int(rank, "rank", 1)
     budget = _as_int(budget, "budget")
-    pv = system.pv
-    if pv.q ** rank > budget:
-        raise RankTooLarge(f"{pv.q}**{rank} exceeds budget {budget}")
-    lower, weight, scale = _partial_sum(system, _expected_terms(pv), rank)
+    if rank > budget:
+        raise BudgetExceeded(f"{rank} series terms exceed budget {budget}")
+    lower, weight, scale = _partial_sum(system, _expected_terms(system.pv), rank)
     return Enclosure._ordered(_lowest_terms(lower, scale), _lowest_terms(lower + weight, scale))
 
 

@@ -144,7 +144,8 @@ def cmd_dimension(args):
     from .fractal import MoranSpec, graph_dimension_estimate, moran_dimension
 
     system = _system(args)
-    ranks = list(range(2, args.rank + 1, 2)) or [args.rank]
+    # a range, not a list: graph_dimension_estimate reads no more ranks than its budget allows
+    ranks = range(2, args.rank + 1, 2) or [args.rank]
     estimates = graph_dimension_estimate(system, ranks)
     payload = {"entropy_estimates": {str(r): a for r, a in estimates.items()}}
     if args.u is not None:

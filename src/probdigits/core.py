@@ -424,36 +424,6 @@ class DigitSeq:
 # Series summation
 # ---------------------------------------------------------------------------
 
-def horner_sum(prefix_terms, cycle_terms) -> Fraction:
-    """Exact value of an offset/weight series with a periodic continuation.
-
-    Terms are (offset, weight) pairs; the series is
-    o_1 + w_1*(o_2 + w_2*(o_3 + ...)) with `cycle_terms` repeating forever
-    after `prefix_terms`.  The product of the cycle weights must lie in
-    (-1, 1) for the series to converge, to partial / (1 - prod(w)); a cycle
-    whose weight product is not below 1 in absolute value is InvalidArgument,
-    and so is a term that is not a pair of rationals (see as_fraction).
-    """
-    try:
-        prefix_terms = [(o, w) for o, w in prefix_terms]
-        cycle_terms = [(o, w) for o, w in cycle_terms]
-    except (TypeError, ValueError):
-        raise InvalidArgument("series terms must be iterables of (offset, weight) pairs") from None
-    value = Fraction(0)
-    if cycle_terms:
-        partial = Fraction(0)
-        weight = Fraction(1)
-        for o, w in cycle_terms:
-            partial += weight * as_fraction(o)
-            weight *= as_fraction(w)
-        if abs(weight) >= 1:
-            raise InvalidArgument(f"cycle weight product {weight} is not below 1 in absolute value")
-        value = partial / (1 - weight)
-    for o, w in reversed(prefix_terms):
-        value = as_fraction(o) + as_fraction(w) * value
-    return value
-
-
 def _forward(table: IntTable, letters: Iterable[int], num: int = 0, weight: int = 1) -> tuple[int, int]:
     """The Horner step of a letter table, one letter at a time, left to
     right: (num, weight) -> (num*den + beta[c]*weight, weight*p[c]), with

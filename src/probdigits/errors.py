@@ -46,8 +46,7 @@ class NotShiftInvariant(ProbDigitsError):
 
 
 class RankTooLarge(ProbDigitsError):
-    """q**rank exceeds the configured enumeration budget, or the rank's
-    entropy-sum groups leave the float range."""
+    """The rank's entropy-sum groups leave the float range."""
 
 
 class BudgetExceeded(ProbDigitsError):

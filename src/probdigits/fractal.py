@@ -91,12 +91,15 @@ def _graph_points(system: FlipSystem, depth: int, budget: int, coords) -> list[t
     When the flip bits of positions 1..depth agree, j is i (no bit set) or
     q**depth - 1 - i (every bit set), and at is a range.  Only when they
     differ is at a list, built alongside ends, the digit order reversed at a
-    flipped position."""
+    flipped position.
+
+    The budget is decided without building q**depth at a depth of
+    budget.bit_length() or more: there q**depth >= 2**depth > budget."""
     depth = _as_int(depth, "depth", 0)
     budget = _as_int(budget, "budget")
     pv = system.pv
     q = pv.q
-    if q ** depth > budget:
+    if depth >= budget.bit_length() or q ** depth > budget:
         raise BudgetExceeded(f"{q}**{depth} points exceed budget {budget}")
     tail = eval_flip(DigitSeq((), q), system, offset=depth).value
     t_num, t_den = tail.numerator, tail.denominator
@@ -316,8 +319,10 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
     sum crosses sqrt(2), for 64 halvings or until the float midpoint equals an
     end, whichever is first; the estimates trend to 1.  The budget caps the
     digit-count groups of all ranks together, counted before any is built.
-    A rank whose groups leave the float range is RankTooLarge, found at the
-    largest rank before any is estimated.
+    Every rank has at least one group, so at most budget + 1 entries of
+    ranks are read, and more than budget ranks are refused without reading
+    the rest.  A rank whose groups leave the float range is RankTooLarge,
+    found at the largest rank before any is estimated.
 
     A step whose alpha lies at or past an end of the checked bracket (see
     _bracket) takes that end's answer without evaluating the sum; any other
@@ -342,7 +347,7 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
     if not system.shift_invariant:
         raise NotShiftInvariant("dimension estimation needs flips none or all")
     try:
-        ranks = list(ranks)
+        ranks = list(islice(ranks, max(budget, 0) + 1))
     except TypeError:
         raise InvalidArgument(f"ranks must be an iterable of integers, got {ranks!r}") from None
     ranks = [_as_int(rank, "rank") for rank in ranks]
@@ -350,6 +355,9 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
         raise InvalidArgument(f"ranks must be >= 1, got {ranks}")
     if any(b <= a for a, b in zip(ranks, ranks[1:])):
         raise InvalidArgument(f"ranks must be strictly increasing, got {ranks}")
+    if len(ranks) > budget:
+        raise BudgetExceeded(f"more than {budget} ranks, each with at least one rectangle group, "
+                             f"exceed budget {budget}")
     groups = sum(_group_count(system, rank) for rank in ranks)
     if groups > budget:
         raise BudgetExceeded(f"{groups} rectangle groups over {len(ranks)} ranks exceed budget {budget}")
@@ -522,7 +530,10 @@ def covering_measure(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET) -
     step weighted by its digit's weight: per run length, the total width of
     the consistent bases ending there as an integer over D**k (D = pv.den),
     so no base is built.  Refuses more than `budget` consistent bases, as
-    `moran_set_cylinders` does."""
+    `moran_set_cylinders` does.  The work is O(rank * q), but the cap is
+    kept: with two or more block digits the base count grows geometrically
+    with the rank, so the cap bounds the rank and with it the D**rank
+    denominator of the result."""
     rank = _as_int(rank, "rank", 1)
     budget = _as_int(budget, "budget")
     automaton = _moran_automaton(spec)

@@ -13,6 +13,7 @@ from probdigits import (
     Enclosure,
     EndpointOneSided,
     FlipSet,
+    InvalidArgument,
     JumpReport,
     MonotoneWitness,
     NotPRational,
@@ -25,7 +26,6 @@ from probdigits import (
     eval_digits,
     eval_flip,
     flip_digits,
-    horner_sum,
     make_prob_vector,
     rectangle_diagonals_sq,
 )
@@ -231,6 +231,36 @@ def orbit_by_fractions(x, pv, depth: int) -> tuple[list[int], list[Fraction]]:
     return digits, states
 
 
+def horner_sum(prefix_terms, cycle_terms) -> Fraction:
+    """Exact value of an offset/weight series with a periodic continuation.
+
+    Terms are (offset, weight) pairs; the series is
+    o_1 + w_1*(o_2 + w_2*(o_3 + ...)) with `cycle_terms` repeating forever
+    after `prefix_terms`.  The product of the cycle weights must lie in
+    (-1, 1) for the series to converge, to partial / (1 - prod(w)); a cycle
+    whose weight product is not below 1 in absolute value is InvalidArgument,
+    and so is a term that is not a pair of rationals (see as_fraction).
+    """
+    try:
+        prefix_terms = [(o, w) for o, w in prefix_terms]
+        cycle_terms = [(o, w) for o, w in cycle_terms]
+    except (TypeError, ValueError):
+        raise InvalidArgument("series terms must be iterables of (offset, weight) pairs") from None
+    value = Fraction(0)
+    if cycle_terms:
+        partial = Fraction(0)
+        weight = Fraction(1)
+        for o, w in cycle_terms:
+            partial += weight * as_fraction(o)
+            weight *= as_fraction(w)
+        if abs(weight) >= 1:
+            raise InvalidArgument(f"cycle weight product {weight} is not below 1 in absolute value")
+        value = partial / (1 - weight)
+    for o, w in reversed(prefix_terms):
+        value = as_fraction(o) + as_fraction(w) * value
+    return value
+
+
 def eval_digits_by_horner(seq: DigitSeq, pv) -> Fraction:
     """Value of a digit stream through the Fraction horner_sum."""
     return horner_sum([(pv.beta[d], pv.p[d]) for d in seq.digits],
@@ -275,16 +305,21 @@ def block_table_by_levels(table):
     return k, (scale, (*lefts, scale), tuple(weights)), b"".join(words)
 
 
+def expected_terms(system, count: int) -> list[tuple[Fraction, Fraction]]:
+    """(v_k, w_k) for positions k = 1..count: the expected offset and weight
+    of a digit drawn with law p at position k, read per digit from
+    FlipSystem."""
+    pv = system.pv
+    return [(sum(p * system.offset(k, d) for d, p in enumerate(pv.p)),
+             sum(p * system.weight(k, d) for d, p in enumerate(pv.p))) for k in range(1, count + 1)]
+
+
 def integral_by_horner_sum(system) -> Fraction:
     """The exact integral of the flip map for an eventually periodic flip set:
-    the expected offset and weight of a digit drawn with law p at each
-    position, read per digit from FlipSystem over the preperiod and one
-    period, closed by horner_sum."""
-    pv = system.pv
+    the expected terms over the preperiod and one period, closed by
+    horner_sum."""
     m = len(system.flips.preperiod)
-    span = len(system.flips.period)
-    terms = [(sum(p * system.offset(k, d) for d, p in enumerate(pv.p)),
-              sum(p * system.weight(k, d) for d, p in enumerate(pv.p))) for k in range(1, m + span + 1)]
+    terms = expected_terms(system, m + len(system.flips.period))
     return horner_sum(terms[:m], terms[m:])
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import probdigits.analysis as analysis
 from probdigits import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     DigitSeq,
     EVEN_POSITIONS,
@@ -16,7 +17,6 @@ from probdigits import (
     NotPRational,
     NotShiftInvariant,
     PrefixTooShort,
-    RankTooLarge,
     continuity_class,
     derivative_estimate,
     encode,
@@ -31,7 +31,9 @@ from probdigits import (
     p_rationals,
 )
 from probdigits.core import _horner
-from conftest import ASYM_VECTORS, integral_by_horner_sum, integral_series_by_fractions, series_by_fractions
+from conftest import (
+    ASYM_VECTORS, expected_terms, integral_by_horner_sum, integral_series_by_fractions, series_by_fractions,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +285,20 @@ def test_integral_riemann_examples(uniform2, asym2):
     assert enc.contains(Fraction(1, 2)) and enc.width <= Fraction(1, 2**10)
     enc = integral_riemann(FlipSystem(asym2, FlipSet.all()), 12)
     assert enc.contains(Fraction(1, 10))
-    with pytest.raises(RankTooLarge):
-        integral_riemann(FlipSystem(uniform2, FlipSet.none()), 21)
+    # the budget counts the rank terms, not the 2**21 cylinders: rank 21 is
+    # the rank-21 partial sums of the Fraction terms, around the integral
+    system = FlipSystem(asym2, EVEN_POSITIONS)
+    lower, weight = Fraction(0), Fraction(1)
+    for v, w in expected_terms(system, 21):
+        lower += weight * v
+        weight *= w
+    enc = integral_riemann(system, 21)
+    assert (enc.lo, enc.hi) == (lower, lower + weight)
+    assert enc.contains(integral_by_horner_sum(system))
+    with pytest.raises(BudgetExceeded, match="^11 series terms exceed budget 10$"):
+        integral_riemann(system, 11, budget=10)
+    with pytest.raises(BudgetExceeded, match=f"^{DEFAULT_BUDGET + 1} series terms exceed budget {DEFAULT_BUDGET}$"):
+        integral_riemann(system, DEFAULT_BUDGET + 1)
     with pytest.raises(InvalidArgument):
         integral_riemann(FlipSystem(uniform2, FlipSet.none()), 0)
 

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -325,6 +326,29 @@ def test_dimension_refuses_the_groups_of_all_ranks_at_once(capsys):
     code, out, err = run_cli(capsys, "dimension", "--p", "1/3,2/3", "--rank", "3000")
     assert (code, out) == (2, "")
     assert err == "error: BudgetExceeded: 2253000 rectangle groups over 1500 ranks exceed budget 1048576\n"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["integral", "--p", "1/2,1/2", "--rank", "1000000000000"],
+     "BudgetExceeded: 1000000000000 series terms exceed budget 1048576"),
+    (["graph", "--p", "1/2,1/2", "--depth", "1000000000000"],
+     "BudgetExceeded: 2**1000000000000 points exceed budget 1048576"),
+    (["dimension", "--p", "1/2,1/2", "--flips", "all", "--rank", "1000000000000"],
+     "BudgetExceeded: more than 1048576 ranks, each with at least one rectangle group, exceed budget 1048576"),
+], ids=["integral", "graph", "dimension"])
+def test_a_huge_rank_or_depth_is_refused_by_its_budget(capsys, argv, line):
+    # each budget is decided without building q**rank or listing the ranks
+    start = time.perf_counter()
+    assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")
+    assert time.perf_counter() - start < 2.0
+
+
+def test_integral_budget_counts_terms_not_cylinders(capsys):
+    # 2**40 cylinders, but 40 terms: the rank is under the budget
+    payload = run_json(capsys, "integral", "--p", "1/2,1/2", "--flips", "all", "--rank", "40")
+    riemann = payload["riemann"]
+    assert Fraction(riemann["lo"]) <= Fraction(payload["closed_form"]) <= Fraction(riemann["hi"])
+    assert Fraction(riemann["hi"]) - Fraction(riemann["lo"]) == Fraction(1, 2**40)
 
 
 def test_dimension_refuses_a_rank_past_the_float_range(capsys):

@@ -41,7 +41,6 @@ from probdigits import (
     eval_nega,
     flip_image,
     graph_dimension_estimate,
-    horner_sum,
     ifs_graph_points,
     integral_riemann,
     integral_series,
@@ -61,6 +60,7 @@ from conftest import (
     ASYM_VECTORS,
     cylinder_by_fractions,
     eval_nega_by_fractions,
+    horner_sum,
     integral_series_by_fractions,
     orbit_by_fractions,
     random_fraction,

@@ -198,6 +198,22 @@ def test_graph_points_budget(uniform2):
         ifs_graph_points(FlipSystem(uniform2, FlipSet.none()), -1)
 
 
+def test_graph_points_budget_builds_no_power_of_a_huge_depth(uniform2, pv3):
+    # depth >= budget.bit_length() is refused without building q**depth
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"^2\*\*1000000000000 points exceed budget 1048576$"):
+        ifs_graph_points(FlipSystem(uniform2, FlipSet.none()), 10**12)
+    assert time.perf_counter() - start < 0.1
+    # on both sides of that switch the refusal is still q**depth > budget
+    for pv in (uniform2, pv3):
+        system = FlipSystem(pv, FlipSet.none())
+        for depth in range(1, 6):
+            size = pv.q ** depth
+            assert len(ifs_graph_points(system, depth, budget=size)) == size
+            with pytest.raises(BudgetExceeded):
+                ifs_graph_points(system, depth, budget=size - 1)
+
+
 # ---------------------------------------------------------------------------
 # entropy sums
 # ---------------------------------------------------------------------------
@@ -359,6 +375,24 @@ def test_dimension_budget_caps_the_groups_of_all_ranks(uniform2):
     with pytest.raises(BudgetExceeded):
         graph_dimension_estimate(FlipSystem(uniform2, FlipSet.none()), range(2, 10**6 + 1, 2))
     assert time.perf_counter() - start < 2.0
+
+
+def test_dimension_reads_no_more_ranks_than_the_budget(uniform2):
+    # every rank has a group, so budget + 1 ranks are refused without reading the rest
+    system = FlipSystem(uniform2, FlipSet.all())
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="^more than 1048576 ranks, each with at least one rectangle group, "
+                                             "exceed budget 1048576$"):
+        graph_dimension_estimate(system, range(2, 10**12, 2))
+    assert time.perf_counter() - start < 2.0
+    with pytest.raises(BudgetExceeded, match="^more than 3 ranks"):
+        graph_dimension_estimate(system, range(1, 10**12), budget=3)
+    # a bad rank among those read is still named as such
+    with pytest.raises(InvalidArgument, match="strictly increasing"):
+        graph_dimension_estimate(system, [3, 2, 4, 5], budget=3)
+    # a negative budget reads one rank, and refuses it
+    with pytest.raises(BudgetExceeded):
+        graph_dimension_estimate(system, range(1, 10**12), budget=-1)
 
 
 @pytest.mark.parametrize("threshold", [fractal.ENTROPY_THRESHOLD, 1e-300, 1e300])

@@ -47,7 +47,6 @@ from probdigits import (
     flip_digits,
     flip_image,
     graph_dimension_estimate,
-    horner_sum,
     ifs_graph_points,
     integral_closed_form,
     integral_riemann,
@@ -72,6 +71,7 @@ from conftest import (
     eval_flip_by_digits,
     eval_nega_by_fractions,
     flip_outcome,
+    horner_sum,
     integral_by_horner_sum,
     integral_series_by_fractions,
     jump_at_by_two_walks,
