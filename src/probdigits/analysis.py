@@ -29,6 +29,7 @@ from .core import (
     _check_digits,
     _forward,
     _lowest_terms,
+    _shown,
     _walk,
     as_fraction,
     cylinder_bounds,
@@ -71,11 +72,11 @@ def jump_at(x0, system: FlipSystem, max_depth: int = 128) -> JumpReport:
     x0 = _as_point(x0)
     a, b = x0.numerator, x0.denominator
     if a == 0 or a == b:
-        raise EndpointOneSided(f"{x0} admits only a one-sided limit")
+        raise EndpointOneSided(f"{_shown(x0)} admits only a one-sided limit")
     pv = system.pv
     digits, end, _, _ = _walk(a, b, pv.int_table, max_depth, watch=True)
     if end is not PointKind.P_RATIONAL:
-        raise NotPRational(f"{x0} is {end.value} at depth {max_depth}")
+        raise NotPRational(f"{_shown(x0)} is {end.value} at depth {_shown(max_depth)}")
     q = pv.q
     zero_rep = DigitSeq._trusted(tuple(digits), q, (0,))
     digits[-1] -= 1
@@ -176,7 +177,7 @@ def derivative_estimate(prefix: Sequence[int], system: FlipSystem, max_rank: int
     pv = system.pv
     digits = _check_digits(prefix, pv.q)
     if len(digits) < max_rank:
-        raise PrefixTooShort(f"prefix of length {len(digits)} cannot reach rank {max_rank}")
+        raise PrefixTooShort(f"prefix of length {len(digits)} cannot reach rank {_shown(max_rank)}")
     p = pv.int_table.p
     top = pv.q - 1
     ratios = []
@@ -299,7 +300,7 @@ def integral_series(system: FlipSystem, tol=Fraction(1, 10**12)) -> Enclosure:
     k - 1."""
     tol = as_fraction(tol)
     if tol <= 0:
-        raise InvalidArgument(f"tol must be positive, got {tol}")
+        raise InvalidArgument(f"tol must be positive, got {_shown(tol)}")
     terms = _expected_terms(system.pv)
     v_max = max(terms.beta)
     # (1 - w_max) * D**2, positive: every weight sum of squares is below 1
@@ -308,7 +309,7 @@ def integral_series(system: FlipSystem, tol=Fraction(1, 10**12)) -> Enclosure:
     need = log(v_max) - log(closure) - log(tol.numerator) + log(tol.denominator)
     k = _series_length(system, terms, need)
     if k > DEFAULT_BUDGET:
-        raise BudgetExceeded(f"about {k} series terms to reach tol {tol} exceed budget {DEFAULT_BUDGET}")
+        raise BudgetExceeded(f"about {k} series terms to reach tol {_shown(tol)} exceed budget {DEFAULT_BUDGET}")
 
     def stops(weight: int, scale: int) -> bool:
         # the tail bound v_max * W / (1 - w_max) is v_max * weight / (scale * closure)
@@ -339,7 +340,7 @@ def integral_riemann(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET
     rank = _as_int(rank, "rank", 1)
     budget = _as_int(budget, "budget")
     if rank > budget:
-        raise BudgetExceeded(f"{rank} series terms exceed budget {budget}")
+        raise BudgetExceeded(f"{_shown(rank)} series terms exceed budget {_shown(budget)}")
     lower, weight, scale = _partial_sum(system, _expected_terms(system.pv), rank)
     return Enclosure._ordered(_lowest_terms(lower, scale), _lowest_terms(lower + weight, scale))
 

@@ -46,6 +46,52 @@ RationalLike = Union[int, str, Fraction]
 DEFAULT_BUDGET = 1 << 20
 
 
+#: Integers of more decimal digits than this are shown by their digit count in messages
+_SHOWN_DIGITS = 100
+
+
+class _Abridged(str):
+    """A stand-in for a huge number in a message: str and repr alike give it."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return str(self)
+
+
+def _digit_count(n: int) -> int:
+    """The decimal digits of abs(n), found without str, which is quadratic
+    and refused past sys.get_int_max_str_digits().  The estimate from the
+    bit length is at most the count, and the loop raises it to the count."""
+    n = abs(n)
+    count = max(int((n.bit_length() - 1) * 0.30102999566398120) - 1, 0)  # log10(2)
+    power = 10 ** count
+    while power <= n:
+        count += 1
+        power *= 10
+    return max(count, 1)
+
+
+def _shown(value):
+    """value as a refusal message quotes it, with str or repr: itself, but an
+    int or a Fraction with a part of more than _SHOWN_DIGITS digits becomes
+    an _Abridged text such as '1/<5001-digit integer>', and a list or tuple
+    is rebuilt from its entries shown.  So the message stays one short line,
+    and no int to str conversion is refused."""
+    if isinstance(value, int):
+        if value.bit_length() <= 332:  # 2**332 < 10**100
+            return value
+        count = _digit_count(value)
+        sign = "-" if value < 0 else ""
+        return value if count <= _SHOWN_DIGITS else _Abridged(f"{sign}<{count}-digit integer>")
+    if isinstance(value, Fraction):
+        num, den = _shown(value.numerator), _shown(value.denominator)
+        return _Abridged(f"{num}/{den}") if isinstance(num, str) or isinstance(den, str) else value
+    if type(value) in (list, tuple):
+        return type(value)(map(_shown, value))
+    return value
+
+
 def as_fraction(x) -> Fraction:
     """Coerce ints, 'num/den' strings, finite floats and Fractions to Fraction.
 
@@ -56,7 +102,7 @@ def as_fraction(x) -> Fraction:
     try:
         return Fraction(x)
     except (ValueError, OverflowError, ZeroDivisionError, TypeError):
-        raise InvalidArgument(f"not a rational number: {x!r}") from None
+        raise InvalidArgument(f"not a rational number: {_shown(x)!r}") from None
 
 
 def _as_int(n, name: str, minimum: int | None = None) -> int:
@@ -66,9 +112,9 @@ def _as_int(n, name: str, minimum: int | None = None) -> int:
     try:
         n = index(n)
     except TypeError:
-        raise InvalidArgument(f"{name} must be an integer, got {n!r}") from None
+        raise InvalidArgument(f"{name} must be an integer, got {_shown(n)!r}") from None
     if minimum is not None and n < minimum:
-        raise InvalidArgument(f"{name} must be >= {minimum}, got {n}")
+        raise InvalidArgument(f"{name} must be >= {minimum}, got {_shown(n)}")
     return n
 
 
@@ -79,7 +125,7 @@ def _as_point(x) -> Fraction:
     x = as_fraction(x)
     num = x.numerator
     if num < 0 or num > x.denominator:
-        raise OutOfUnitInterval(f"{x} not in [0, 1]")
+        raise OutOfUnitInterval(f"{_shown(x)} not in [0, 1]")
     return x
 
 
@@ -92,18 +138,18 @@ def _check_digits(digits: Iterable, q: int, what: str = "digit") -> tuple[int, .
     try:
         digits = tuple(digits)
     except TypeError:
-        raise InvalidArgument(f"{what}s must be a sequence of integers, got {digits!r}") from None
+        raise InvalidArgument(f"{what}s must be a sequence of integers, got {_shown(digits)!r}") from None
     for d in digits:
         if type(d) is not int or not 0 <= d < q:
             if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d < q:
-                raise DigitOutOfRange(f"{what} {d!r} not in [0, {q - 1}]")
+                raise DigitOutOfRange(f"{what} {_shown(d)!r} not in [0, {_shown(q - 1)}]")
     return digits
 
 
 def _same_alphabet(seq: DigitSeq, pv: ProbVector) -> None:
     """Refuse a digit sequence over another alphabet than the vector's."""
     if seq.q != pv.q:
-        raise DigitOutOfRange(f"sequence alphabet {seq.q} != vector alphabet {pv.q}")
+        raise DigitOutOfRange(f"sequence alphabet {_shown(seq.q)} != vector alphabet {_shown(pv.q)}")
 
 
 def _as_position(k) -> int:
@@ -116,7 +162,7 @@ def _as_position(k) -> int:
     else:
         if k >= 1:
             return k
-    raise InvalidArgument(f"positions are 1-based, got {k!r}")
+    raise InvalidArgument(f"positions are 1-based, got {_shown(k)!r}")
 
 
 def _lowest_terms(num: int, den: int) -> Fraction:
@@ -237,16 +283,16 @@ class ProbVector:
                 raise TypeError
             values = iter(p)
         except TypeError:
-            raise InvalidArgument(f"weights must be an iterable of rationals, got {p!r}") from None
+            raise InvalidArgument(f"weights must be an iterable of rationals, got {_shown(p)!r}") from None
         p = tuple(as_fraction(v) for v in values)
         if len(p) < 2:
             raise BaseTooSmall(f"need at least 2 weights, got {len(p)}")
         for v in p:
             if v <= 0:
-                raise NonPositiveWeight(f"weight {v} is not positive")
+                raise NonPositiveWeight(f"weight {_shown(v)} is not positive")
         beta = tuple(accumulate(p, initial=Fraction(0)))
         if beta[-1] != 1:
-            raise SumNotOne(f"weights sum to {beta[-1]}, not 1")
+            raise SumNotOne(f"weights sum to {_shown(beta[-1])}, not 1")
         den = lcm(*(v.denominator for v in p))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "beta", beta)
@@ -314,11 +360,11 @@ def _normalize_tail(tail, q: int) -> tuple[int, ...]:
             return (0,)
         if tail == "max":
             return (q - 1,)
-        raise InvalidArgument(f"tail must be 'zero', 'max' or a digit block, got {tail!r}")
+        raise InvalidArgument(f"tail must be 'zero', 'max' or a digit block, got {_shown(tail)!r}")
     try:
         block = tuple(tail)
     except TypeError:
-        raise InvalidArgument(f"tail must be 'zero', 'max' or a digit block, got {tail!r}") from None
+        raise InvalidArgument(f"tail must be 'zero', 'max' or a digit block, got {_shown(tail)!r}") from None
     if not block:
         raise InvalidArgument("tail block must be nonempty")
     # reduce to the primitive period so equal streams compare equal; the
@@ -347,7 +393,7 @@ class DigitSeq:
     def __init__(self, digits: Sequence[int], q: int, tail="zero"):
         q = _as_int(q, "q")
         if q < 2:
-            raise BaseTooSmall(f"alphabet size {q} < 2")
+            raise BaseTooSmall(f"alphabet size {_shown(q)} < 2")
         digits = _check_digits(digits, q)
         block = _check_digits(_normalize_tail(tail, q), q, "tail digit")
         if not digits and block == (q - 1,):
@@ -543,7 +589,7 @@ def shift_digits(seq: DigitSeq, n: int = 1) -> DigitSeq:
     """Drop the first n explicit digits; the tail is shift-invariant."""
     n = _as_int(n, "shift count", 0)
     if n > len(seq.digits):
-        raise ShiftPastPrefix(f"cannot drop {n} digits from a prefix of length {len(seq.digits)}")
+        raise ShiftPastPrefix(f"cannot drop {_shown(n)} digits from a prefix of length {len(seq.digits)}")
     return DigitSeq(seq.digits[n:], seq.q, seq.tail)
 
 
@@ -579,11 +625,11 @@ class Cylinder(_Checked, _CylinderFields):
 
     def __new__(cls, base: Sequence[int], pv: ProbVector, lo: RationalLike, hi: RationalLike):
         if not isinstance(pv, ProbVector):
-            raise InvalidArgument(f"pv must be a ProbVector, got {pv!r}")
+            raise InvalidArgument(f"pv must be a ProbVector, got {_shown(pv)!r}")
         base = _check_digits(base, pv.q)
         lo, hi = as_fraction(lo), as_fraction(hi)
         if lo > hi:
-            raise InvalidArgument(f"empty cylinder [{lo}, {hi}]")
+            raise InvalidArgument(f"empty cylinder [{_shown(lo)}, {_shown(hi)}]")
         return tuple.__new__(cls, (base, pv, lo, hi))
 
     @property
@@ -688,7 +734,7 @@ def bernoulli_cdf(x, pv: ProbVector) -> Fraction:
     power = q % rest
     while power > 1:
         if period == DEFAULT_BUDGET:
-            raise BudgetExceeded(f"base-{q} digit period of {x} exceeds budget {DEFAULT_BUDGET}")
+            raise BudgetExceeded(f"base-{q} digit period of {_shown(x)} exceeds budget {DEFAULT_BUDGET}")
         power = power * q % rest
         period += 1
     digits = []
@@ -727,7 +773,7 @@ class Enclosure(_Checked, _EnclosureFields):
     def __new__(cls, lo: RationalLike, hi: RationalLike):
         lo, hi = as_fraction(lo), as_fraction(hi)
         if lo > hi:
-            raise InvalidArgument(f"empty enclosure [{lo}, {hi}]")
+            raise InvalidArgument(f"empty enclosure [{_shown(lo)}, {_shown(hi)}]")
         return tuple.__new__(cls, (lo, hi))
 
     @classmethod
@@ -752,7 +798,7 @@ class Enclosure(_Checked, _EnclosureFields):
     @property
     def value(self) -> Fraction:
         if not self.is_exact:
-            raise InvalidArgument(f"enclosure [{self.lo}, {self.hi}] is not a point")
+            raise InvalidArgument(f"enclosure [{_shown(self.lo)}, {_shown(self.hi)}] is not a point")
         return self.lo
 
     def midpoint(self) -> Fraction:

@@ -18,7 +18,7 @@ from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, IntTable, ProbVector, _as_int, _as_position, _ends, _horner
-from .core import _Checked, _same_alphabet
+from .core import _Checked, _same_alphabet, _shown
 from .errors import BudgetExceeded, FlipSpecError, InvalidArgument
 
 #: Flip bits as (preperiod, period): bit k is preperiod[k-1], then period repeats.
@@ -38,7 +38,7 @@ def _mask_bits(entries: Iterable, label: str) -> tuple[bool, ...]:
     try:
         bits = tuple(entries)
     except TypeError:
-        raise FlipSpecError(f"mask {label} must be a sequence of bits, got {entries!r}") from None
+        raise FlipSpecError(f"mask {label} must be a sequence of bits, got {_shown(entries)!r}") from None
     for b in bits:
         if b.__class__ is not bool:
             break
@@ -46,7 +46,7 @@ def _mask_bits(entries: Iterable, label: str) -> tuple[bool, ...]:
         return bits
     for col, b in enumerate(bits):
         if not isinstance(b, int) or not 0 <= b <= 1:
-            raise FlipSpecError(f"mask {label} column {col}: {b!r} is not a bit")
+            raise FlipSpecError(f"mask {label} column {col}: {_shown(b)!r} is not a bit")
     return tuple([b == 1 for b in bits])
 
 
@@ -76,7 +76,7 @@ class FlipSet(_Checked, _FlipFields):
 
     def __new__(cls, kind: FlipKind, preperiod: Iterable[bool] = (), period: Iterable[bool] = (False,)):
         if not isinstance(kind, FlipKind):
-            raise FlipSpecError(f"flip kind must be a FlipKind, got {kind!r}")
+            raise FlipSpecError(f"flip kind must be a FlipKind, got {_shown(kind)!r}")
         pre = _mask_bits(preperiod, "preperiod")
         per = _mask_bits(period, "period")
         if not per:
@@ -103,21 +103,21 @@ class FlipSet(_Checked, _FlipFields):
         try:
             positions = list(positions)
         except TypeError:
-            raise FlipSpecError(f"flip positions must be a sequence of integers, got {positions!r}") from None
+            raise FlipSpecError(f"flip positions must be a sequence of integers, got {_shown(positions)!r}") from None
         pos = set()
         for k in positions:
             try:
                 pos.add(index(k))
             except TypeError:
-                raise FlipSpecError(f"flip position {k!r} is not an integer") from None
+                raise FlipSpecError(f"flip position {_shown(k)!r} is not an integer") from None
         pos = tuple(sorted(pos))
         if any(k < 1 for k in pos):
-            raise FlipSpecError(f"flip positions must be >= 1, got {pos}")
+            raise FlipSpecError(f"flip positions must be >= 1, got {_shown(pos)}")
         if not pos:
             return cls.none()
         # the bits cost one entry per position up to the largest
         if pos[-1] > DEFAULT_BUDGET:
-            raise BudgetExceeded(f"flip position {pos[-1]} exceeds budget {DEFAULT_BUDGET}")
+            raise BudgetExceeded(f"flip position {_shown(pos[-1])} exceeds budget {DEFAULT_BUDGET}")
         bits = [False] * pos[-1]
         for k in pos:
             bits[k - 1] = True
@@ -131,7 +131,7 @@ class FlipSet(_Checked, _FlipFields):
     def parse(cls, text: str) -> "FlipSet":
         """Parse 'none' | 'all' | 'finite:2,5' | 'mask:PRE;PERIOD' (bit strings)."""
         if not isinstance(text, str):
-            raise FlipSpecError(f"flip spec must be a string, got {text!r}")
+            raise FlipSpecError(f"flip spec must be a string, got {_shown(text)!r}")
         if text == "none":
             return cls.none()
         if text == "all":
@@ -228,9 +228,9 @@ class FlipSystem(_Checked, _SystemFields):
 
     def __new__(cls, pv: ProbVector, flips: FlipSet):
         if not isinstance(pv, ProbVector):
-            raise InvalidArgument(f"pv must be a ProbVector, got {pv!r}")
+            raise InvalidArgument(f"pv must be a ProbVector, got {_shown(pv)!r}")
         if not isinstance(flips, FlipSet):
-            raise InvalidArgument(f"flips must be a FlipSet, got {flips!r}")
+            raise InvalidArgument(f"flips must be a FlipSet, got {_shown(flips)!r}")
         return tuple.__new__(cls, (pv, flips))
 
     def digit(self, k: int, d: int) -> int:

@@ -11,6 +11,7 @@ given by the root of a Moran equation over the block weights.
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
 from fractions import Fraction
@@ -18,7 +19,7 @@ from itertools import accumulate, islice, repeat
 from operator import mul
 from typing import NamedTuple
 
-from .core import DEFAULT_BUDGET, DigitSeq, ProbVector, _as_int, _Checked, _lowest_terms, _lowest_terms_over
+from .core import DEFAULT_BUDGET, DigitSeq, ProbVector, _as_int, _Checked, _lowest_terms, _lowest_terms_over, _shown
 from .errors import BudgetExceeded, EmptyAlphabet, InvalidArgument, NotShiftInvariant, RankTooLarge
 from .flips import FlipSystem, eval_flip
 
@@ -72,10 +73,43 @@ def _divided(nums: list[int], scale: int) -> list[float]:
     return [num / scale for num in nums]
 
 
+def _paused(build, *args):
+    """build(*args) with the cyclic garbage collector paused, for a builder
+    whose result and scratch hold no reference cycle: each Fraction,
+    tuple and list it allocates would otherwise count towards a collection
+    that can free nothing.  The collector is switched back on afterwards if
+    it was on before, also when build raises.  The switch is process-wide,
+    so a gc.disable() made by another thread during the build is undone
+    when it ends.  The one young-generation pass over the batch then runs
+    at the caller's next allocation."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return build(*args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _graph_points(system: FlipSystem, depth: int, budget: int, coords) -> list[tuple]:
     """The q**depth graph points over the rank-depth cylinder left endpoints,
     in lexicographic base order, the coordinates made one list at a time by
-    coords(nums, scale), the values nums[i] / scale.
+    coords(nums, scale), the values nums[i] / scale.  The arguments and the
+    budget are checked first; the points are built by _pair_points with the
+    collector paused (see _paused).
+
+    The budget is decided without building q**depth at a depth of
+    budget.bit_length() or more: there q**depth >= 2**depth > budget."""
+    depth = _as_int(depth, "depth", 0)
+    budget = _as_int(budget, "budget")
+    q = system.pv.q
+    if depth >= budget.bit_length() or q ** depth > budget:
+        raise BudgetExceeded(f"{q}**{_shown(depth)} points exceed budget {_shown(budget)}")
+    return _paused(_pair_points, system, depth, coords)
+
+
+def _pair_points(system: FlipSystem, depth: int, coords) -> list[tuple]:
+    """The points of _graph_points.
 
     ends, the q**depth + 1 cylinder ends over scale = D**depth, follow the
     suffix recurrence lo(d1...dn) = beta[d1] * D**(n-1) + p[d1] * lo(d2...dn),
@@ -84,23 +118,17 @@ def _graph_points(system: FlipSystem, depth: int, budget: int, coords) -> list[t
     depth, j the index of base i's flipped base.  The cylinders are adjacent,
     so that is ends[j] * (t_den - t_num) + ends[j+1] * t_num over
     scale * t_den, or, when t is 0 or 1, the x of ends[j + t]: then the one
-    call over ends makes each distinct value once, and y is read at
-    at[i] = j + t.  Otherwise a second call makes the q**depth y values, and
-    at[i] = j.  ends is dropped once the coordinate lists exist.
+    call over ends makes each distinct value once, and y is ys[j + t] with
+    ys the x list.  Otherwise a second call makes the q**depth y values ys,
+    and y is ys[j].  ends is dropped once the coordinate lists exist.
 
     When the flip bits of positions 1..depth agree, j is i (no bit set) or
-    q**depth - 1 - i (every bit set), and at is a range.  Only when they
-    differ is at a list, built alongside ends, the digit order reversed at a
-    flipped position.
-
-    The budget is decided without building q**depth at a depth of
-    budget.bit_length() or more: there q**depth >= 2**depth > budget."""
-    depth = _as_int(depth, "depth", 0)
-    budget = _as_int(budget, "budget")
+    q**depth - 1 - i (every bit set), so the y values are a run of ys read
+    forwards or backwards, paired by islice without an index.  Only when
+    the bits differ is there an index list at, built alongside ends, the
+    digit order reversed at a flipped position."""
     pv = system.pv
     q = pv.q
-    if depth >= budget.bit_length() or q ** depth > budget:
-        raise BudgetExceeded(f"{q}**{depth} points exceed budget {budget}")
     tail = eval_flip(DigitSeq((), q), system, offset=depth).value
     t_num, t_den = tail.numerator, tail.denominator
     shift = t_num if t_den == 1 else 0
@@ -117,15 +145,20 @@ def _graph_points(system: FlipSystem, depth: int, budget: int, coords) -> list[t
             at = [lead + j for lead in [f * size for f in flipped] for j in at]
         scale *= den
         size *= q
-    if not mixed:  # j is i, or size - 1 - i when every bit is set
-        at = range(shift, shift + size)[::-1 if any(bits) else 1]
     ends.append(scale)
     xs = coords(ends, scale)
     keep = t_den - t_num
     ys = xs if t_den == 1 else coords([lo * keep + hi * t_num for lo, hi in zip(ends, islice(ends, 1, None))],
                                       scale * t_den)
     del ends
-    return list(zip(xs, map(ys.__getitem__, at)))
+    if mixed:
+        paired = map(ys.__getitem__, at)
+    elif any(bits):  # ys[size - 1 + shift], ..., ys[shift]
+        start = len(ys) - shift - size
+        paired = islice(reversed(ys), start, start + size)
+    else:  # ys[shift], ..., ys[size - 1 + shift]
+        paired = islice(ys, shift, shift + size)
+    return list(zip(xs, paired))
 
 
 def ifs_graph_points(system: FlipSystem, depth: int, budget: int = DEFAULT_BUDGET) -> list[tuple[Fraction, Fraction]]:
@@ -137,7 +170,8 @@ def ifs_graph_points(system: FlipSystem, depth: int, budget: int = DEFAULT_BUDGE
     of the flipped zero tail from position depth + 1.  Each coordinate is
     a reduced Fraction; when that tail is worth 0 or 1 (flips none or all, a
     finite set ending by the depth) each distinct value is one Fraction, so
-    for flips none every y is its x."""
+    for flips none every y is its x.  The points hold no reference cycle, so
+    they are built with the cyclic collector paused (see _paused)."""
     return _graph_points(system, depth, budget, _lowest_terms_over)
 
 
@@ -196,7 +230,18 @@ def _group_count(system: FlipSystem, rank: int) -> int:
     return math.comb(flipped + q - 1, q - 1) * math.comb(rank - flipped + q - 1, q - 1)
 
 
-def _rectangle_groups(system: FlipSystem, rank: int, budget: int, coords) -> tuple[list[int], list]:
+def _group_rank(system: FlipSystem, rank: int, budget: int) -> int:
+    """rank as int, once its digit-count groups (see _rectangle_groups) are
+    within the budget."""
+    rank = _as_int(rank, "rank", 0)
+    budget = _as_int(budget, "budget")
+    groups = _group_count(system, rank)
+    if groups > budget:
+        raise BudgetExceeded(f"{_shown(groups)} rectangle groups at rank {_shown(rank)} exceed budget {_shown(budget)}")
+    return rank
+
+
+def _rectangle_groups(system: FlipSystem, rank: int, coords) -> tuple[list[int], list]:
     """The rank-r rectangles grouped by digit counts, as two lists: the
     multiplicities, and the diag_sq values made by one call coords(nums,
     scale) over scale = D**(2*rank).
@@ -205,13 +250,8 @@ def _rectangle_groups(system: FlipSystem, rank: int, budget: int, coords) -> tup
     positions up to the rank and n over the b = rank - a unflipped ones:
     x = prod p_c**(m_c+n_c), y = prod p_{q-1-c}**m_c * p_c**n_c, so
     diag_sq = w_n**2 * (x_m**2 + y_m**2) with w_n = prod p_c**n_c.  The two
-    group lists are built once and crossed, flipped groups outermost; the
-    budget caps the C(a+q-1, q-1) * C(b+q-1, q-1) groups."""
-    rank = _as_int(rank, "rank", 0)
-    budget = _as_int(budget, "budget")
-    groups = _group_count(system, rank)
-    if groups > budget:
-        raise BudgetExceeded(f"{groups} rectangle groups at rank {rank} exceed budget {budget}")
+    group lists are built once and crossed, flipped groups outermost, into
+    the C(a+q-1, q-1) * C(b+q-1, q-1) groups that _group_rank counts."""
     flipped = _flipped_upto(system.flips, rank)
     den, _, p = system.pv.int_table
     scale = den ** (2 * rank)
@@ -221,12 +261,19 @@ def _rectangle_groups(system: FlipSystem, rank: int, budget: int, coords) -> tup
     return [m * n for m, _ in sides for n, _ in plain], coords([s * w for _, s in sides for _, w in plain], scale)
 
 
+def _diagonal_pairs(system: FlipSystem, rank: int) -> list[tuple[int, Fraction]]:
+    """The (multiplicity, diag_sq) pairs of rectangle_diagonals_sq."""
+    return list(zip(*_rectangle_groups(system, rank, _lowest_terms_over)))
+
+
 def rectangle_diagonals_sq(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, Fraction]]:
     """Exact squared diagonals of the occupied rank-r covering rectangles,
     as (multiplicity, diag_sq) pairs, one per digit-count group (see
     _rectangle_groups): the multiplicities add up to q**rank.  A diagonal may
-    recur across groups.  The budget caps the groups built."""
-    return list(zip(*_rectangle_groups(system, rank, budget, _lowest_terms_over)))
+    recur across groups.  The budget caps the groups built.  The pairs hold
+    no reference cycle, so they are built with the cyclic collector paused
+    (see _paused)."""
+    return _paused(_diagonal_pairs, system, _group_rank(system, rank, budget))
 
 
 def _float_groups(system: FlipSystem, rank: int, budget: int) -> tuple[list[float], list[float]]:
@@ -234,13 +281,14 @@ def _float_groups(system: FlipSystem, rank: int, budget: int) -> tuple[list[floa
     squared diagonals, each correctly rounded.  A multiplicity past the float
     range, or a squared diagonal below the smallest normal float, is
     RankTooLarge: the float entropy sum would be garbage."""
-    mults, d2s = _rectangle_groups(system, rank, budget, _divided)
+    rank = _group_rank(system, rank, budget)
+    mults, d2s = _rectangle_groups(system, rank, _divided)
     try:
         mults = [float(m) for m in mults]
     except OverflowError:
-        raise RankTooLarge(f"rank {rank}: a rectangle multiplicity exceeds the float range") from None
+        raise RankTooLarge(f"rank {_shown(rank)}: a rectangle multiplicity exceeds the float range") from None
     if min(d2s) < sys.float_info.min:
-        raise RankTooLarge(f"rank {rank}: a squared diagonal is below the float range")
+        raise RankTooLarge(f"rank {_shown(rank)}: a squared diagonal is below the float range")
     return mults, d2s
 
 
@@ -259,7 +307,7 @@ def entropy_sum(system: FlipSystem, alpha, rank: int, budget: int = DEFAULT_BUDG
     try:
         alpha = float(alpha)
     except (TypeError, ValueError, OverflowError):
-        raise InvalidArgument(f"alpha must be finite and >= 0, got {alpha!r}") from None
+        raise InvalidArgument(f"alpha must be finite and >= 0, got {_shown(alpha)!r}") from None
     if not 0 <= alpha < math.inf:
         raise InvalidArgument(f"alpha must be finite and >= 0, got {alpha}")
     rank = _as_int(rank, "rank", 1)
@@ -349,18 +397,18 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
     try:
         ranks = list(islice(ranks, max(budget, 0) + 1))
     except TypeError:
-        raise InvalidArgument(f"ranks must be an iterable of integers, got {ranks!r}") from None
+        raise InvalidArgument(f"ranks must be an iterable of integers, got {_shown(ranks)!r}") from None
     ranks = [_as_int(rank, "rank") for rank in ranks]
     if any(rank < 1 for rank in ranks):
-        raise InvalidArgument(f"ranks must be >= 1, got {ranks}")
+        raise InvalidArgument(f"ranks must be >= 1, got {_shown(ranks)}")
     if any(b <= a for a, b in zip(ranks, ranks[1:])):
-        raise InvalidArgument(f"ranks must be strictly increasing, got {ranks}")
+        raise InvalidArgument(f"ranks must be strictly increasing, got {_shown(ranks)}")
     if len(ranks) > budget:
-        raise BudgetExceeded(f"more than {budget} ranks, each with at least one rectangle group, "
-                             f"exceed budget {budget}")
+        raise BudgetExceeded(f"more than {_shown(budget)} ranks, each with at least one rectangle group, "
+                             f"exceed budget {_shown(budget)}")
     groups = sum(_group_count(system, rank) for rank in ranks)
     if groups > budget:
-        raise BudgetExceeded(f"{groups} rectangle groups over {len(ranks)} ranks exceed budget {budget}")
+        raise BudgetExceeded(f"{_shown(groups)} rectangle groups over {len(ranks)} ranks exceed budget {_shown(budget)}")
     threshold = ENTROPY_THRESHOLD
     out: dict[int, float] = {}
     # the largest rank has the largest multiplicity and the smallest diagonal:
@@ -406,7 +454,7 @@ class MoranSpec(_Checked, _MoranFields):
 
     def __new__(cls, pv: ProbVector, u: int):
         if not isinstance(pv, ProbVector):
-            raise InvalidArgument(f"pv must be a ProbVector, got {pv!r}")
+            raise InvalidArgument(f"pv must be a ProbVector, got {_shown(pv)!r}")
         pv.check_digit(u)
         return tuple.__new__(cls, (pv, u))
 
@@ -432,9 +480,9 @@ def moran_dimension(spec: MoranSpec, tol: float | Fraction = 1e-12) -> float:
     try:
         positive = tol > 0
     except TypeError:
-        raise InvalidArgument(f"tol must be a real number, got {tol!r}") from None
+        raise InvalidArgument(f"tol must be a real number, got {_shown(tol)!r}") from None
     if not positive:
-        raise InvalidArgument(f"tol must be positive, got {tol}")
+        raise InvalidArgument(f"tol must be positive, got {_shown(tol)}")
     weights = [float(w) for w in spec.block_weights().values()]
     if not weights:
         raise EmptyAlphabet(f"no admissible block digits for q={spec.pv.q}, u={spec.u}")
@@ -490,8 +538,38 @@ def _run_sums(automaton: list[list[tuple[int, int]]], rank: int, budget: int, we
                 next_sums[next_run] += sums[run] * weight[digit]
         counts, sums = next_counts, next_sums
         if sum(counts) > budget:
-            raise BudgetExceeded(f"more than {budget} consistent bases at rank {rank}")
+            raise BudgetExceeded(f"more than {_shown(budget)} consistent bases at rank {_shown(rank)}")
     return sums
+
+
+def _moran_paths(automaton: list[list[tuple[int, int]]], length: int, made: dict) -> list[list[tuple]]:
+    """Per start run, the (digits, end run) paths of `length` >= 1 digits,
+    in lexicographic order: each path of the first length // 2 digits
+    joined to each path of the rest from its end run.  made holds the
+    tables built so far by length; the lengths halve, so O(log length) are
+    built, and each costs its output: with r runs, one block digit costs
+    O(r * length), not the O(length**2) of adding one digit at a time."""
+    paths = made.get(length)
+    if paths is None:
+        if length == 1:
+            paths = [[((digit,), end) for digit, end in moves] for moves in automaton]
+        else:
+            heads = _moran_paths(automaton, length // 2, made)
+            rests = _moran_paths(automaton, length - length // 2, made)
+            paths = [[(head + tail, end) for head, mid in from_run for tail, end in rests[mid]] for from_run in heads]
+        made[length] = paths
+    return paths
+
+
+def _moran_bases(automaton: list[list[tuple[int, int]]], rank: int) -> list[tuple[int, ...]]:
+    """The bases of moran_set_cylinders: each path of rank // 2 digits from
+    run 0 joined to each path of the rest from its end run (see
+    _moran_paths)."""
+    half, made = rank // 2, {}
+    tails = [[tail for tail, _ in from_run] for from_run in _moran_paths(automaton, rank - half, made)]
+    if not half:
+        return tails[0]
+    return [head + tail for head, mid in _moran_paths(automaton, half, made)[0] for tail in tails[mid]]
 
 
 def moran_set_cylinders(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
@@ -501,25 +579,17 @@ def moran_set_cylinders(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET
     A base is consistent iff it is a prefix of some block concatenation, i.e.
     a path of the run-length automaton from run length 0.  The bases are
     counted first, so more than `budget` of them are refused before any is
-    built.  Each base is then a head of rank // 2 digits from run 0, joined to
-    one of the tails of the remaining digits from the head's end run."""
+    built.  Paths are then built by halving their length (see _moran_paths),
+    so with one block digit, where the one base grows with the rank, the
+    cost stays linear in the rank.  The bases hold no reference cycle, so
+    they are built with the cyclic collector paused (see _paused)."""
     rank = _as_int(rank, "rank", 1)
     budget = _as_int(budget, "budget")
     automaton = _moran_automaton(spec)
     if not automaton:
         return []
     _run_sums(automaton, rank, budget, (1,) * spec.pv.q)  # refuses before any base is built
-    half = rank // 2
-    heads: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    for _ in range(half):
-        heads = [(head + (digit,), next_run)
-                 for head, run in heads for digit, next_run in automaton[run]]
-    # tails[run]: the paths of the remaining length from run, grown by their first digit
-    tails: list[list[tuple[int, ...]]] = [[()] for _ in automaton]
-    for _ in range(rank - half):
-        tails = [[(digit,) + tail for digit, next_run in moves for tail in tails[next_run]]
-                 for moves in automaton]
-    return [head + tail for head, run in heads for tail in tails[run]]
+    return _paused(_moran_bases, automaton, rank)
 
 
 def covering_measure(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET) -> Fraction:

@@ -343,6 +343,17 @@ def test_a_huge_rank_or_depth_is_refused_by_its_budget(capsys, argv, line):
     assert time.perf_counter() - start < 2.0
 
 
+def test_a_refusal_quoting_a_huge_tol_is_one_short_line(capsys):
+    # the CLI lifts the int to str digit limit, but the 400 001-digit
+    # denominator of tol is quoted by its digit count, not printed
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "integral", "--p", "1/2,1/2", "--tol", "1e-400000")
+    assert (code, out) == (2, "")
+    assert err == ("error: BudgetExceeded: about 1328771 series terms to reach tol 1/<400001-digit integer> "
+                   "exceed budget 1048576\n")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_integral_budget_counts_terms_not_cylinders(capsys):
     # 2**40 cylinders, but 40 terms: the rank is under the budget
     payload = run_json(capsys, "integral", "--p", "1/2,1/2", "--flips", "all", "--rank", "40")

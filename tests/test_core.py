@@ -890,6 +890,18 @@ REFUSALS = [
      "not a rational number: 'a'"),
     ("horner-sum-unparsable-weight", lambda: horner_sum([], [(0, "x")]), InvalidArgument,
      "not a rational number: 'x'"),
+    # a number of more than 100 digits is quoted by its digit count: no int
+    # to str conversion, which is slow and refused past 4300 digits
+    ("prob-vector-huge-sum", lambda: make_prob_vector([Fraction(1, 10**5000), Fraction(1, 2)]), SumNotOne,
+     "weights sum to <5000-digit integer>/<5001-digit integer>, not 1"),
+    ("finite-huge-position", lambda: FlipSet.finite([10**5000]), BudgetExceeded,
+     "flip position <5001-digit integer> exceeds budget 1048576"),
+    ("integral-series-huge-tol", lambda: integral_series(SYSTEM2, Fraction(1, 10**400000)), BudgetExceeded,
+     "about 1328771 series terms to reach tol 1/<400001-digit integer> exceed budget 1048576"),
+    ("encode-huge-point", lambda: encode(Fraction(10**5000 + 1, 10**5000), PLAIN2.pv), OutOfUnitInterval,
+     "<5001-digit integer>/<5001-digit integer> not in [0, 1]"),
+    ("cylinder-huge-digit", lambda: cylinder_bounds((10**5000,), PLAIN2.pv), DigitOutOfRange,
+     "digit <5001-digit integer> not in [0, 1]"),
 ]
 
 
@@ -898,3 +910,17 @@ def test_refusal_class_and_message(call, error, message):
     with pytest.raises(ProbDigitsError) as raised:
         call()
     assert (type(raised.value), str(raised.value)) == (error, message)
+
+
+@pytest.mark.parametrize("digits", [1, 2, 99, 100, 101, 102, 4301, 5001])
+def test_shown_quotes_up_to_100_digits_in_full(digits):
+    for n in (10 ** (digits - 1), 10**digits - 1, -(10**digits - 1)):
+        shown = core._shown(n)
+        if digits <= 100:
+            assert shown is n
+        else:
+            sign = "-" if n < 0 else ""
+            assert (str(shown), repr(shown)) == (f"{sign}<{digits}-digit integer>",) * 2
+    assert core._shown(Fraction(1, 7)) == Fraction(1, 7)
+    den = 10 ** (digits - 1) + 1
+    assert str(core._shown(Fraction(1, den))) == (f"1/{den}" if digits <= 100 else f"1/<{digits}-digit integer>")

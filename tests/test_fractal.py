@@ -1,3 +1,4 @@
+import gc
 import math
 import time
 import tracemalloc
@@ -212,6 +213,79 @@ def test_graph_points_budget_builds_no_power_of_a_huge_depth(uniform2, pv3):
             assert len(ifs_graph_points(system, depth, budget=size)) == size
             with pytest.raises(BudgetExceeded):
                 ifs_graph_points(system, depth, budget=size - 1)
+
+
+# ---------------------------------------------------------------------------
+# the builders that pause the cyclic collector
+# ---------------------------------------------------------------------------
+
+PAUSED_GRAPH = FlipSystem(make_prob_vector(["1/4", "3/4"]), FlipSet.parse("mask:;01"))
+PAUSED_DIAGONALS = FlipSystem(ProbVector.uniform(3), FlipSet.all())
+PAUSED_MORAN = MoranSpec(ProbVector.uniform(4), 1)
+#: each builder that runs with the collector paused, called with a budget:
+#: the default gives a result, 3 a BudgetExceeded
+PAUSED_BUILDERS = {
+    "graph-points": lambda budget: ifs_graph_points(PAUSED_GRAPH, 6, budget),
+    "diagonals": lambda budget: rectangle_diagonals_sq(PAUSED_DIAGONALS, 6, budget),
+    "moran": lambda budget: moran_set_cylinders(PAUSED_MORAN, 8, budget),
+}
+
+
+@pytest.mark.parametrize("refused", [False, True], ids=["result", "refusal"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("build", PAUSED_BUILDERS.values(), ids=PAUSED_BUILDERS.keys())
+def test_paused_builders_restore_the_collector_state(build, enabled, refused):
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if refused:
+            with pytest.raises(BudgetExceeded):
+                build(3)
+        else:
+            assert build(fractal.DEFAULT_BUDGET)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+def test_paused_restores_the_collector_when_the_build_raises():
+    def build(seen):
+        seen.append(gc.isenabled())
+        raise ZeroDivisionError
+
+    seen = []
+    with pytest.raises(ZeroDivisionError):
+        fractal._paused(build, seen)
+    assert seen == [False] and gc.isenabled()
+    gc.disable()
+    try:
+        with pytest.raises(ZeroDivisionError):
+            fractal._paused(build, seen)
+        assert seen == [False, False] and not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_graph_points_make_their_coordinates_with_the_collector_paused():
+    system = FlipSystem(make_prob_vector(["1/4", "3/4"]), FlipSet.finite([2]))
+    seen = []
+
+    def coords(nums, scale):
+        seen.append(gc.isenabled())
+        return fractal._lowest_terms_over(nums, scale)
+
+    assert fractal._graph_points(system, 1, fractal.DEFAULT_BUDGET, coords) == ifs_graph_points(system, 1)
+    assert seen == [False, False] and gc.isenabled()
+
+
+@pytest.mark.parametrize("build", PAUSED_BUILDERS.values(), ids=PAUSED_BUILDERS.keys())
+def test_paused_builders_leave_no_cycle_to_collect(build):
+    # the premise of the pause: a built and dropped result is freed by
+    # reference counting alone, so a collection finds nothing
+    build(fractal.DEFAULT_BUDGET)  # any first-use state is built before the count
+    gc.collect()
+    build(fractal.DEFAULT_BUDGET)
+    assert gc.collect() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +680,16 @@ def test_moran_bases_match_the_walk():
                 for budget in (count - 1, count):
                     assert outcome(lambda: moran_set_cylinders(spec, rank, budget)) == \
                         outcome(lambda: moran_bases_by_walk(spec, rank, budget))
+
+
+def test_moran_one_block_digit_costs_linear_time_in_the_rank():
+    # one block (1, 2): one base at every rank, built by halving its length
+    # rather than one digit at a time, which took about 10 s at rank 10**5
+    spec = MoranSpec(make_prob_vector(["1/3"] * 3), 1)
+    start = time.perf_counter()
+    assert moran_set_cylinders(spec, 10**5) == [(1, 2) * 50000]
+    assert moran_set_cylinders(spec, 10**5 + 1) == [(1, 2) * 50000 + (1,)]
+    assert time.perf_counter() - start < 2.0
 
 
 def test_moran_refuses_before_building():
