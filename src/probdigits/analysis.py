@@ -28,6 +28,7 @@ from .core import (
     _as_point,
     _check_digits,
     _forward,
+    _horner,
     _lowest_terms,
     _shown,
     _walk,
@@ -43,7 +44,7 @@ from .errors import (
     NotShiftInvariant,
     PrefixTooShort,
 )
-from .flips import FlipSet, FlipSystem, _flip_value, eval_flip, flip_image
+from .flips import FlipSet, FlipSystem, _letters, eval_flip, flip_image
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +82,9 @@ def jump_at(x0, system: FlipSystem, max_depth: int = 128) -> JumpReport:
     zero_rep = DigitSeq._trusted(tuple(digits), q, (0,))
     digits[-1] -= 1
     max_rep = DigitSeq._trusted(tuple(digits), q, (q - 1,))
-    pattern = system.flips.pattern_from(1)
-    right = _flip_value(zero_rep, pattern, pv)
-    left = _flip_value(max_rep, pattern, pv)
+    table, pattern = pv._flip_table, system.flips.pattern_from(1)
+    right = _horner(table, *_letters(zero_rep, pattern))
+    left = _horner(table, *_letters(max_rep, pattern))
     return JumpReport(point=x0, left_limit=left, right_limit=right, jump=right - left)
 
 
@@ -164,28 +165,28 @@ class DerivativeTrace(NamedTuple):
 def derivative_estimate(prefix: Sequence[int], system: FlipSystem, max_rank: int) -> DerivativeTrace:
     """Ratio of the flip-image width to the cylinder width along a digit prefix.
 
-    The rank-m ratio is the product over t <= m of p[f_t]/p[c_t], with f_t
-    the flipped digit at position t; its decay along Lebesgue-typical
-    prefixes is the singularity diagnostic.
+    The rank-m ratio is the product over t <= m of p[f_t]/p[c_t], with p[f_t]
+    the weight of the flip-table letter of the digit c_t at position t; its
+    decay along Lebesgue-typical prefixes is the singularity diagnostic.
 
     The denominators D of the weights cancel in the ratio, so it is kept as
-    two integer products of the numerators in pv.int_table, over the flipped
-    and over the plain digits, with one Fraction per rank, built from the
-    reduced pair.  Where the flipped digit is the digit itself the ratio
-    does not change, and its Fraction is reused."""
+    two integer products of the numerators in pv's flip table, over the
+    letters and over the plain digits, with one Fraction per rank, built
+    from the reduced pair.  Where a letter's weight is the digit's own the
+    ratio does not change, and its Fraction is reused."""
     max_rank = _as_int(max_rank, "max_rank", 1)
     pv = system.pv
-    digits = _check_digits(prefix, pv.q)
+    q = pv.q
+    digits = _check_digits(prefix, q)
     if len(digits) < max_rank:
         raise PrefixTooShort(f"prefix of length {len(digits)} cannot reach rank {_shown(max_rank)}")
-    p = pv.int_table.p
-    top = pv.q - 1
+    p = pv._flip_table.p
     ratios = []
     image = plain = 1
     ratio = _lowest_terms(1, 1)
     for d, flipped in zip(digits[:max_rank], system.flips.bits()):
-        if flipped and d != top - d:
-            image *= p[top - d]
+        if flipped and p[q + d] != p[d]:
+            image *= p[q + d]
             plain *= p[d]
             ratio = _lowest_terms(image, plain)
         ratios.append(ratio)
@@ -214,17 +215,15 @@ def _expected_terms(pv) -> IntTable:
     """The expectation table: the expected offset and weight of one digit
     drawn with law p, as integer numerators over D**2 with D = pv.den.  Its
     two letters are the flip bit: letter 0 reads the plain column
-    (v_plain, w_plain), letter 1 the flipped one (v_flip, w_flip).  So the
-    flip bits of positions 1..k, folded through core._forward, give the
-    partial sum k of the integral series, and core._horner over the
-    preperiod and the period gives the integral itself."""
-    den, beta, p = pv.int_table
-    beta = beta[:-1]
-    return IntTable(
-        den * den,
-        (sum(b * w for b, w in zip(beta, p)), sum(b * w for b, w in zip(reversed(beta), p))),
-        (sum(w * w for w in p), sum(a * w for a, w in zip(reversed(p), p))),
-    )
+    (v_plain, w_plain), letter 1 the flipped one (v_flip, w_flip), read
+    from the flip table's letters below q and from q on.  So the flip bits
+    of positions 1..k, folded through core._forward, give the partial sum k
+    of the integral series, and core._horner over the preperiod and the
+    period gives the integral itself."""
+    den, beta, p = pv._flip_table
+    law, columns = p[:pv.q], (0, pv.q)  # each column reads q letters from its start on
+    return IntTable(den * den, tuple([sum(b * w for b, w in zip(beta[c:], law)) for c in columns]),
+                    tuple([sum(a * w for a, w in zip(p[c:], law)) for c in columns]))
 
 
 def _partial_sum(system: FlipSystem, terms: IntTable, k: int) -> tuple[int, int, int]:

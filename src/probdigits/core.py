@@ -48,6 +48,8 @@ DEFAULT_BUDGET = 1 << 20
 
 #: Integers of more decimal digits than this are shown by their digit count in messages
 _SHOWN_DIGITS = 100
+#: Lists and tuples of more entries than this are shown by their first entries and their count
+_SHOWN_ENTRIES = 8
 
 
 class _Abridged(str):
@@ -76,8 +78,9 @@ def _shown(value):
     """value as a refusal message quotes it, with str or repr: itself, but an
     int or a Fraction with a part of more than _SHOWN_DIGITS digits becomes
     an _Abridged text such as '1/<5001-digit integer>', and a list or tuple
-    is rebuilt from its entries shown.  So the message stays one short line,
-    and no int to str conversion is refused."""
+    is rebuilt from its first _SHOWN_ENTRIES entries shown, with '...' and
+    its length if it has more.  So the message stays one short line, and no
+    int to str conversion is refused."""
     if isinstance(value, int):
         if value.bit_length() <= 332:  # 2**332 < 10**100
             return value
@@ -88,7 +91,10 @@ def _shown(value):
         num, den = _shown(value.numerator), _shown(value.denominator)
         return _Abridged(f"{num}/{den}") if isinstance(num, str) or isinstance(den, str) else value
     if type(value) in (list, tuple):
-        return type(value)(map(_shown, value))
+        shown = type(value)(map(_shown, value[:_SHOWN_ENTRIES]))
+        if len(value) > _SHOWN_ENTRIES:  # such as [0, 0, 0, 0, 0, 0, 0, 0, ...] (100000 entries)
+            shown = _Abridged(f"{str(shown)[:-1]}, ...{str(shown)[-1]} ({len(value)} entries)")
+        return shown
     return value
 
 
@@ -217,13 +223,12 @@ class IntTable(NamedTuple):
     bisects; for a vector ProbVector.beta[c] == beta[c] / den and
     ProbVector.p[c] == p[c] / den.
 
-    The expectation table of analysis._expected_terms: over D**2, one offset
-    and one weight per letter, and the two letters are the flip bit.
-
-    The alternating table of flips.eval_nega: over D, 2q letters, digit d
-    at an odd position (letter d) and at an even one (letter q + d); the
-    offsets are no running sums, and those of the even letters are
-    negative."""
+    A vector's flip table (ProbVector._flip_table): over D, 2q letters,
+    digit d at an unflipped position (letter d) and at a flipped one
+    (letter q + d); its offsets are no running sums.  Two tables derive
+    from it: the expectation table of analysis._expected_terms, over D**2,
+    whose two letters are the flip bit, and the alternating table of
+    flips.eval_nega, over D, whose letters q .. 2q-1 have negative offsets."""
 
     den: int
     beta: tuple[int, ...]
@@ -261,6 +266,12 @@ def _blocks_of(table: IntTable) -> _Blocks | tuple[()]:
     return _Blocks(k, IntTable(scale, (*lefts, scale), weights), b"".join(map(bytes, words)))
 
 
+def _flip_table_of(table: IntTable) -> IntTable:
+    """A vector's flip table: letter d reads (beta[d], p[d]), letter q + d (beta[q-1-d], p[q-1-d])."""
+    den, beta, p = table
+    return IntTable(den, beta[:-1] + beta[-2::-1], p + p[::-1])
+
+
 class ProbVector:
     """Digit weights p (all positive, summing to 1) plus their cumulative sums.
 
@@ -271,11 +282,11 @@ class ProbVector:
     The weights are coerced and checked, and beta, den, the least common
     denominator D of the weights (every p[c] and beta[c] is an integer over
     D), and int_table, the numerators of beta and p over D, are computed,
-    all when the vector is built.  The block table of encode is built on
-    the vector's first encode and kept in a private slot.
+    all when the vector is built, and so is the flip maps' private flip
+    table.  The block table of encode is built on its first encode.
     """
 
-    __slots__ = ("p", "beta", "den", "int_table", "_blocks")
+    __slots__ = ("p", "beta", "den", "int_table", "_flip_table", "_blocks")
 
     def __init__(self, p: Iterable[RationalLike]):
         try:
@@ -299,6 +310,7 @@ class ProbVector:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "int_table", IntTable(
             den, tuple([int(b * den) for b in beta]), tuple([int(w * den) for w in p])))
+        object.__setattr__(self, "_flip_table", _flip_table_of(self.int_table))
         object.__setattr__(self, "_blocks", None)
 
     def _block_table(self) -> _Blocks | tuple[()]:
@@ -652,11 +664,11 @@ class Cylinder(_Checked, _CylinderFields):
         return cylinder_bounds(self.base + (c,), self.pv)
 
 
-def _ends(pv: ProbVector, digits: Sequence[int]) -> tuple[Fraction, Fraction]:
-    """The ends (lo, hi) of the cylinder of digits, already checked: lo is
-    the zero-tail value of the digits and hi - lo their weight product."""
-    num, weight = _forward(pv.int_table, digits)
-    scale = pv.den ** len(digits)
+def _ends(table: IntTable, letters: Sequence[int]) -> tuple[Fraction, Fraction]:
+    """The ends (lo, hi) of the cylinder of a word of checked letters: lo is
+    the word's zero-tail value and hi - lo its weight product."""
+    num, weight = _forward(table, letters)
+    scale = table.den ** len(letters)
     return _lowest_terms(num, scale), _lowest_terms(num + weight, scale)
 
 
@@ -665,7 +677,7 @@ def cylinder_bounds(base: Sequence[int], pv: ProbVector) -> Cylinder:
     and hi - lo equals the product of the base digit weights."""
     digits = _check_digits(base, pv.q)
     # the parts are checked and ordered already: no second check
-    return tuple.__new__(Cylinder, (digits, pv, *_ends(pv, digits)))
+    return tuple.__new__(Cylinder, (digits, pv, *_ends(pv.int_table, digits)))
 
 
 # ---------------------------------------------------------------------------

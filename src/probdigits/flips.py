@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, cycle, islice
 from math import lcm
-from operator import index
+from operator import add, index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, IntTable, ProbVector, _as_int, _as_position, _ends, _horner
-from .core import _Checked, _same_alphabet, _shown
+from .core import _Checked, _flip_table_of, _same_alphabet, _shown
 from .errors import BudgetExceeded, FlipSpecError, InvalidArgument
 
 #: Flip bits as (preperiod, period): bit k is preperiod[k-1], then period repeats.
@@ -252,33 +253,33 @@ class FlipSystem(_Checked, _SystemFields):
 # Digit-level map
 # ---------------------------------------------------------------------------
 
-def flip_prefix(seq: DigitSeq, pattern: _Pattern, length: int) -> tuple[int, ...]:
-    """The digits of seq flipped by the bits of pattern at positions 1..length,
-    read in one pass over the digit stream and the flip-bit stream together."""
+def _letters(seq: DigitSeq, pattern: _Pattern) -> tuple[list[int], list[int]]:
+    """seq's word in the flip table under the flip bits of pattern, as
+    (prefix, cycle): digit d is letter d, or q + d where the bit of pattern
+    is set (see core._flip_table_of).  Both streams are eventually periodic,
+    so the word is its prefix through both preperiods, then one common
+    period of the digit tail and the flip bits repeated."""
     preperiod, period = pattern
-    top = seq.q - 1
-    digits = islice(chain(seq.digits, cycle(seq.tail)), length)
-    # a list, not a generator: tuple() over a generator grows by reallocation,
-    # which left the heap fragmented and peak RSS climbing pass after pass
-    return tuple([top - d if flipped else d for d, flipped in zip(digits, chain(preperiod, cycle(period)))])
-
-
-def _flipped_stream(seq: DigitSeq, pattern: _Pattern) -> tuple[tuple[int, ...], int]:
-    """The flipped digits at positions 1..n+span, and n.
-
-    Both streams are eventually periodic, so those positions spell the
-    result: the prefix runs through both preperiods (n) and the tail is one
-    common period of the digit tail and the flip bits (span)."""
-    n = max(len(seq.digits), len(pattern[0]))
-    span = lcm(len(seq.tail), len(pattern[1]))
-    return flip_prefix(seq, pattern, n + span), n
+    q = seq.q
+    n = max(len(seq.digits), len(preperiod))
+    span = lcm(len(seq.tail), len(period))
+    digits = islice(chain(seq.digits, cycle(seq.tail)), n + span)
+    letters = [d + q if flipped else d for d, flipped in zip(digits, chain(preperiod, cycle(period)))]
+    return letters[:n], letters[n:]
 
 
 def flip_digits(seq: DigitSeq, flips: FlipSet) -> DigitSeq:
-    """Complement the digits of seq at the flipped positions, exactly: the
-    prefix of _flipped_stream, then its last common period repeated."""
-    stream, n = _flipped_stream(seq, flips.pattern_from(1))
-    return DigitSeq(stream[:n], seq.q, stream[n:])
+    """Complement the digits of seq at the flipped positions, exactly: each
+    letter of _letters becomes the digit whose entries it reads."""
+    prefix, tail = _letters(seq, flips.pattern_from(1))
+    digit = _letter_digits(seq.q)
+    return DigitSeq([digit[c] for c in prefix], seq.q, [digit[c] for c in tail])
+
+
+@lru_cache
+def _letter_digits(q: int) -> tuple[int, ...]:
+    """The digit each of the 2q letters reads: the offset over q of the uniform vector's letter."""
+    return _flip_table_of(IntTable(q, tuple(range(q + 1)), (1,) * q)).beta
 
 
 def nega_to_digits(seq: DigitSeq) -> DigitSeq:
@@ -292,7 +293,9 @@ def nega_to_digits(seq: DigitSeq) -> DigitSeq:
 # ---------------------------------------------------------------------------
 
 def eval_flip(seq: DigitSeq, system: FlipSystem, offset: int = 0) -> Enclosure:
-    """Exact value of the flipped series of seq (a degenerate enclosure).
+    """Exact value of the flipped series of seq (a degenerate enclosure):
+    the word of _letters goes straight to the integer Horner kernel over the
+    flip table, and a cycle that is not primitive has the same value.
 
     offset > 0 evaluates the tail form: position k of seq is treated as
     absolute position k + offset, which is the n-th unknown of the
@@ -301,26 +304,18 @@ def eval_flip(seq: DigitSeq, system: FlipSystem, offset: int = 0) -> Enclosure:
     pattern = system.flips.pattern_from(_as_int(offset, "offset", 0) + 1)
     pv = system.pv
     _same_alphabet(seq, pv)
-    return Enclosure.point(_flip_value(seq, pattern, pv))
-
-
-def _flip_value(seq: DigitSeq, pattern: _Pattern, pv: ProbVector) -> Fraction:
-    """Exact value under pv of seq flipped by pattern, for seq over pv's
-    alphabet: the flipped stream goes straight to the integer Horner kernel,
-    as flip_digits spells it, without a DigitSeq; a tail block that is not
-    primitive has the same value."""
-    stream, n = _flipped_stream(seq, pattern)
-    return _horner(pv.int_table, stream[:n], stream[n:])
+    return Enclosure.point(_horner(pv._flip_table, *_letters(seq, pattern)))
 
 
 def flip_image(base: Sequence[int], system: FlipSystem, offset: int = 0) -> Enclosure:
-    """Interval hull of the flip map over the cylinder with the given base,
-    which is the cylinder of the flipped base; offset is as in eval_flip."""
+    """Interval hull of the flip map over the cylinder with the given base:
+    the cylinder of the base's flip-table letters; offset is as in eval_flip."""
     pv = system.pv
     seq = DigitSeq(base, pv.q)
-    flipped = flip_prefix(seq, system.flips.pattern_from(_as_int(offset, "offset", 0) + 1), len(seq.digits))
-    # the flipped digits are the library's own: no second check
-    return Enclosure._ordered(*_ends(pv, flipped))
+    preperiod, period = system.flips.pattern_from(_as_int(offset, "offset", 0) + 1)
+    m = len(seq.digits)
+    # no bit past the base counts: with both cut to m, at most 2m letters are made, used unchecked
+    return Enclosure._ordered(*_ends(pv._flip_table, _letters(seq, (preperiod[:m], period[:m]))[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -337,26 +332,19 @@ def eval_nega(seq: DigitSeq, pv: ProbVector) -> Enclosure:
     the first n weights.  Regrouped term by term, at each odd n the
     correction prod_{j<=n} w_j joins that position's offset, since
     beta[d] + p[d] = beta[d+1] (at n = 1 this takes in the leading offset
-    too), so the series is one offset/weight series over 2q letters: a
-    digit d at an odd position is letter d, with offset beta[d+1] and
-    weight p[d], and at an even position letter q + d, with offset
-    beta[q-1-d] - 1 and weight p[q-1-d].  _horner sums it exactly, with the
-    cycle over span = lcm(len(tail), 2) positions, which keeps each
-    letter's parity around the cycle.
+    too).  So the series reads the flip table's letters at EVEN_POSITIONS
+    (see _letters), with its weights and with its offsets shifted by +p[d]
+    at an odd position's letter d (to beta[d+1]) and by -1 at an even one's
+    letter q + d (to beta[q-1-d] - 1).  _horner sums it exactly; the cycle
+    spans lcm(len(tail), 2) positions, which keeps each letter's parity.
 
-    No digit is flipped here, so the plain value of nega_to_digits(seq) is
-    a second, independent route to the same number: it reads the vector's
-    own q letters, and the two agree because the +p[d] of each odd
-    position and the -1 of the even position after it cancel.
+    The plain value of nega_to_digits(seq) by eval_digits, which reads the
+    flipped digits through int_table, is a second, independent route to the
+    same number: the two agree because the +p[d] of each odd position and
+    the -1 of the even position after it cancel.
     """
     _same_alphabet(seq, pv)
-    den, beta, p = pv.int_table
-    q = pv.q
-    table = IntTable(den, beta[1:] + tuple([beta[q - 1 - d] - den for d in range(q)]), p + p[::-1])
-    m = len(seq.digits)
-    span = lcm(len(seq.tail), 2)
-    stream = islice(chain(seq.digits, cycle(seq.tail)), m + span)
-    # position k is index k - 1: even positions take the letters q .. 2q-1
-    letters = [d + q * (i % 2) for i, d in enumerate(stream)]
-    value = _horner(table, letters[:m], letters[m:])
+    den, beta, p = pv._flip_table
+    table = IntTable(den, tuple(map(add, beta, p[:pv.q] + (-den,) * pv.q)), p)
+    value = _horner(table, *_letters(seq, (EVEN_POSITIONS.preperiod, EVEN_POSITIONS.period)))
     return Enclosure._ordered(value, value)

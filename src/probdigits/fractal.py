@@ -255,8 +255,8 @@ def _rectangle_groups(system: FlipSystem, rank: int, coords) -> tuple[list[int],
     flipped = _flipped_upto(system.flips, rank)
     den, _, p = system.pv.int_table
     scale = den ** (2 * rank)
-    # side products are integers over D**rank; a flipped position reads the complement's weight
-    sides = [(mult, x * x + y * y) for mult, x, y in _count_groups(flipped, p, p[::-1])]
+    # side products are integers over D**rank; a flipped digit c reads the weight of flip-table letter q + c
+    sides = [(mult, x * x + y * y) for mult, x, y in _count_groups(flipped, p, system.pv._flip_table.p[len(p):])]
     plain = [(mult, w * w) for mult, w, _ in _count_groups(rank - flipped, p, p)]
     return [m * n for m, _ in sides for n, _ in plain], coords([s * w for _, s in sides for _, w in plain], scale)
 

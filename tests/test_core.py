@@ -902,7 +902,16 @@ REFUSALS = [
      "<5001-digit integer>/<5001-digit integer> not in [0, 1]"),
     ("cylinder-huge-digit", lambda: cylinder_bounds((10**5000,), PLAIN2.pv), DigitOutOfRange,
      "digit <5001-digit integer> not in [0, 1]"),
+    # a list or tuple of more than 8 entries is quoted by its first 8 and its length
+    ("finite-long-list", lambda: FlipSet.finite(range(0, -200000, -1)), FlipSpecError,
+     "flip positions must be >= 1, got (-199999, -199998, -199997, -199996, -199995, -199994, -199993, -199992, ...)"
+     " (200000 entries)"),
+    ("dimension-long-ranks", lambda: graph_dimension_estimate(PLAIN2, [0] * 100000), InvalidArgument,
+     "ranks must be >= 1, got [0, 0, 0, 0, 0, 0, 0, 0, ...] (100000 entries)"),
 ]
+
+#: Every refusal message above is one short line
+REFUSAL_MESSAGE_MAX = 200
 
 
 @pytest.mark.parametrize("call, error, message", [row[1:] for row in REFUSALS], ids=[row[0] for row in REFUSALS])
@@ -910,6 +919,15 @@ def test_refusal_class_and_message(call, error, message):
     with pytest.raises(ProbDigitsError) as raised:
         call()
     assert (type(raised.value), str(raised.value)) == (error, message)
+    assert len(message) <= REFUSAL_MESSAGE_MAX
+
+
+def test_shown_quotes_up_to_8_entries_in_full():
+    for kind in (list, tuple):
+        assert core._shown(kind(range(8))) == kind(range(8))
+        shown = core._shown(kind(range(9)))
+        assert str(shown) == repr(shown) == str(kind(range(8)))[:-1] + ", ..." + str(kind(()))[-1] + " (9 entries)"
+    assert str(core._shown([10**5000] * 9)) == "[" + "<5001-digit integer>, " * 8 + "...] (9 entries)"
 
 
 @pytest.mark.parametrize("digits", [1, 2, 99, 100, 101, 102, 4301, 5001])

@@ -59,6 +59,7 @@ from probdigits import (
     shift_value,
 )
 from probdigits.core import _horner, _lowest_terms, _walk
+from probdigits.flips import _letters
 from conftest import (
     bernoulli_cdf_by_digits,
     block_table_by_levels,
@@ -172,6 +173,45 @@ def test_min_position_is_first_flipped(flips):
     # every bit of the stream appears among the first len(preperiod) + len(period) positions
     first = [k for k in range(1, len(flips.preperiod) + len(flips.period) + 1) if flips.contains(k)]
     assert flips.min_position() == (first[0] if first else None)
+
+
+# ---------------------------------------------------------------------------
+# the flip table and its letters
+# ---------------------------------------------------------------------------
+
+TABLE_VECTOR = make_prob_vector(["1/5", "3/10", "1/2"])
+
+
+@given(prob_vectors(), flip_sets())
+@example(TABLE_VECTOR, FlipSet.none())
+@example(TABLE_VECTOR, FlipSet.all())
+@example(TABLE_VECTOR, FlipSet.finite([2, 3]))
+@example(TABLE_VECTOR, FlipSet.mask((True,), (False, True)))
+def test_flip_table_letters_read_the_fraction_route(pv, flips):
+    # over one preperiod and one period every bit of the stream occurs: at
+    # position k, letter d + q * bit of the flip table, read over D, is the
+    # offset and the weight of digit d that FlipSystem reads in Fractions
+    system = FlipSystem(pv, flips)
+    den, beta, p = pv._flip_table
+    q = pv.q
+    assert len(beta) == len(p) == 2 * q
+    for k in range(1, len(flips.preperiod) + len(flips.period) + 1):
+        for d in range(q):
+            letter = d + q if flips.contains(k) else d
+            assert (Fraction(beta[letter], den), Fraction(p[letter], den)) == (system.offset(k, d), system.weight(k, d))
+
+
+@given(systems_and_seqs(), st.integers(0, 6))
+def test_letters_spell_every_position(case, offset):
+    # the prefix, then the cycle repeated: digit d at position k is letter d,
+    # or q + d where the pattern's bit is set
+    system, seq = case
+    pattern = system.flips.pattern_from(offset + 1)
+    prefix, cycle = _letters(seq, pattern)
+    q = seq.q
+    for i in range(horizon(seq, system.flips) + offset):
+        letter = prefix[i] if i < len(prefix) else cycle[(i - len(prefix)) % len(cycle)]
+        assert letter == seq.digit_at(i + 1) + (q if bit_of(pattern, i) else 0)
 
 
 # ---------------------------------------------------------------------------
