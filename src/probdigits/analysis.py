@@ -22,7 +22,6 @@ from .core import (
     Cylinder,
     DigitSeq,
     Enclosure,
-    IntTable,
     PointKind,
     _as_int,
     _as_point,
@@ -211,28 +210,13 @@ def integral_closed_form(system: FlipSystem) -> Fraction:
     return u / (1 - w)
 
 
-def _expected_terms(pv) -> IntTable:
-    """The expectation table: the expected offset and weight of one digit
-    drawn with law p, as integer numerators over D**2 with D = pv.den.  Its
-    two letters are the flip bit: letter 0 reads the plain column
-    (v_plain, w_plain), letter 1 the flipped one (v_flip, w_flip), read
-    from the flip table's letters below q and from q on.  So the flip bits
-    of positions 1..k, folded through core._forward, give the partial sum k
-    of the integral series, and core._horner over the preperiod and the
-    period gives the integral itself."""
-    den, beta, p = pv._flip_table
-    law, columns = p[:pv.q], (0, pv.q)  # each column reads q letters from its start on
-    return IntTable(den * den, tuple([sum(b * w for b, w in zip(beta[c:], law)) for c in columns]),
-                    tuple([sum(a * w for a, w in zip(p[c:], law)) for c in columns]))
-
-
-def _partial_sum(system: FlipSystem, terms: IntTable, k: int) -> tuple[int, int, int]:
+def _partial_sum(system: FlipSystem, k: int) -> tuple[int, int, int]:
     """Partial sum k of the positional-expectation series, in integers.
 
     Returns (total, weight, scale) with scale = D**(2k):
     sum_{j<=k} v_j prod_{i<j} w_i = total / scale and prod_{j<=k} w_j =
-    weight / scale, where terms is the _expected_terms table and position j
-    reads the letter of its flip bit.
+    weight / scale, where position j reads the letter of its flip bit in
+    the vector's expectation table (see core._letter_tables).
 
     Positions 1..k split as preperiod[:k], then n whole periods, then r more
     positions.  The preperiod and the r positions are folded through
@@ -243,7 +227,7 @@ def _partial_sum(system: FlipSystem, terms: IntTable, k: int) -> tuple[int, int,
     geometric sum of X**(n-1-i) * P**i, which divides exactly: O(m + L)
     steps for a preperiod of m and a period of L, plus a few integer
     powers."""
-    flips = system.flips
+    terms, flips = system.pv._expected_table, system.flips
     pre, period = flips.preperiod[:k], flips.period
     n, r = divmod(k - len(pre), len(period))
     total, weight = _forward(terms, pre)
@@ -257,10 +241,11 @@ def _partial_sum(system: FlipSystem, terms: IntTable, k: int) -> tuple[int, int,
     return total, weight, terms.den ** k
 
 
-def _series_length(system: FlipSystem, terms: IntTable, need: float) -> int:
+def _series_length(system: FlipSystem, need: float) -> int:
     """Smallest k >= 1 with sum_{j<=k} log(D**2 / w_j) >= need, with w_j the
     weight numerator _partial_sum uses at position j, found in floating
     point in O(len(preperiod) + len(period)) steps from the flip bits."""
+    terms = system.pv._expected_table
     decay = [log(terms.den) - log(w) for w in terms.p]
     flips = system.flips
     k = 0
@@ -300,13 +285,13 @@ def integral_series(system: FlipSystem, tol=Fraction(1, 10**12)) -> Enclosure:
     tol = as_fraction(tol)
     if tol <= 0:
         raise InvalidArgument(f"tol must be positive, got {_shown(tol)}")
-    terms = _expected_terms(system.pv)
+    terms = system.pv._expected_table
     v_max = max(terms.beta)
     # (1 - w_max) * D**2, positive: every weight sum of squares is below 1
     closure = terms.den - max(terms.p)
     # the stop test below in logs: v_max / (closure * tol) <= prod_{j<=k} D**2 / w_j
     need = log(v_max) - log(closure) - log(tol.numerator) + log(tol.denominator)
-    k = _series_length(system, terms, need)
+    k = _series_length(system, need)
     if k > DEFAULT_BUDGET:
         raise BudgetExceeded(f"about {k} series terms to reach tol {_shown(tol)} exceed budget {DEFAULT_BUDGET}")
 
@@ -315,7 +300,7 @@ def integral_series(system: FlipSystem, tol=Fraction(1, 10**12)) -> Enclosure:
         return v_max * weight * tol.denominator <= tol.numerator * scale * closure
 
     while True:
-        total, weight, scale = _partial_sum(system, terms, k)
+        total, weight, scale = _partial_sum(system, k)
         if not stops(weight, scale):
             k += 1
         elif k > 1 and stops(weight // terms.p[system.flips.contains(k)], scale // terms.den):
@@ -340,7 +325,7 @@ def integral_riemann(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET
     budget = _as_int(budget, "budget")
     if rank > budget:
         raise BudgetExceeded(f"{_shown(rank)} series terms exceed budget {_shown(budget)}")
-    lower, weight, scale = _partial_sum(system, _expected_terms(system.pv), rank)
+    lower, weight, scale = _partial_sum(system, rank)
     return Enclosure._ordered(_lowest_terms(lower, scale), _lowest_terms(lower + weight, scale))
 
 

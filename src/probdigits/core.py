@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd, lcm
-from operator import index
+from operator import index, mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -50,6 +50,8 @@ DEFAULT_BUDGET = 1 << 20
 _SHOWN_DIGITS = 100
 #: Lists and tuples of more entries than this are shown by their first entries and their count
 _SHOWN_ENTRIES = 8
+#: Strings of more characters than this are shown by their first characters and their length
+_SHOWN_CHARS = 40
 
 
 class _Abridged(str):
@@ -79,8 +81,10 @@ def _shown(value):
     int or a Fraction with a part of more than _SHOWN_DIGITS digits becomes
     an _Abridged text such as '1/<5001-digit integer>', and a list or tuple
     is rebuilt from its first _SHOWN_ENTRIES entries shown, with '...' and
-    its length if it has more.  So the message stays one short line, and no
-    int to str conversion is refused."""
+    its length if it has more, and a str of more than _SHOWN_CHARS
+    characters becomes the repr of its first _SHOWN_CHARS, '...' and its
+    length.  So the message stays one short line, and no int to str
+    conversion is refused."""
     if isinstance(value, int):
         if value.bit_length() <= 332:  # 2**332 < 10**100
             return value
@@ -95,6 +99,8 @@ def _shown(value):
         if len(value) > _SHOWN_ENTRIES:  # such as [0, 0, 0, 0, 0, 0, 0, 0, ...] (100000 entries)
             shown = _Abridged(f"{str(shown)[:-1]}, ...{str(shown)[-1]} ({len(value)} entries)")
         return shown
+    if isinstance(value, str) and len(value) > _SHOWN_CHARS:  # such as '1,1,1,1,1'... (200001 characters)
+        return _Abridged(f"{value[:_SHOWN_CHARS]!r}... ({len(value)} characters)")
     return value
 
 
@@ -223,12 +229,12 @@ class IntTable(NamedTuple):
     bisects; for a vector ProbVector.beta[c] == beta[c] / den and
     ProbVector.p[c] == p[c] / den.
 
-    A vector's flip table (ProbVector._flip_table): over D, 2q letters,
-    digit d at an unflipped position (letter d) and at a flipped one
-    (letter q + d); its offsets are no running sums.  Two tables derive
-    from it: the expectation table of analysis._expected_terms, over D**2,
-    whose two letters are the flip bit, and the alternating table of
-    flips.eval_nega, over D, whose letters q .. 2q-1 have negative offsets."""
+    A vector's flip table and the two tables read beside it (see
+    _letter_tables), whose offsets are no running sums: the flip table over
+    D, 2q letters, digit d at an unflipped position (letter d) and at a
+    flipped one (letter q + d); the expectation table over D**2, whose two
+    letters are the flip bit; and the alternating table over D, whose
+    letters q .. 2q-1 have negative offsets."""
 
     den: int
     beta: tuple[int, ...]
@@ -266,10 +272,28 @@ def _blocks_of(table: IntTable) -> _Blocks | tuple[()]:
     return _Blocks(k, IntTable(scale, (*lefts, scale), weights), b"".join(map(bytes, words)))
 
 
-def _flip_table_of(table: IntTable) -> IntTable:
-    """A vector's flip table: letter d reads (beta[d], p[d]), letter q + d (beta[q-1-d], p[q-1-d])."""
-    den, beta, p = table
-    return IntTable(den, beta[:-1] + beta[-2::-1], p + p[::-1])
+def _letter_tables(table: IntTable) -> tuple[IntTable, IntTable, IntTable]:
+    """The flip, expectation and alternating tables of a vector's IntTable.
+
+    The flip table (ProbVector._flip_table), over D: letter d reads
+    (beta[d], p[d]), letter q + d (beta[q-1-d], p[q-1-d]).
+
+    The expectation table (ProbVector._expected_table), over D**2: the
+    expected offset and weight of one digit drawn with the law p of the
+    IntTable, letter 0 at an unflipped position (the flip table's letters
+    below q), letter 1 at a flipped one (its letters from q on).  The flip
+    bits of positions 1..k, folded through _forward, give partial sum k of
+    the integral series (analysis._partial_sum).
+
+    The alternating table (ProbVector._nega_table), over D: the flip
+    table's weights, and its offsets plus p[d] at letter d, which is
+    beta[d+1], and minus 1 at letter q + d, beta[q-1-d] - 1; see
+    flips.eval_nega."""
+    den, beta, law = table
+    flip = IntTable(den, beta[:-1] + beta[-2::-1], law + law[::-1])
+    expected = IntTable(den * den, tuple([sum(map(mul, flip.beta[c:], law)) for c in (0, len(law))]),
+                        tuple([sum(map(mul, flip.p[c:], law)) for c in (0, len(law))]))
+    return flip, expected, IntTable(den, beta[1:] + tuple([b - den for b in beta[-2::-1]]), flip.p)
 
 
 class ProbVector:
@@ -282,11 +306,12 @@ class ProbVector:
     The weights are coerced and checked, and beta, den, the least common
     denominator D of the weights (every p[c] and beta[c] is an integer over
     D), and int_table, the numerators of beta and p over D, are computed,
-    all when the vector is built, and so is the flip maps' private flip
-    table.  The block table of encode is built on its first encode.
+    all when the vector is built, and so are the private flip, expectation
+    and alternating tables of the flip maps (see _letter_tables).  The block
+    table of encode, which costs q**k folds, is built on its first encode.
     """
 
-    __slots__ = ("p", "beta", "den", "int_table", "_flip_table", "_blocks")
+    __slots__ = ("p", "beta", "den", "int_table", "_flip_table", "_expected_table", "_nega_table", "_blocks")
 
     def __init__(self, p: Iterable[RationalLike]):
         try:
@@ -305,13 +330,10 @@ class ProbVector:
         if beta[-1] != 1:
             raise SumNotOne(f"weights sum to {_shown(beta[-1])}, not 1")
         den = lcm(*(v.denominator for v in p))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "int_table", IntTable(
-            den, tuple([int(b * den) for b in beta]), tuple([int(w * den) for w in p])))
-        object.__setattr__(self, "_flip_table", _flip_table_of(self.int_table))
-        object.__setattr__(self, "_blocks", None)
+        table = IntTable(den, tuple([int(b * den) for b in beta]), tuple([int(w * den) for w in p]))
+        # every slot, in __slots__ order
+        for name, value in zip(self.__slots__, (p, beta, den, table, *_letter_tables(table), None)):
+            object.__setattr__(self, name, value)
 
     def _block_table(self) -> _Blocks | tuple[()]:
         """The block table of encode's walk, built on first use."""
@@ -758,8 +780,11 @@ def bernoulli_cdf(x, pv: ProbVector) -> Fraction:
 
 def sample_digits(pv: ProbVector, length: int, rng: random.Random) -> tuple[int, ...]:
     """Digit prefix drawn i.i.d. with law p exactly (i.e. a Lebesgue-random point):
-    a uniform integer in [0, D) picks the digit whose cell holds it, D = pv.den."""
+    a uniform integer in [0, D) picks the digit whose cell holds it, D = pv.den.
+    An rng with no randrange method is InvalidArgument."""
     length = _as_int(length, "length", 0)
+    if not callable(getattr(rng, "randrange", None)):
+        raise InvalidArgument(f"rng must have a randrange method, got {_shown(rng)!r}")
     den, beta, _ = pv.int_table
     thresholds = beta[1:-1]
     return tuple(bisect_right(thresholds, rng.randrange(den)) for _ in range(length))

@@ -15,11 +15,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, cycle, islice
 from math import lcm
-from operator import add, index
+from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, IntTable, ProbVector, _as_int, _as_position, _ends, _horner
-from .core import _Checked, _flip_table_of, _same_alphabet, _shown
+from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, ProbVector, _as_int, _as_position, _ends, _horner
+from .core import _Checked, _same_alphabet, _shown
 from .errors import BudgetExceeded, FlipSpecError, InvalidArgument
 
 #: Flip bits as (preperiod, period): bit k is preperiod[k-1], then period repeats.
@@ -139,20 +139,20 @@ class FlipSet(_Checked, _FlipFields):
             return cls.all()
         kind, sep, payload = text.partition(":")
         if not sep:
-            raise FlipSpecError(f"unknown flip spec {text!r} (expected none, all, finite:..., mask:...)")
+            raise FlipSpecError(f"unknown flip spec {_shown(text)!r} (expected none, all, finite:..., mask:...)")
         if kind == "finite":
             try:
                 positions = [int(tok) for tok in payload.split(",") if tok.strip()]
             except ValueError as exc:
-                raise FlipSpecError(f"bad finite flip list {payload!r}: {exc}") from None
+                raise FlipSpecError(f"bad finite flip list {_shown(payload)!r}: {exc}") from None
             return cls.finite(positions)
         if kind == "mask":
             pre_txt, sep2, per_txt = payload.partition(";")
             if not sep2:
-                raise FlipSpecError(f"mask spec {payload!r} needs 'PRE;PERIOD'")
+                raise FlipSpecError(f"mask spec {_shown(payload)!r} needs 'PRE;PERIOD'")
             bit = {"0": False, "1": True}  # mask refuses any other character
             return cls.mask([bit.get(c, c) for c in pre_txt], [bit.get(c, c) for c in per_txt])
-        raise FlipSpecError(f"unknown flip kind {kind!r}")
+        raise FlipSpecError(f"unknown flip kind {_shown(kind)!r}")
 
     # -- queries ------------------------------------------------------------
 
@@ -256,7 +256,7 @@ class FlipSystem(_Checked, _SystemFields):
 def _letters(seq: DigitSeq, pattern: _Pattern) -> tuple[list[int], list[int]]:
     """seq's word in the flip table under the flip bits of pattern, as
     (prefix, cycle): digit d is letter d, or q + d where the bit of pattern
-    is set (see core._flip_table_of).  Both streams are eventually periodic,
+    is set (see core._letter_tables).  Both streams are eventually periodic,
     so the word is its prefix through both preperiods, then one common
     period of the digit tail and the flip bits repeated."""
     preperiod, period = pattern
@@ -279,7 +279,7 @@ def flip_digits(seq: DigitSeq, flips: FlipSet) -> DigitSeq:
 @lru_cache
 def _letter_digits(q: int) -> tuple[int, ...]:
     """The digit each of the 2q letters reads: the offset over q of the uniform vector's letter."""
-    return _flip_table_of(IntTable(q, tuple(range(q + 1)), (1,) * q)).beta
+    return ProbVector.uniform(q)._flip_table.beta
 
 
 def nega_to_digits(seq: DigitSeq) -> DigitSeq:
@@ -333,10 +333,11 @@ def eval_nega(seq: DigitSeq, pv: ProbVector) -> Enclosure:
     correction prod_{j<=n} w_j joins that position's offset, since
     beta[d] + p[d] = beta[d+1] (at n = 1 this takes in the leading offset
     too).  So the series reads the flip table's letters at EVEN_POSITIONS
-    (see _letters), with its weights and with its offsets shifted by +p[d]
-    at an odd position's letter d (to beta[d+1]) and by -1 at an even one's
-    letter q + d (to beta[q-1-d] - 1).  _horner sums it exactly; the cycle
-    spans lcm(len(tail), 2) positions, which keeps each letter's parity.
+    (see _letters) in the vector's alternating table, which has the flip
+    table's weights and its offsets shifted by +p[d] at an odd position's
+    letter d (to beta[d+1]) and by -1 at an even one's letter q + d (to
+    beta[q-1-d] - 1).  _horner sums it exactly; the cycle spans
+    lcm(len(tail), 2) positions, which keeps each letter's parity.
 
     The plain value of nega_to_digits(seq) by eval_digits, which reads the
     flipped digits through int_table, is a second, independent route to the
@@ -344,7 +345,4 @@ def eval_nega(seq: DigitSeq, pv: ProbVector) -> Enclosure:
     the -1 of the even position after it cancel.
     """
     _same_alphabet(seq, pv)
-    den, beta, p = pv._flip_table
-    table = IntTable(den, tuple(map(add, beta, p[:pv.q] + (-den,) * pv.q)), p)
-    value = _horner(table, *_letters(seq, (EVEN_POSITIONS.preperiod, EVEN_POSITIONS.period)))
-    return Enclosure._ordered(value, value)
+    return Enclosure.point(_horner(pv._nega_table, *_letters(seq, (EVEN_POSITIONS.preperiod, EVEN_POSITIONS.period))))

@@ -303,7 +303,8 @@ def entropy_sum(system: FlipSystem, alpha, rank: int, budget: int = DEFAULT_BUDG
     Diagonals squared are exact rationals; only the alpha/2 power is floating
     point (num / den is correctly rounded, so it equals float(Fraction)).
     alpha = 0 counts rectangles, and the sum is strictly decreasing in alpha.
-    A rank whose groups leave the float range is RankTooLarge."""
+    A rank whose groups leave the float range is RankTooLarge, and an alpha
+    that takes a power or the sum past it is InvalidArgument."""
     try:
         alpha = float(alpha)
     except (TypeError, ValueError, OverflowError):
@@ -311,7 +312,11 @@ def entropy_sum(system: FlipSystem, alpha, rank: int, budget: int = DEFAULT_BUDG
     if not 0 <= alpha < math.inf:
         raise InvalidArgument(f"alpha must be finite and >= 0, got {alpha}")
     rank = _as_int(rank, "rank", 1)
-    return _entropy(*_float_groups(system, rank, budget), alpha)
+    groups = _float_groups(system, rank, budget)
+    try:
+        return _entropy(*groups, alpha)
+    except OverflowError:
+        raise InvalidArgument(f"alpha {alpha} takes the entropy sum past the float range") from None
 
 
 def _newton(mults: list[float], d2s: list[float], threshold: float) -> tuple[float, float] | None:
@@ -395,7 +400,7 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
     if not system.shift_invariant:
         raise NotShiftInvariant("dimension estimation needs flips none or all")
     try:
-        ranks = list(islice(ranks, max(budget, 0) + 1))
+        ranks = list(islice(ranks, min(max(budget, 0) + 1, sys.maxsize)))
     except TypeError:
         raise InvalidArgument(f"ranks must be an iterable of integers, got {_shown(ranks)!r}") from None
     ranks = [_as_int(rank, "rank") for rank in ranks]

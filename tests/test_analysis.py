@@ -224,7 +224,7 @@ def test_integral_closed_form_values(uniform2, asym2):
 def test_period_block_limit_values(weights, spec, value):
     pv = make_prob_vector(weights.split(","))
     flips = FlipSet.parse(spec)
-    assert _horner(analysis._expected_terms(pv), flips.preperiod, flips.period) == value
+    assert _horner(pv._expected_table, flips.preperiod, flips.period) == value
     assert integral_by_horner_sum(FlipSystem(pv, flips)) == value
 
 

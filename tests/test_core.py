@@ -112,6 +112,23 @@ def test_prob_vector_coerces_and_checks_its_input():
     assert built.int_table == (2, (0, 1, 2), (1, 1))
 
 
+def test_vector_builds_its_letter_tables_once_and_the_kernels_none(monkeypatch):
+    # one builder call per vector, and the integral series, the Riemann sums
+    # and the alternating expansion read its tables without making a table
+    calls, tables = [], []
+    build, new = core._letter_tables, core.IntTable.__new__
+    monkeypatch.setattr(core, "_letter_tables", lambda table: calls.append(table) or build(table))
+    monkeypatch.setattr(core.IntTable, "__new__", lambda cls, *fields: tables.append(fields) or new(cls, *fields))
+    pv = make_prob_vector(["1/4", "3/4"])
+    # int_table, then the flip, expectation and alternating tables
+    assert (calls, len(tables)) == ([pv.int_table], 4)
+    system = FlipSystem(pv, FlipSet.parse("mask:;01"))
+    integral_series(system)
+    integral_riemann(system, 8)
+    eval_nega(DigitSeq((1, 0, 1), 2, (0, 1)), pv)
+    assert (len(calls), len(tables)) == (1, 4)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -908,6 +925,21 @@ REFUSALS = [
      " (200000 entries)"),
     ("dimension-long-ranks", lambda: graph_dimension_estimate(PLAIN2, [0] * 100000), InvalidArgument,
      "ranks must be >= 1, got [0, 0, 0, 0, 0, 0, 0, 0, ...] (100000 entries)"),
+    # a string of more than 40 characters is quoted by its first 40 and its length
+    ("parse-long-finite-list", lambda: FlipSet.parse("finite:" + "1," * 100000 + "x"), FlipSpecError,
+     "bad finite flip list '" + "1," * 20 + "'... (200001 characters): invalid literal for int() with base 10: 'x'"),
+    ("parse-long-unknown-spec", lambda: FlipSet.parse("mask" + "0" * 100000), FlipSpecError,
+     "unknown flip spec 'mask" + "0" * 36 + "'... (100004 characters) (expected none, all, finite:..., mask:...)"),
+    ("parse-long-mask-spec", lambda: FlipSet.parse("mask:" + "0" * 100000), FlipSpecError,
+     "mask spec '" + "0" * 40 + "'... (100000 characters) needs 'PRE;PERIOD'"),
+    ("parse-long-unknown-kind", lambda: FlipSet.parse("x" * 100000 + ":1"), FlipSpecError,
+     "unknown flip kind '" + "x" * 40 + "'... (100000 characters)"),
+    # arguments that reached a bare Python exception
+    ("entropy-huge-alpha", lambda: entropy_sum(FlipSystem(ProbVector(("9/10", "1/10")), FlipSet.none()), 1e6, 1),
+     InvalidArgument, "alpha 1000000.0 takes the entropy sum past the float range"),
+    ("dimension-budget-past-maxsize", lambda: graph_dimension_estimate(PLAIN2, [0], 2**70), InvalidArgument,
+     "ranks must be >= 1, got [0]"),
+    ("sample-digits-rng", lambda: sample_digits(PV4, 3, 5), InvalidArgument, "rng must have a randrange method, got 5"),
 ]
 
 #: Every refusal message above is one short line
@@ -928,6 +960,14 @@ def test_shown_quotes_up_to_8_entries_in_full():
         shown = core._shown(kind(range(9)))
         assert str(shown) == repr(shown) == str(kind(range(8)))[:-1] + ", ..." + str(kind(()))[-1] + " (9 entries)"
     assert str(core._shown([10**5000] * 9)) == "[" + "<5001-digit integer>, " * 8 + "...] (9 entries)"
+
+
+def test_shown_quotes_up_to_40_characters_in_full():
+    assert core._shown("x" * 40) == "x" * 40
+    for text in ("1," * 100000, "'" * 41):
+        shown = core._shown(text)
+        assert str(shown) == repr(shown) == f"{text[:40]!r}... ({len(text)} characters)"
+    assert str(core._shown("1," * 100000)) == "'" + "1," * 20 + "'... (200000 characters)"
 
 
 @pytest.mark.parametrize("digits", [1, 2, 99, 100, 101, 102, 4301, 5001])

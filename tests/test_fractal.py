@@ -310,6 +310,14 @@ def test_entropy_alpha_zero_counts(pv3):
         entropy_sum(system, 0, 0)
 
 
+def test_entropy_alpha_past_the_float_range_is_refused():
+    # a rectangle diagonal above 1 (0.9 * sqrt(2)) to the power 1e6 is past the float range
+    system = FlipSystem(make_prob_vector(["9/10", "1/10"]), FlipSet.none())
+    assert entropy_sum(system, 2000, 1) > 1e200
+    with pytest.raises(InvalidArgument, match="alpha 1000000.0"):
+        entropy_sum(system, 1e6, 1)
+
+
 def test_entropy_identity_telescopes(asym2):
     # monotone graph: diagonals are sqrt(2) * cylinder widths, which sum to 1
     system = FlipSystem(asym2, FlipSet.none())
@@ -467,6 +475,8 @@ def test_dimension_reads_no_more_ranks_than_the_budget(uniform2):
     # a negative budget reads one rank, and refuses it
     with pytest.raises(BudgetExceeded):
         graph_dimension_estimate(system, range(1, 10**12), budget=-1)
+    # a budget past sys.maxsize reads at most sys.maxsize ranks, and answers as the default budget does
+    assert graph_dimension_estimate(system, [1, 2], budget=2**70) == graph_dimension_estimate(system, [1, 2])
 
 
 @pytest.mark.parametrize("threshold", [fractal.ENTROPY_THRESHOLD, 1e-300, 1e300])

@@ -61,6 +61,8 @@ from probdigits import (
 from probdigits.core import _horner, _lowest_terms, _walk
 from probdigits.flips import _letters
 from conftest import (
+    _alt_offset,
+    _alt_weight,
     bernoulli_cdf_by_digits,
     block_table_by_levels,
     count_groups_by_words,
@@ -71,6 +73,7 @@ from conftest import (
     eval_digits_by_horner,
     eval_flip_by_digits,
     eval_nega_by_fractions,
+    expected_terms,
     flip_outcome,
     horner_sum,
     integral_by_horner_sum,
@@ -532,6 +535,25 @@ def test_kernel_eval_nega_matches_the_fraction_pieces(prefix, tail, pv, digits, 
     assert value.lo == value.hi == eval_nega_by_fractions(seq, pv) == eval_digits(nega_to_digits(seq), pv)
 
 
+@given(prob_vectors())
+def test_vector_tables_match_the_fraction_entries(pv):
+    # the expectation table over D**2: letter b is the flip bit, read per digit from FlipSystem
+    den, offsets, weights = pv._expected_table
+    assert den == pv.den ** 2
+    for bit, flips in enumerate((FlipSet.none(), FlipSet.all())):
+        [(v, w)] = expected_terms(FlipSystem(pv, flips), 1)
+        assert (Fraction(offsets[bit], den), Fraction(weights[bit], den)) == (v, w)
+    # the alternating table over D: letter d at an odd position, where the
+    # correction p[d] joins the offset, and letter q + d at an even one
+    den, offsets, weights = pv._nega_table
+    assert den == pv.den and len(offsets) == len(weights) == 2 * pv.q
+    for d in range(pv.q):
+        assert Fraction(offsets[d], den) == _alt_offset(pv, 1, d) + _alt_weight(pv, 1, d)
+        assert Fraction(weights[d], den) == _alt_weight(pv, 1, d)
+        assert Fraction(offsets[pv.q + d], den) == _alt_offset(pv, 2, d)
+        assert Fraction(weights[pv.q + d], den) == _alt_weight(pv, 2, d)
+
+
 def jump_outcome(jump, x, system, max_depth):
     """The report, or the type and message of the ProbDigitsError raised."""
     try:
@@ -593,14 +615,13 @@ def block_flip_sets(draw):
 def test_partial_sum_by_period_blocks_matches_the_term_by_term_sum(pv, flips):
     # every k through the preperiod, on and just past period boundaries, over three periods
     system = FlipSystem(pv, flips)
-    terms = analysis._expected_terms(pv)
     total = Fraction(0)
     weight = Fraction(1)
     for k in range(1, len(flips.preperiod) + 3 * len(flips.period) + 3):
         # expected offset and weight at position k, read per digit from FlipSystem
         total += weight * sum(p * system.offset(k, d) for d, p in enumerate(pv.p))
         weight *= sum(p * system.weight(k, d) for d, p in enumerate(pv.p))
-        num, w, scale = analysis._partial_sum(system, terms, k)
+        num, w, scale = analysis._partial_sum(system, k)
         assert scale == pv.den ** (2 * k)
         assert (Fraction(num, scale), Fraction(w, scale)) == (total, weight)
 
@@ -673,7 +694,7 @@ integral_flip_sets = st.one_of(flip_sets(), st.builds(
 def test_period_block_limit_is_the_exact_integral(pv, flips):
     # the flip bits of the preperiod and the period, as letters of the expectation table
     system = FlipSystem(pv, flips)
-    exact = _horner(analysis._expected_terms(pv), flips.preperiod, flips.period)
+    exact = _horner(pv._expected_table, flips.preperiod, flips.period)
     assert exact == integral_by_horner_sum(system)
     for tol in (Fraction(1, 10**12), Fraction(1, 10**30)):
         assert integral_series(system, tol).contains(exact)
