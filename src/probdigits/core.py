@@ -130,6 +130,14 @@ def _as_int(n, name: str, minimum: int | None = None) -> int:
     return n
 
 
+def _as_record(value, cls, name: str):
+    """value when it is an instance of the record class cls; any other value
+    is InvalidArgument, named as `name`."""
+    if not isinstance(value, cls):
+        raise InvalidArgument(f"{name} must be a {cls.__name__}, got {_shown(value)!r}")
+    return value
+
+
 def _as_point(x) -> Fraction:
     """A point argument as Fraction (see as_fraction); a value outside [0, 1]
     is OutOfUnitInterval.  The bounds are tested on the integer pair: a
@@ -223,7 +231,7 @@ class IntTable(NamedTuple):
     """A letter table: integer offset and weight numerators over one
     denominator, read by the Horner step of _forward.  It has three shapes.
 
-    A vector's table (ProbVector.int_table) or its block power (encode's
+    A vector's table (ProbVector.int_table) or its block power (_advance's
     k-digit blocks): the letters are digits or k-digit words, and beta has
     q + 1 entries, the running sums of p from 0 to den, which _walk
     bisects; for a vector ProbVector.beta[c] == beta[c] / den and
@@ -241,7 +249,7 @@ class IntTable(NamedTuple):
     p: tuple[int, ...]
 
 
-#: encode's walk reads k digits per step of its block table, k the largest
+#: _advance's walk reads k digits per step of its block table, k the largest
 #: with q**k at most this: the table holds q**k cylinders
 _BLOCK_CELLS = 256
 
@@ -308,7 +316,7 @@ class ProbVector:
     D), and int_table, the numerators of beta and p over D, are computed,
     all when the vector is built, and so are the private flip, expectation
     and alternating tables of the flip maps (see _letter_tables).  The block
-    table of encode, which costs q**k folds, is built on its first encode.
+    table of _advance, which costs q**k folds, is built on its first walk.
     """
 
     __slots__ = ("p", "beta", "den", "int_table", "_flip_table", "_expected_table", "_nega_table", "_blocks")
@@ -336,7 +344,7 @@ class ProbVector:
             object.__setattr__(self, name, value)
 
     def _block_table(self) -> _Blocks | tuple[()]:
-        """The block table of encode's walk, built on first use."""
+        """The block table of _advance's walk, built on first use."""
         blocks = self._blocks
         if blocks is None:
             blocks = _blocks_of(self.int_table)
@@ -591,6 +599,27 @@ def _walk(a: int, b: int, table: IntTable, steps: int, watch: bool = False):
     return digits, PointKind.UNDETERMINED, a, b
 
 
+def _advance(a: int, b: int, pv: ProbVector, steps: int):
+    """The shift orbit of the reduced state a/b, walked by _walk with no
+    watch for at least `steps` steps: k digits per step over the vector's
+    block table, to the first block end at or past `steps` (exactly `steps`
+    single steps when the vector has no block table), or to state 0.
+    Returns (digits, a, b): the digits read and the state reached.
+
+    A walk that lands on state 0 drops the trailing zero digits of its last
+    block, which the single steps, stopping at 0, never read: the left end
+    of c1...ck equals that of c1...cj exactly when c(j+1)...ck are all 0,
+    and the digit that reaches state 0 is not 0.  So 0 is reached at step
+    len(digits)."""
+    if blocks := pv._block_table():
+        k, table, words = blocks
+        cells, _, a, b = _walk(a, b, table, -(-steps // k))
+        digits = b"".join([words[i * k:i * k + k] for i in cells])
+        return (digits.rstrip(b"\0") if a == 0 else digits), a, b
+    digits, _, a, b = _walk(a, b, pv.int_table, steps)
+    return digits, a, b
+
+
 def encode(x, pv: ProbVector, depth: int = 32) -> DigitSeq:
     """Digit prefix of x down to `depth` ranks.
 
@@ -598,25 +627,16 @@ def encode(x, pv: ProbVector, depth: int = 32) -> DigitSeq:
     which picks the zero-tail (upper cylinder) expansion at cell boundaries.
     If the shift orbit hits 0 the prefix stops there and the result is exact;
     otherwise the returned prefix names the depth-rank cylinder containing x.
-
-    The orbit is walked k digits per step over the vector's block table, to
-    the first block end at or past the depth, then cut to the depth.  A walk
-    that lands on state 0 drops its trailing zero digits, which the single
-    steps, stopping at 0, never read (see README, "Cost")."""
+    The orbit is walked by _advance, k digits per step, and its digits are
+    cut to the depth (see README, "Cost")."""
     depth = _as_int(depth, "depth", 0)
     x = _as_point(x)
+    pv = _as_record(pv, ProbVector, "pv")
     q = pv.q
     a, b = x.numerator, x.denominator
     if a == b:
         return DigitSeq._trusted((q - 1,), q, (q - 1,))
-    if blocks := pv._block_table():
-        k, table, words = blocks
-        cells, _, a, _ = _walk(a, b, table, -(-depth // k))
-        digits = b"".join([words[i * k:i * k + k] for i in cells])
-        if a == 0:
-            digits = digits.rstrip(b"\0")
-        return DigitSeq._trusted(tuple(digits[:depth]), q, (0,))
-    return DigitSeq._trusted(tuple(_walk(a, b, pv.int_table, depth)[0]), q, (0,))
+    return DigitSeq._trusted(tuple(_advance(a, b, pv, depth)[0][:depth]), q, (0,))
 
 
 def shift_digits(seq: DigitSeq, n: int = 1) -> DigitSeq:
@@ -630,6 +650,7 @@ def shift_digits(seq: DigitSeq, n: int = 1) -> DigitSeq:
 def shift_value(x, pv: ProbVector) -> Fraction:
     """One application of the shift: (x - beta[d1]) / p[d1] with d1 from encode."""
     x = _as_point(x)
+    pv = _as_record(pv, ProbVector, "pv")
     a, b = x.numerator, x.denominator
     if a == b:
         return _lowest_terms(1, 1)
@@ -658,9 +679,7 @@ class Cylinder(_Checked, _CylinderFields):
     __slots__ = ()
 
     def __new__(cls, base: Sequence[int], pv: ProbVector, lo: RationalLike, hi: RationalLike):
-        if not isinstance(pv, ProbVector):
-            raise InvalidArgument(f"pv must be a ProbVector, got {_shown(pv)!r}")
-        base = _check_digits(base, pv.q)
+        base = _check_digits(base, _as_record(pv, ProbVector, "pv").q)
         lo, hi = as_fraction(lo), as_fraction(hi)
         if lo > hi:
             raise InvalidArgument(f"empty cylinder [{_shown(lo)}, {_shown(hi)}]")
@@ -724,12 +743,41 @@ def classify(x, pv: ProbVector, max_depth: int = 64) -> PointClass:
     through 0 is a non-constant period, hence a unique expansion.  Rational
     shift states need not repeat (weights can grow the denominators), so
     UNDETERMINED with the reached depth is a legitimate outcome.
+
+    The answer is that of the watched walk over the states s_0 .. s_N,
+    N = max_depth: P_RATIONAL at the first state 0, P_IRRATIONAL at the
+    first state that repeats, else UNDETERMINED.  Two facts prove most
+    UNDETERMINED answers without the watch.  Let D = pv.den, s_t = a/b_t
+    in lowest terms, and b_t' the part of b_t prime to D.  First, b_t'
+    divides b_(t+1)': a prime l of b_t outside D does not divide
+    n = a*D - beta[c]*b_t (l divides b_t but not a*D), so reducing
+    n / (b_t*p[c]) cancels no factor l.  Second, if the orbit repeats
+    within N steps it is periodic from a step m <= N - 1, so b_t' is the
+    same for every t >= N - 1 and no state is 0.  So the walk goes without
+    a watch to the first block end T >= N - 1 of _advance, then one block
+    further.  A state 0 on the way is reached at a known step: P_RATIONAL
+    if that step is at most N, UNDETERMINED past it.  Otherwise a prime
+    outside D in b/gcd(b, b_T) proves UNDETERMINED.  In every other case
+    the watched walk runs: the test skips it only when it has proved the
+    outcome.
     """
     max_depth = _as_int(max_depth, "max_depth", 0)
     x = _as_point(x)
+    pv = _as_record(pv, ProbVector, "pv")
     a, b = x.numerator, x.denominator
     if a == b:
         return PointClass(PointKind.P_RATIONAL)
+    if max_depth:
+        digits, s, last = _advance(a, b, pv, max_depth - 1)
+        steps, t = len(digits), last
+        if s:
+            digits, s, t = _advance(s, last, pv, 1)
+            steps += len(digits)
+        if s == 0 and steps <= max_depth:
+            return PointClass(PointKind.P_RATIONAL)
+        grown = t // gcd(t, last)
+        if s == 0 or pow(pv.den, grown.bit_length(), grown):
+            return PointClass(PointKind.UNDETERMINED, depth=max_depth)
     end = _walk(a, b, pv.int_table, max_depth, watch=True)[1]
     if end is PointKind.UNDETERMINED:
         return PointClass(end, depth=max_depth)

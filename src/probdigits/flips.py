@@ -19,8 +19,8 @@ from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, ProbVector, _as_int, _as_position, _ends, _horner
-from .core import _Checked, _same_alphabet, _shown
-from .errors import BudgetExceeded, FlipSpecError, InvalidArgument
+from .core import _as_record, _Checked, _same_alphabet, _shown
+from .errors import BudgetExceeded, FlipSpecError
 
 #: Flip bits as (preperiod, period): bit k is preperiod[k-1], then period repeats.
 _Pattern = tuple[tuple[bool, ...], tuple[bool, ...]]
@@ -141,10 +141,14 @@ class FlipSet(_Checked, _FlipFields):
         if not sep:
             raise FlipSpecError(f"unknown flip spec {_shown(text)!r} (expected none, all, finite:..., mask:...)")
         if kind == "finite":
-            try:
-                positions = [int(tok) for tok in payload.split(",") if tok.strip()]
-            except ValueError as exc:
-                raise FlipSpecError(f"bad finite flip list {_shown(payload)!r}: {exc}") from None
+            positions = []
+            for tok in payload.split(","):
+                if tok.strip():
+                    try:
+                        positions.append(int(tok))
+                    except ValueError:  # int() would quote the token up to 200 characters
+                        raise FlipSpecError(f"bad finite flip list {_shown(payload)!r}: "
+                                            f"bad position {_shown(tok)!r}") from None
             return cls.finite(positions)
         if kind == "mask":
             pre_txt, sep2, per_txt = payload.partition(";")
@@ -228,11 +232,7 @@ class FlipSystem(_Checked, _SystemFields):
     __slots__ = ()
 
     def __new__(cls, pv: ProbVector, flips: FlipSet):
-        if not isinstance(pv, ProbVector):
-            raise InvalidArgument(f"pv must be a ProbVector, got {_shown(pv)!r}")
-        if not isinstance(flips, FlipSet):
-            raise InvalidArgument(f"flips must be a FlipSet, got {_shown(flips)!r}")
-        return tuple.__new__(cls, (pv, flips))
+        return tuple.__new__(cls, (_as_record(pv, ProbVector, "pv"), _as_record(flips, FlipSet, "flips")))
 
     def digit(self, k: int, d: int) -> int:
         self.pv.check_digit(d)

@@ -19,7 +19,8 @@ from itertools import accumulate, islice, repeat
 from operator import mul
 from typing import NamedTuple
 
-from .core import DEFAULT_BUDGET, DigitSeq, ProbVector, _as_int, _Checked, _lowest_terms, _lowest_terms_over, _shown
+from .core import DEFAULT_BUDGET, DigitSeq, ProbVector, _as_int, _as_record, _Checked, _lowest_terms
+from .core import _lowest_terms_over, _shown
 from .errors import BudgetExceeded, EmptyAlphabet, InvalidArgument, NotShiftInvariant, RankTooLarge
 from .flips import FlipSystem, eval_flip
 
@@ -458,9 +459,7 @@ class MoranSpec(_Checked, _MoranFields):
     __slots__ = ()
 
     def __new__(cls, pv: ProbVector, u: int):
-        if not isinstance(pv, ProbVector):
-            raise InvalidArgument(f"pv must be a ProbVector, got {_shown(pv)!r}")
-        pv.check_digit(u)
+        _as_record(pv, ProbVector, "pv").check_digit(u)
         return tuple.__new__(cls, (pv, u))
 
     @property

@@ -927,7 +927,10 @@ REFUSALS = [
      "ranks must be >= 1, got [0, 0, 0, 0, 0, 0, 0, 0, ...] (100000 entries)"),
     # a string of more than 40 characters is quoted by its first 40 and its length
     ("parse-long-finite-list", lambda: FlipSet.parse("finite:" + "1," * 100000 + "x"), FlipSpecError,
-     "bad finite flip list '" + "1," * 20 + "'... (200001 characters): invalid literal for int() with base 10: 'x'"),
+     "bad finite flip list '" + "1," * 20 + "'... (200001 characters): bad position 'x'"),
+    ("parse-long-finite-token", lambda: FlipSet.parse("finite:" + "1" * 300 + "x"), FlipSpecError,
+     "bad finite flip list '" + "1" * 40 + "'... (301 characters): bad position '" + "1" * 40
+     + "'... (301 characters)"),
     ("parse-long-unknown-spec", lambda: FlipSet.parse("mask" + "0" * 100000), FlipSpecError,
      "unknown flip spec 'mask" + "0" * 36 + "'... (100004 characters) (expected none, all, finite:..., mask:...)"),
     ("parse-long-mask-spec", lambda: FlipSet.parse("mask:" + "0" * 100000), FlipSpecError,
@@ -940,6 +943,11 @@ REFUSALS = [
     ("dimension-budget-past-maxsize", lambda: graph_dimension_estimate(PLAIN2, [0], 2**70), InvalidArgument,
      "ranks must be >= 1, got [0]"),
     ("sample-digits-rng", lambda: sample_digits(PV4, 3, 5), InvalidArgument, "rng must have a randrange method, got 5"),
+    # a record of the wrong type, before any attribute of it is read
+    ("classify-record", lambda: classify(Fraction(1, 3), None), InvalidArgument, "pv must be a ProbVector, got None"),
+    ("encode-record", lambda: encode(Fraction(1, 3), None), InvalidArgument, "pv must be a ProbVector, got None"),
+    ("shift-value-record", lambda: shift_value(Fraction(1, 3), None), InvalidArgument,
+     "pv must be a ProbVector, got None"),
 ]
 
 #: Every refusal message above is one short line

@@ -364,6 +364,12 @@ orbit_vectors = st.one_of(family_vectors(), st.integers(2, 5).map(ProbVector.uni
 large_alphabets = st.one_of(family_vectors((1001,), (17, 20)), st.just(ProbVector.uniform(300)))
 V17 = make_prob_vector([Fraction(c + 1, 153) for c in range(17)])
 V300 = make_prob_vector([Fraction(1, 600)] * 150 + [Fraction(1, 200)] * 150)
+# classify's certificate past step N: digit 2 of V932 (weight 16/32) cannot grow
+# the part of a state's denominator prime to D, and no digit of V244 can
+V932 = make_prob_vector(["9/32", "7/32", "1/2"])
+V244 = make_prob_vector(["1/2", "1/4", "1/4"])
+V14 = make_prob_vector(["1/4", "3/4"])
+V252 = make_prob_vector(["2/5", "1/5", "2/5"])
 
 
 @given(st.one_of(orbit_vectors, large_alphabets).flatmap(lambda pv: st.tuples(st.just(pv), orbit_points(pv))))
@@ -373,6 +379,24 @@ V300 = make_prob_vector([Fraction(1, 600)] * 150 + [Fraction(1, 200)] * 150)
 @example((ProbVector.uniform(20), Fraction(1, 1)))
 @example((V300, Fraction(2, 7)))
 @example((V300, Fraction(449, 600)))
+@example((V932, Fraction(1, 3)))
+@example((V932, eval_digits(DigitSeq((2, 1) * 31 + (0,), 3, (2, 0)), V932)))
+@example((V244, Fraction(1, 3)))
+@example((V244, Fraction(1, 5)))
+# eventually periodic addresses whose first repeat is at step 63, 64 and 65
+@example((V14, eval_digits(DigitSeq((1,) * 60 + (0,), 2, (0, 1)), V14)))
+@example((V14, eval_digits(DigitSeq((1,) * 61 + (0,), 2, (0, 1)), V14)))
+@example((V14, eval_digits(DigitSeq((1,) * 62 + (0,), 2, (0, 1)), V14)))
+# the fixed point 1/2 of digit 1, reached at step 61 and 63: the first repeat,
+# at step N = 62 or 64, starts at step N - 1, the latest step it can start at,
+# and digit 0 (weight 2/5) grows the prime-to-5 part of the state to the 2 of
+# 1/2; for N = 62 the 5-digit block end N - 2 comes before that step
+@example((V252, eval_digits(DigitSeq((2,) * 60 + (0,), 3, (1,)), V252)))
+@example((V252, eval_digits(DigitSeq((2,) * 62 + (0,), 3, (1,)), V252)))
+# orbits that reach 0 at step 60 and 65, inside a 5-digit block that for some
+# depths N ends past N: P_RATIONAL only where that step is at most N
+@example((V252, eval_digits(DigitSeq((1,) * 59 + (2,), 3), V252)))
+@example((V252, eval_digits(DigitSeq((1,) * 64 + (2,), 3), V252)))
 def test_kernel_orbit_matches_the_fraction_orbit(case):
     pv, x = case
     digits, states = orbit_by_fractions(x, pv, ORBIT_DEPTH)
