@@ -23,11 +23,13 @@ from .core import (
     DigitSeq,
     Enclosure,
     PointKind,
+    ProbVector,
     _as_int,
     _as_point,
+    _as_record,
     _check_digits,
+    _closure,
     _forward,
-    _horner,
     _lowest_terms,
     _shown,
     _walk,
@@ -67,9 +69,23 @@ def jump_at(x0, system: FlipSystem, max_depth: int = 128) -> JumpReport:
     decides the point as classify does: two expansions once the orbit
     reaches 0, one once a state repeats, and undetermined after max_depth
     steps.
+
+    The two addresses share their first n - 1 digits, n the rank of the
+    last zero-tail digit d; there the max-tail address has d - 1, and q - 1
+    where the zero tail has 0.  In flip-table letters (digit + q * bit) the
+    max-tail letters are the zero-tail ones minus 1 at position n and plus
+    q - 1 past it, so the zero-tail address is spelled once.  Its letters
+    1..n-1 fold once to (T, W) over D**(n-1), and each tail past position n
+    closes to a pair z/Z and m/M.  Over D**n the limits are then
+    (T*D + beta[l]*W)/D**n + W*p[l]/D**n * z/Z at the letter l of position
+    n and its like at l - 1 with m/M, and in the jump the head term T*D
+    cancels: jump = W(prefix) * J_n(d) with W(prefix) = W / D**(n-1) and
+    J_n(d) = (beta[l] - beta[l-1] + p[l]*z/Z - p[l-1]*m/M) / D, one
+    integer over D**n * Z * M, reduced once like each limit.
     """
     max_depth = _as_int(max_depth, "max_depth", 0)
     x0 = _as_point(x0)
+    system = _as_record(system, FlipSystem, "system")
     a, b = x0.numerator, x0.denominator
     if a == 0 or a == b:
         raise EndpointOneSided(f"{_shown(x0)} admits only a one-sided limit")
@@ -77,14 +93,22 @@ def jump_at(x0, system: FlipSystem, max_depth: int = 128) -> JumpReport:
     digits, end, _, _ = _walk(a, b, pv.int_table, max_depth, watch=True)
     if end is not PointKind.P_RATIONAL:
         raise NotPRational(f"{_shown(x0)} is {end.value} at depth {_shown(max_depth)}")
-    q = pv.q
-    zero_rep = DigitSeq._trusted(tuple(digits), q, (0,))
-    digits[-1] -= 1
-    max_rep = DigitSeq._trusted(tuple(digits), q, (q - 1,))
-    table, pattern = pv._flip_table, system.flips.pattern_from(1)
-    right = _horner(table, *_letters(zero_rep, pattern))
-    left = _horner(table, *_letters(max_rep, pattern))
-    return JumpReport(point=x0, left_limit=left, right_limit=right, jump=right - left)
+    q, n = pv.q, len(digits)
+    table = pv._flip_table
+    den, beta, p = table
+    prefix, period = _letters(DigitSeq._trusted(tuple(digits), q, (0,)), system.flips.pattern_from(1))
+    head, weight = _forward(table, prefix[:n - 1])
+    last, tail = prefix[n - 1], prefix[n:]
+    z_num, z_den = _closure(table, tail, period)
+    shift = q - 1  # from a zero-tail letter to the max-tail letter past position n
+    m_num, m_den = _closure(table, [c + shift for c in tail], [c + shift for c in period])
+    head *= den  # T*D, the head over D**n
+    scale = den ** n
+    right = _lowest_terms((head + beta[last] * weight) * z_den + weight * p[last] * z_num, scale * z_den)
+    left = _lowest_terms((head + beta[last - 1] * weight) * m_den + weight * p[last - 1] * m_num, scale * m_den)
+    cross = z_den * m_den
+    jump = weight * ((beta[last] - beta[last - 1]) * cross + p[last] * z_num * m_den - p[last - 1] * m_num * z_den)
+    return JumpReport(point=x0, left_limit=left, right_limit=right, jump=_lowest_terms(jump, scale * cross))
 
 
 class ContinuityClass(NamedTuple):
@@ -95,6 +119,7 @@ class ContinuityClass(NamedTuple):
 def continuity_class(flips: FlipSet) -> ContinuityClass:
     """Continuous everywhere for the empty and the full flip set; otherwise
     jumps at two-expansion points, finitely many iff the flip set is finite."""
+    flips = _as_record(flips, FlipSet, "flips")
     if flips.shift_invariant:
         return ContinuityClass(continuous_everywhere=True)
     if not any(flips.period):
@@ -108,6 +133,7 @@ def p_rationals(pv, count: int) -> list[Fraction]:
     Each such point has a unique terminating address whose last digit is
     nonzero; enumerating (rank, head, last digit) therefore never repeats."""
     count = _as_int(count, "count", 0)
+    pv = _as_record(pv, ProbVector, "pv")
     out: list[Fraction] = []
     rank = 1
     while len(out) < count:
@@ -142,6 +168,7 @@ def monotone_witness(system: FlipSystem, rank: int) -> MonotoneWitness | None:
     p[0]**(m-1) * (p[q-2]*(1-T) + p[q-1]*T) > 0: the pair always reverses
     the order, and no other pair needs to be tried."""
     rank = _as_int(rank, "rank", 1)
+    system = _as_record(system, FlipSystem, "system")
     m = system.flips.min_position()
     if m is None or m > rank:
         return None
@@ -174,7 +201,7 @@ def derivative_estimate(prefix: Sequence[int], system: FlipSystem, max_rank: int
     from the reduced pair.  Where a letter's weight is the digit's own the
     ratio does not change, and its Fraction is reused."""
     max_rank = _as_int(max_rank, "max_rank", 1)
-    pv = system.pv
+    pv = _as_record(system, FlipSystem, "system").pv
     q = pv.q
     digits = _check_digits(prefix, q)
     if len(digits) < max_rank:
@@ -202,7 +229,7 @@ def integral_closed_form(system: FlipSystem) -> Fraction:
     Valid only when the flip schedule is position-independent, since the
     derivation replaces the integral of the shifted tail by the integral
     itself."""
-    if not system.shift_invariant:
+    if not _as_record(system, FlipSystem, "system").shift_invariant:
         raise NotShiftInvariant("closed form needs flips none or all; use integral_series")
     pv = system.pv
     u = sum(system.offset(1, t) * pv.p[t] for t in range(pv.q))
@@ -285,7 +312,7 @@ def integral_series(system: FlipSystem, tol=Fraction(1, 10**12)) -> Enclosure:
     tol = as_fraction(tol)
     if tol <= 0:
         raise InvalidArgument(f"tol must be positive, got {_shown(tol)}")
-    terms = system.pv._expected_table
+    terms = _as_record(system, FlipSystem, "system").pv._expected_table
     v_max = max(terms.beta)
     # (1 - w_max) * D**2, positive: every weight sum of squares is below 1
     closure = terms.den - max(terms.p)
@@ -323,6 +350,7 @@ def integral_riemann(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET
     a rank above it is BudgetExceeded."""
     rank = _as_int(rank, "rank", 1)
     budget = _as_int(budget, "budget")
+    system = _as_record(system, FlipSystem, "system")
     if rank > budget:
         raise BudgetExceeded(f"{_shown(rank)} series terms exceed budget {_shown(budget)}")
     lower, weight, scale = _partial_sum(system, rank)
@@ -331,4 +359,4 @@ def integral_riemann(system: FlipSystem, rank: int, budget: int = DEFAULT_BUDGET
 
 def cylinder_image(base: Sequence[int], system: FlipSystem) -> tuple[Cylinder, Enclosure]:
     """A cylinder paired with the interval hull of its image under the flip map."""
-    return cylinder_bounds(base, system.pv), flip_image(base, system)
+    return cylinder_bounds(base, _as_record(system, FlipSystem, "system").pv), flip_image(base, system)

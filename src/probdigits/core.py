@@ -525,20 +525,27 @@ def _forward(table: IntTable, letters: Iterable[int], num: int = 0, weight: int 
     return num, weight
 
 
-def _horner(table: IntTable, prefix: Sequence[int], cycle: Sequence[int]) -> Fraction:
-    """Exact value of the letter stream `prefix` followed by `cycle` forever.
+def _closure(table: IntTable, prefix: Sequence[int], cycle: Sequence[int]) -> tuple[int, int]:
+    """The value of the letter stream `prefix` followed by `cycle` forever,
+    as an unreduced integer pair (num, den) with den > 0.
 
-    The cycle closes geometrically: over den = table.den its value is
-    c_num / (den**L - c_weight) for a cycle of length L, so the stream's
-    value is one integer fraction over den**m * (den**L - c_weight), reduced
-    once."""
+    The cycle closes geometrically: over D = table.den its value is
+    c_num / (D**L - c_weight) for a cycle of length L, so the stream's value
+    is num / (D**m * (D**L - c_weight)) for a prefix of length m, or
+    num / D**m when the cycle adds nothing."""
     num, weight = _forward(table, prefix)
     scale = table.den ** len(prefix)
     c_num, c_weight = _forward(table, cycle)
     if c_num == 0:  # a cycle of zeros adds nothing
-        return _lowest_terms(num, scale)
+        return num, scale
     closure = table.den ** len(cycle) - c_weight
-    return _lowest_terms(num * closure + weight * c_num, scale * closure)
+    return num * closure + weight * c_num, scale * closure
+
+
+def _horner(table: IntTable, prefix: Sequence[int], cycle: Sequence[int]) -> Fraction:
+    """Exact value of the letter stream `prefix` followed by `cycle` forever:
+    the pair of _closure, reduced once."""
+    return _lowest_terms(*_closure(table, prefix, cycle))
 
 
 def eval_digits(seq: DigitSeq, pv: ProbVector) -> Fraction:

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -32,7 +33,8 @@ from probdigits import (
 )
 from probdigits.core import _horner
 from conftest import (
-    ASYM_VECTORS, expected_terms, integral_by_horner_sum, integral_series_by_fractions, series_by_fractions,
+    ASYM_VECTORS, expected_terms, integral_by_horner_sum, integral_series_by_fractions, jump_at_by_two_walks,
+    series_by_fractions,
 )
 
 
@@ -99,6 +101,26 @@ def test_jump_zero_beyond_flip_horizon(uniform2):
         rank = len(encode(x0, uniform2, 64).digits)
         if rank > 2:
             assert jump_at(x0, system).jump == 0
+
+
+def rank_jump_mass(jump, system, rank):
+    """The sum of |jump| over the rank-`rank` two-expansion points: the
+    addresses of that length whose last digit is nonzero."""
+    pv = system.pv
+    return sum(abs(jump(eval_digits(DigitSeq(head + (last,), pv.q), pv), system).jump)
+               for head in product(range(pv.q), repeat=rank - 1) for last in range(1, pv.q))
+
+
+@pytest.mark.parametrize("flips, masses", [
+    # the paper's map: the same mass at every rank, so the total is infinite
+    ("mask:;01", [Fraction(6, 13)] * 7),
+    # a finite set: no jump past its last position
+    ("finite:2,5", [Fraction(105, 256), Fraction(87, 128), Fraction(3, 16), Fraction(3, 8), 1, 0, 0]),
+])
+def test_jump_mass_per_rank(flips, masses):
+    system = FlipSystem(make_prob_vector(["1/4", "3/4"]), FlipSet.parse(flips))
+    for jump in (jump_at, jump_at_by_two_walks):
+        assert [rank_jump_mass(jump, system, rank) for rank in range(1, 8)] == masses
 
 
 def test_continuity_class():

@@ -31,8 +31,10 @@ from probdigits import (
     SumNotOne,
     bernoulli_cdf,
     classify,
+    continuity_class,
     covering_measure,
     cylinder_bounds,
+    cylinder_image,
     derivative_estimate,
     encode,
     entropy_sum,
@@ -42,6 +44,7 @@ from probdigits import (
     flip_image,
     graph_dimension_estimate,
     ifs_graph_points,
+    integral_closed_form,
     integral_riemann,
     integral_series,
     jump_at,
@@ -948,6 +951,21 @@ REFUSALS = [
     ("encode-record", lambda: encode(Fraction(1, 3), None), InvalidArgument, "pv must be a ProbVector, got None"),
     ("shift-value-record", lambda: shift_value(Fraction(1, 3), None), InvalidArgument,
      "pv must be a ProbVector, got None"),
+    ("jump-record", lambda: jump_at(Fraction(1, 2), None), InvalidArgument, "system must be a FlipSystem, got None"),
+    ("jump-record-vector", lambda: jump_at(Fraction(1, 2), SYSTEM2.pv), InvalidArgument,
+     "system must be a FlipSystem, got ProbVector((1/2, 1/2))"),
+    ("p-rationals-record", lambda: p_rationals(None, 3), InvalidArgument, "pv must be a ProbVector, got None"),
+    ("continuity-record", lambda: continuity_class(None), InvalidArgument, "flips must be a FlipSet, got None"),
+    ("witness-record", lambda: monotone_witness(None, 3), InvalidArgument, "system must be a FlipSystem, got None"),
+    ("derivative-record", lambda: derivative_estimate((0,) * 8, None, 4), InvalidArgument,
+     "system must be a FlipSystem, got None"),
+    ("closed-form-record", lambda: integral_closed_form(None), InvalidArgument,
+     "system must be a FlipSystem, got None"),
+    ("integral-series-record", lambda: integral_series(None), InvalidArgument,
+     "system must be a FlipSystem, got None"),
+    ("riemann-record", lambda: integral_riemann(None, 3), InvalidArgument, "system must be a FlipSystem, got None"),
+    ("cylinder-image-record", lambda: cylinder_image((0,), None), InvalidArgument,
+     "system must be a FlipSystem, got None"),
 ]
 
 #: Every refusal message above is one short line

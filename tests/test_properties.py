@@ -599,9 +599,27 @@ def jump_points(draw, pv):
     return draw(st.fractions(-1, 2, max_denominator=60))
 
 
+V10 = make_prob_vector([Fraction(c + 1, 55) for c in range(10)])
+# a rank-64 point of V14: the walk reaches 0 at step 64
+V14_RANK64 = eval_digits(DigitSeq((1, 0) * 31 + (1, 1), 2), V14)
+
+
 @settings(max_examples=300)
 @given(orbit_vectors.flatmap(lambda pv: st.tuples(st.just(pv), jump_points(pv))),
        flip_sets(), st.integers(0, ORBIT_DEPTH))
+# the last digit at a flipped position: rank 2 under the paper's map
+@example((V14, eval_digits(DigitSeq((0, 1), 2), V14)), FlipSet.parse("mask:;01"), ORBIT_DEPTH)
+# a finite set that flips past the point's rank 3
+@example((V14, eval_digits(DigitSeq((1, 0, 1), 2), V14)), FlipSet.parse("finite:9"), ORBIT_DEPTH)
+# a preperiod of 3 bits past a rank-2 address: the tails start inside it
+@example((V14, eval_digits(DigitSeq((1, 1), 2), V14)), FlipSet.parse("mask:110;0101"), ORBIT_DEPTH)
+@example((V10, eval_digits(DigitSeq((3, 7, 2), 10), V10)), FlipSet.parse("mask:;01"), ORBIT_DEPTH)
+# 0 reached at step max_depth, then one step past it (undetermined)
+@example((V14, V14_RANK64), FlipSet.parse("mask:;01"), 64)
+@example((V14, V14_RANK64), FlipSet.parse("mask:;01"), 63)
+# the refusals: 1/13 repeats (p-irrational), 1/7 is not decided by step 64
+@example((V14, Fraction(1, 13)), FlipSet.parse("mask:;01"), ORBIT_DEPTH)
+@example((V14, Fraction(1, 7)), FlipSet.parse("mask:;01"), ORBIT_DEPTH)
 def test_one_walk_jump_at_matches_the_two_walk_oracle(case, flips, max_depth):
     pv, x = case
     system = FlipSystem(pv, flips)
