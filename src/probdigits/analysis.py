@@ -131,9 +131,13 @@ def p_rationals(pv, count: int) -> list[Fraction]:
     """The first `count` interior two-expansion points, rank-major then lexicographic.
 
     Each such point has a unique terminating address whose last digit is
-    nonzero; enumerating (rank, head, last digit) therefore never repeats."""
+    nonzero; enumerating (rank, head, last digit) therefore never repeats.
+    The list holds `count` Fractions, so a count above DEFAULT_BUDGET is
+    BudgetExceeded before any point is built."""
     count = _as_int(count, "count", 0)
     pv = _as_record(pv, ProbVector, "pv")
+    if count > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"{_shown(count)} points exceed budget {DEFAULT_BUDGET}")
     out: list[Fraction] = []
     rank = 1
     while len(out) < count:

@@ -167,8 +167,10 @@ def _check_digits(digits: Iterable, q: int, what: str = "digit") -> tuple[int, .
 
 
 def _same_alphabet(seq: DigitSeq, pv: ProbVector) -> None:
-    """Refuse a digit sequence over another alphabet than the vector's."""
-    if seq.q != pv.q:
+    """Refuse a seq that is not a DigitSeq, a pv that is not a ProbVector
+    (InvalidArgument), and a digit sequence over another alphabet than the
+    vector's."""
+    if _as_record(seq, DigitSeq, "seq").q != _as_record(pv, ProbVector, "pv").q:
         raise DigitOutOfRange(f"sequence alphabet {_shown(seq.q)} != vector alphabet {_shown(pv.q)}")
 
 
@@ -229,7 +231,7 @@ class _Checked:
 
 class IntTable(NamedTuple):
     """A letter table: integer offset and weight numerators over one
-    denominator, read by the Horner step of _forward.  It has three shapes.
+    denominator, read by the Horner step of _forward.  It has two shapes.
 
     A vector's table (ProbVector.int_table) or its block power (_advance's
     k-digit blocks): the letters are digits or k-digit words, and beta has
@@ -237,12 +239,11 @@ class IntTable(NamedTuple):
     bisects; for a vector ProbVector.beta[c] == beta[c] / den and
     ProbVector.p[c] == p[c] / den.
 
-    A vector's flip table and the two tables read beside it (see
+    A vector's flip table and the expectation table read beside it (see
     _letter_tables), whose offsets are no running sums: the flip table over
     D, 2q letters, digit d at an unflipped position (letter d) and at a
     flipped one (letter q + d); the expectation table over D**2, whose two
-    letters are the flip bit; and the alternating table over D, whose
-    letters q .. 2q-1 have negative offsets."""
+    letters are the flip bit.  No offset of either is negative."""
 
     den: int
     beta: tuple[int, ...]
@@ -280,28 +281,23 @@ def _blocks_of(table: IntTable) -> _Blocks | tuple[()]:
     return _Blocks(k, IntTable(scale, (*lefts, scale), weights), b"".join(map(bytes, words)))
 
 
-def _letter_tables(table: IntTable) -> tuple[IntTable, IntTable, IntTable]:
-    """The flip, expectation and alternating tables of a vector's IntTable.
+def _letter_tables(table: IntTable) -> tuple[IntTable, IntTable]:
+    """The flip and expectation tables of a vector's IntTable.
 
     The flip table (ProbVector._flip_table), over D: letter d reads
-    (beta[d], p[d]), letter q + d (beta[q-1-d], p[q-1-d]).
+    (beta[d], p[d]), letter q + d (beta[q-1-d], p[q-1-d]).  The flip maps
+    read it, the paper's map (flips.eval_nega) at EVEN_POSITIONS.
 
     The expectation table (ProbVector._expected_table), over D**2: the
     expected offset and weight of one digit drawn with the law p of the
     IntTable, letter 0 at an unflipped position (the flip table's letters
     below q), letter 1 at a flipped one (its letters from q on).  The flip
     bits of positions 1..k, folded through _forward, give partial sum k of
-    the integral series (analysis._partial_sum).
-
-    The alternating table (ProbVector._nega_table), over D: the flip
-    table's weights, and its offsets plus p[d] at letter d, which is
-    beta[d+1], and minus 1 at letter q + d, beta[q-1-d] - 1; see
-    flips.eval_nega."""
+    the integral series (analysis._partial_sum)."""
     den, beta, law = table
     flip = IntTable(den, beta[:-1] + beta[-2::-1], law + law[::-1])
-    expected = IntTable(den * den, tuple([sum(map(mul, flip.beta[c:], law)) for c in (0, len(law))]),
-                        tuple([sum(map(mul, flip.p[c:], law)) for c in (0, len(law))]))
-    return flip, expected, IntTable(den, beta[1:] + tuple([b - den for b in beta[-2::-1]]), flip.p)
+    return flip, IntTable(den * den, tuple([sum(map(mul, flip.beta[c:], law)) for c in (0, len(law))]),
+                          tuple([sum(map(mul, flip.p[c:], law)) for c in (0, len(law))]))
 
 
 class ProbVector:
@@ -314,12 +310,12 @@ class ProbVector:
     The weights are coerced and checked, and beta, den, the least common
     denominator D of the weights (every p[c] and beta[c] is an integer over
     D), and int_table, the numerators of beta and p over D, are computed,
-    all when the vector is built, and so are the private flip, expectation
-    and alternating tables of the flip maps (see _letter_tables).  The block
+    all when the vector is built, and so are the private flip and
+    expectation tables of the flip maps (see _letter_tables).  The block
     table of _advance, which costs q**k folds, is built on its first walk.
     """
 
-    __slots__ = ("p", "beta", "den", "int_table", "_flip_table", "_expected_table", "_nega_table", "_blocks")
+    __slots__ = ("p", "beta", "den", "int_table", "_flip_table", "_expected_table", "_blocks")
 
     def __init__(self, p: Iterable[RationalLike]):
         try:
@@ -649,7 +645,7 @@ def encode(x, pv: ProbVector, depth: int = 32) -> DigitSeq:
 def shift_digits(seq: DigitSeq, n: int = 1) -> DigitSeq:
     """Drop the first n explicit digits; the tail is shift-invariant."""
     n = _as_int(n, "shift count", 0)
-    if n > len(seq.digits):
+    if n > len(_as_record(seq, DigitSeq, "seq").digits):
         raise ShiftPastPrefix(f"cannot drop {_shown(n)} digits from a prefix of length {len(seq.digits)}")
     return DigitSeq(seq.digits[n:], seq.q, seq.tail)
 
@@ -722,8 +718,9 @@ def _ends(table: IntTable, letters: Sequence[int]) -> tuple[Fraction, Fraction]:
 
 def cylinder_bounds(base: Sequence[int], pv: ProbVector) -> Cylinder:
     """Endpoints of the rank-m cylinder: lo is the zero-tail value of the base,
-    and hi - lo equals the product of the base digit weights."""
-    digits = _check_digits(base, pv.q)
+    and hi - lo equals the product of the base digit weights.  A pv that
+    is not a ProbVector is InvalidArgument, before the digits are checked."""
+    digits = _check_digits(base, _as_record(pv, ProbVector, "pv").q)
     # the parts are checked and ordered already: no second check
     return tuple.__new__(Cylinder, (digits, pv, *_ends(pv.int_table, digits)))
 
@@ -807,12 +804,12 @@ def bernoulli_cdf(x, pv: ProbVector) -> Fraction:
     BudgetExceeded in O(1) memory.
     """
     x = as_fraction(x)
+    q = _as_record(pv, ProbVector, "pv").q
     num, den = x.numerator, x.denominator
     if num < 0:
         return _lowest_terms(0, 1)
     if num >= den:
         return _lowest_terms(1, 1)
-    q = pv.q
     rest = den
     preperiod = 0
     while (g := gcd(rest, q)) > 1:
@@ -840,7 +837,7 @@ def sample_digits(pv: ProbVector, length: int, rng: random.Random) -> tuple[int,
     length = _as_int(length, "length", 0)
     if not callable(getattr(rng, "randrange", None)):
         raise InvalidArgument(f"rng must have a randrange method, got {_shown(rng)!r}")
-    den, beta, _ = pv.int_table
+    den, beta, _ = _as_record(pv, ProbVector, "pv").int_table
     thresholds = beta[1:-1]
     return tuple(bisect_right(thresholds, rng.randrange(den)) for _ in range(length))
 

@@ -214,6 +214,8 @@ class FlipSet(_Checked, _FlipFields):
 #: Flips every even position; composing it with plain evaluation gives the
 #: alternating expansion.
 EVEN_POSITIONS = FlipSet.mask((), (False, True))
+#: The flip bits of EVEN_POSITIONS from position 1, which eval_nega reads
+_EVEN_PATTERN = EVEN_POSITIONS.pattern_from(1)
 
 
 class _SystemFields(NamedTuple):
@@ -270,8 +272,11 @@ def _letters(seq: DigitSeq, pattern: _Pattern) -> tuple[list[int], list[int]]:
 
 def flip_digits(seq: DigitSeq, flips: FlipSet) -> DigitSeq:
     """Complement the digits of seq at the flipped positions, exactly: each
-    letter of _letters becomes the digit whose entries it reads."""
-    prefix, tail = _letters(seq, flips.pattern_from(1))
+    letter of _letters becomes the digit whose entries it reads.  A flips
+    that is not a FlipSet, then a seq that is not a DigitSeq, is
+    InvalidArgument."""
+    pattern = _as_record(flips, FlipSet, "flips").pattern_from(1)
+    prefix, tail = _letters(_as_record(seq, DigitSeq, "seq"), pattern)
     digit = _letter_digits(seq.q)
     return DigitSeq([digit[c] for c in prefix], seq.q, [digit[c] for c in tail])
 
@@ -292,25 +297,34 @@ def nega_to_digits(seq: DigitSeq) -> DigitSeq:
 # Value-level map
 # ---------------------------------------------------------------------------
 
-def eval_flip(seq: DigitSeq, system: FlipSystem, offset: int = 0) -> Enclosure:
-    """Exact value of the flipped series of seq (a degenerate enclosure):
+def _flip_point(seq: DigitSeq, pv: ProbVector, pattern: _Pattern) -> Enclosure:
+    """The flipped series of seq under the flip bits of pattern, as a point:
     the word of _letters goes straight to the integer Horner kernel over the
-    flip table, and a cycle that is not primitive has the same value.
+    flip table, and a cycle that is not primitive has the same value."""
+    _same_alphabet(seq, pv)
+    return Enclosure.point(_horner(pv._flip_table, *_letters(seq, pattern)))
+
+
+def eval_flip(seq: DigitSeq, system: FlipSystem, offset: int = 0) -> Enclosure:
+    """Exact value of the flipped series of seq (a degenerate enclosure),
+    by _flip_point.  A system that is not a FlipSystem, then a seq that is
+    not a DigitSeq, is InvalidArgument, after the offset check.
 
     offset > 0 evaluates the tail form: position k of seq is treated as
     absolute position k + offset, which is the n-th unknown of the
     functional system f(shift^{n-1} x) = offset_n + weight_n * f(shift^n x).
     """
-    pattern = system.flips.pattern_from(_as_int(offset, "offset", 0) + 1)
-    pv = system.pv
-    _same_alphabet(seq, pv)
-    return Enclosure.point(_horner(pv._flip_table, *_letters(seq, pattern)))
+    offset = _as_int(offset, "offset", 0)
+    system = _as_record(system, FlipSystem, "system")
+    return _flip_point(seq, system.pv, system.flips.pattern_from(offset + 1))
 
 
 def flip_image(base: Sequence[int], system: FlipSystem, offset: int = 0) -> Enclosure:
     """Interval hull of the flip map over the cylinder with the given base:
-    the cylinder of the base's flip-table letters; offset is as in eval_flip."""
-    pv = system.pv
+    the cylinder of the base's flip-table letters; offset is as in eval_flip.
+    A system that is not a FlipSystem is InvalidArgument, before the base
+    and the offset are checked."""
+    pv = _as_record(system, FlipSystem, "system").pv
     seq = DigitSeq(base, pv.q)
     preperiod, period = system.flips.pattern_from(_as_int(offset, "offset", 0) + 1)
     m = len(seq.digits)
@@ -323,26 +337,8 @@ def flip_image(base: Sequence[int], system: FlipSystem, offset: int = 0) -> Encl
 # ---------------------------------------------------------------------------
 
 def eval_nega(seq: DigitSeq, pv: ProbVector) -> Enclosure:
-    """Exact value of the alternating expansion with address seq.
-
-    The paper's series has three pieces: the leading offset beta[d_1]; the
-    signed series over positions k >= 2, whose term at k is +beta[d] at odd
-    k and -(1 - beta[q-1-d]) at even k, with the weight p[d] at odd k and
-    p[q-1-d] at even k; and the correction sum over odd n of the product of
-    the first n weights.  Regrouped term by term, at each odd n the
-    correction prod_{j<=n} w_j joins that position's offset, since
-    beta[d] + p[d] = beta[d+1] (at n = 1 this takes in the leading offset
-    too).  So the series reads the flip table's letters at EVEN_POSITIONS
-    (see _letters) in the vector's alternating table, which has the flip
-    table's weights and its offsets shifted by +p[d] at an odd position's
-    letter d (to beta[d+1]) and by -1 at an even one's letter q + d (to
-    beta[q-1-d] - 1).  _horner sums it exactly; the cycle spans
-    lcm(len(tail), 2) positions, which keeps each letter's parity.
-
-    The plain value of nega_to_digits(seq) by eval_digits, which reads the
-    flipped digits through int_table, is a second, independent route to the
-    same number: the two agree because the +p[d] of each odd position and
-    the -1 of the even position after it cancel.
-    """
-    _same_alphabet(seq, pv)
-    return Enclosure.point(_horner(pv._nega_table, *_letters(seq, (EVEN_POSITIONS.preperiod, EVEN_POSITIONS.period))))
+    """Exact value of the alternating expansion with address seq: the
+    paper's map, which is the flip map at EVEN_POSITIONS, evaluated by
+    _flip_point.  The paper's three-piece series is its test oracle,
+    conftest.eval_nega_by_fractions, which shows why the two agree."""
+    return _flip_point(seq, pv, _EVEN_PATTERN)

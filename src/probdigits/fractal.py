@@ -53,7 +53,7 @@ class AffineMap2D(NamedTuple):
 
 def ifs_maps(system: FlipSystem) -> list[AffineMap2D]:
     """The q affine contractions whose attractor is the graph of the flip map."""
-    if not system.shift_invariant:
+    if not _as_record(system, FlipSystem, "system").shift_invariant:
         raise NotShiftInvariant("the affine system needs flips none or all")
     pv = system.pv
     return [
@@ -103,7 +103,7 @@ def _graph_points(system: FlipSystem, depth: int, budget: int, coords) -> list[t
     budget.bit_length() or more: there q**depth >= 2**depth > budget."""
     depth = _as_int(depth, "depth", 0)
     budget = _as_int(budget, "budget")
-    q = system.pv.q
+    q = _as_record(system, FlipSystem, "system").pv.q
     if depth >= budget.bit_length() or q ** depth > budget:
         raise BudgetExceeded(f"{q}**{_shown(depth)} points exceed budget {_shown(budget)}")
     return _paused(_pair_points, system, depth, coords)
@@ -233,10 +233,11 @@ def _group_count(system: FlipSystem, rank: int) -> int:
 
 def _group_rank(system: FlipSystem, rank: int, budget: int) -> int:
     """rank as int, once its digit-count groups (see _rectangle_groups) are
-    within the budget."""
+    within the budget; a system that is not a FlipSystem is
+    InvalidArgument, after the rank and the budget checks."""
     rank = _as_int(rank, "rank", 0)
     budget = _as_int(budget, "budget")
-    groups = _group_count(system, rank)
+    groups = _group_count(_as_record(system, FlipSystem, "system"), rank)
     if groups > budget:
         raise BudgetExceeded(f"{_shown(groups)} rectangle groups at rank {_shown(rank)} exceed budget {_shown(budget)}")
     return rank
@@ -398,7 +399,7 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
     evaluation would say "exceeds" too.  A kept above gives E(alpha) < T for
     every alpha >= above alike."""
     budget = _as_int(budget, "budget")
-    if not system.shift_invariant:
+    if not _as_record(system, FlipSystem, "system").shift_invariant:
         raise NotShiftInvariant("dimension estimation needs flips none or all")
     try:
         ranks = list(islice(ranks, min(max(budget, 0) + 1, sys.maxsize)))
@@ -487,7 +488,7 @@ def moran_dimension(spec: MoranSpec, tol: float | Fraction = 1e-12) -> float:
         raise InvalidArgument(f"tol must be a real number, got {_shown(tol)!r}") from None
     if not positive:
         raise InvalidArgument(f"tol must be positive, got {_shown(tol)}")
-    weights = [float(w) for w in spec.block_weights().values()]
+    weights = [float(w) for w in _as_record(spec, MoranSpec, "spec").block_weights().values()]
     if not weights:
         raise EmptyAlphabet(f"no admissible block digits for q={spec.pv.q}, u={spec.u}")
     if len(weights) <= 1:
@@ -589,7 +590,7 @@ def moran_set_cylinders(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET
     they are built with the cyclic collector paused (see _paused)."""
     rank = _as_int(rank, "rank", 1)
     budget = _as_int(budget, "budget")
-    automaton = _moran_automaton(spec)
+    automaton = _moran_automaton(_as_record(spec, MoranSpec, "spec"))
     if not automaton:
         return []
     _run_sums(automaton, rank, budget, (1,) * spec.pv.q)  # refuses before any base is built
@@ -610,7 +611,7 @@ def covering_measure(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET) -
     denominator of the result."""
     rank = _as_int(rank, "rank", 1)
     budget = _as_int(budget, "budget")
-    automaton = _moran_automaton(spec)
+    automaton = _moran_automaton(_as_record(spec, MoranSpec, "spec"))
     if not automaton:
         return _lowest_terms(0, 1)
     den, _, p = spec.pv.int_table

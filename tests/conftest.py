@@ -376,7 +376,20 @@ def eval_nega_by_fractions(seq: DigitSeq, pv) -> Fraction:
     """The alternating expansion's three pieces in Fractions, one per term:
     the leading offset beta[d_1], the signed series through horner_sum, and
     the sum over odd n of the first n weights' product, closed over one
-    common period of the tail and the parity."""
+    common period of the tail and the parity.
+
+    Why this is the flip map at EVEN_POSITIONS, which eval_nega evaluates:
+    the signed series' weights, p[d] at odd k and p[q-1-d] at even k, are
+    the flip table's weights at EVEN_POSITIONS.  Regroup term by term.  At
+    each odd n the correction prod_{j<=n} w_j joins that position's
+    offset, since beta[d] + p[d] = beta[d+1] (at n = 1 this takes in the
+    leading offset too), and each even position's offset
+    -(1 - beta[q-1-d]) is beta[q-1-d] - 1.  Scaled by the weights before
+    it, the +p[d] of an odd position n is the product of the first n
+    weights, and so is the -1 of the even position n + 1: the two cancel,
+    leaving offset beta[d] at odd and beta[q-1-d] at even positions, the
+    flip table's letters d and q + d.  The series converges absolutely, so
+    the regrouping keeps its value."""
     m = len(seq.digits)
     span = math.lcm(len(seq.tail), 2)
     head = max(m, 1)

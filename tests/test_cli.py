@@ -343,6 +343,14 @@ def test_a_huge_rank_or_depth_is_refused_by_its_budget(capsys, argv, line):
     assert time.perf_counter() - start < 2.0
 
 
+def test_jumps_refuses_a_huge_count_by_its_budget(capsys):
+    # the count is refused before any point is built
+    start = time.perf_counter()
+    assert run_cli(capsys, "jumps", "--p", "1/2,1/2", "--count", "100000000") == (
+        2, "", "error: BudgetExceeded: 100000000 points exceed budget 1048576\n")
+    assert time.perf_counter() - start < 2.0
+
+
 def test_a_refusal_quoting_a_huge_tol_is_one_short_line(capsys):
     # the CLI lifts the int to str digit limit, but the 400 001-digit
     # denominator of tol is quoted by its digit count, not printed

@@ -10,6 +10,7 @@ from probdigits import (
     BaseTooSmall,
     BudgetExceeded,
     Cylinder,
+    DEFAULT_BUDGET,
     DigitOutOfRange,
     DigitSeq,
     Enclosure,
@@ -41,9 +42,11 @@ from probdigits import (
     eval_digits,
     eval_flip,
     eval_nega,
+    flip_digits,
     flip_image,
     graph_dimension_estimate,
     ifs_graph_points,
+    ifs_maps,
     integral_closed_form,
     integral_riemann,
     integral_series,
@@ -52,6 +55,7 @@ from probdigits import (
     monotone_witness,
     moran_dimension,
     moran_set_cylinders,
+    nega_to_digits,
     p_rationals,
     rectangle_diagonals_sq,
     sample_digits,
@@ -123,13 +127,13 @@ def test_vector_builds_its_letter_tables_once_and_the_kernels_none(monkeypatch):
     monkeypatch.setattr(core, "_letter_tables", lambda table: calls.append(table) or build(table))
     monkeypatch.setattr(core.IntTable, "__new__", lambda cls, *fields: tables.append(fields) or new(cls, *fields))
     pv = make_prob_vector(["1/4", "3/4"])
-    # int_table, then the flip, expectation and alternating tables
-    assert (calls, len(tables)) == ([pv.int_table], 4)
+    # int_table, then the flip and expectation tables
+    assert (calls, len(tables)) == ([pv.int_table], 3)
     system = FlipSystem(pv, FlipSet.parse("mask:;01"))
     integral_series(system)
     integral_riemann(system, 8)
     eval_nega(DigitSeq((1, 0, 1), 2, (0, 1)), pv)
-    assert (len(calls), len(tables)) == (1, 4)
+    assert (len(calls), len(tables)) == (1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -966,6 +970,45 @@ REFUSALS = [
     ("riemann-record", lambda: integral_riemann(None, 3), InvalidArgument, "system must be a FlipSystem, got None"),
     ("cylinder-image-record", lambda: cylinder_image((0,), None), InvalidArgument,
      "system must be a FlipSystem, got None"),
+    ("eval-digits-record", lambda: eval_digits(DigitSeq((1,), 2), None), InvalidArgument,
+     "pv must be a ProbVector, got None"),
+    ("cylinder-bounds-record", lambda: cylinder_bounds((0,), None), InvalidArgument,
+     "pv must be a ProbVector, got None"),
+    ("bernoulli-cdf-record", lambda: bernoulli_cdf(Fraction(1, 3), None), InvalidArgument,
+     "pv must be a ProbVector, got None"),
+    ("sample-digits-record", lambda: sample_digits(None, 3, random.Random(1)), InvalidArgument,
+     "pv must be a ProbVector, got None"),
+    ("shift-digits-record", lambda: shift_digits((1, 0), 1), InvalidArgument, "seq must be a DigitSeq, got (1, 0)"),
+    ("flip-digits-record", lambda: flip_digits(DigitSeq((1,), 2), "mask:;01"), InvalidArgument,
+     "flips must be a FlipSet, got 'mask:;01'"),
+    ("nega-to-digits-record", lambda: nega_to_digits((1, 0)), InvalidArgument, "seq must be a DigitSeq, got (1, 0)"),
+    ("eval-flip-record", lambda: eval_flip(DigitSeq((1,), 2), PLAIN2.pv), InvalidArgument,
+     "system must be a FlipSystem, got ProbVector((1/2, 1/2))"),
+    ("flip-image-record", lambda: flip_image((0,), None), InvalidArgument, "system must be a FlipSystem, got None"),
+    ("eval-nega-record", lambda: eval_nega(DigitSeq((1,), 2), None), InvalidArgument,
+     "pv must be a ProbVector, got None"),
+    ("eval-nega-record-seq", lambda: eval_nega((1, 0), PLAIN2.pv), InvalidArgument,
+     "seq must be a DigitSeq, got (1, 0)"),
+    ("ifs-maps-record", lambda: ifs_maps(None), InvalidArgument, "system must be a FlipSystem, got None"),
+    ("graph-points-record", lambda: ifs_graph_points(None, 2), InvalidArgument,
+     "system must be a FlipSystem, got None"),
+    ("diagonals-record", lambda: rectangle_diagonals_sq(None, 2), InvalidArgument,
+     "system must be a FlipSystem, got None"),
+    ("entropy-record", lambda: entropy_sum(None, 1, 2), InvalidArgument, "system must be a FlipSystem, got None"),
+    ("dimension-record", lambda: graph_dimension_estimate(None, [1]), InvalidArgument,
+     "system must be a FlipSystem, got None"),
+    ("moran-dimension-record", lambda: moran_dimension(None), InvalidArgument, "spec must be a MoranSpec, got None"),
+    ("moran-cylinders-record", lambda: moran_set_cylinders(PV4, 3), InvalidArgument,
+     "spec must be a MoranSpec, got ProbVector((1/4, 1/4, 1/4, 1/4))"),
+    ("covering-record", lambda: covering_measure(FlipSet.none(), 3), InvalidArgument,
+     "spec must be a MoranSpec, got FlipSet(kind=<FlipKind.NONE: 'none'>, preperiod=(), period=(False,))"),
+    # the record is checked after the other arguments
+    ("entropy-record-and-alpha", lambda: entropy_sum(None, -1, 2), InvalidArgument,
+     "alpha must be finite and >= 0, got -1.0"),
+    ("covering-record-and-rank", lambda: covering_measure(None, 0), InvalidArgument, "rank must be >= 1, got 0"),
+    # the p_rationals list holds `count` Fractions: its count is budgeted
+    ("p-rationals-budget", lambda: p_rationals(PLAIN2.pv, DEFAULT_BUDGET + 1), BudgetExceeded,
+     "1048577 points exceed budget 1048576"),
 ]
 
 #: Every refusal message above is one short line

@@ -25,6 +25,7 @@ import probdigits.fractal as fractal
 from probdigits import (
     BudgetExceeded,
     DigitSeq,
+    EVEN_POSITIONS,
     Enclosure,
     FlipKind,
     FlipSet,
@@ -61,8 +62,6 @@ from probdigits import (
 from probdigits.core import _horner, _lowest_terms, _walk
 from probdigits.flips import _letters
 from conftest import (
-    _alt_offset,
-    _alt_weight,
     bernoulli_cdf_by_digits,
     block_table_by_levels,
     count_groups_by_words,
@@ -556,7 +555,8 @@ def test_kernel_eval_nega_matches_the_fraction_pieces(prefix, tail, pv, digits, 
         # a block that repeats a shorter one reduces to it
         assume(len(seq.tail) == len(block) and len(block) % 2 == (tail == "odd"))
     value = eval_nega(seq, pv)
-    assert value.lo == value.hi == eval_nega_by_fractions(seq, pv) == eval_digits(nega_to_digits(seq), pv)
+    assert (value.lo == value.hi == eval_nega_by_fractions(seq, pv) == eval_digits(nega_to_digits(seq), pv)
+            == eval_flip(seq, FlipSystem(pv, EVEN_POSITIONS)).value)
 
 
 @given(prob_vectors())
@@ -567,15 +567,16 @@ def test_vector_tables_match_the_fraction_entries(pv):
     for bit, flips in enumerate((FlipSet.none(), FlipSet.all())):
         [(v, w)] = expected_terms(FlipSystem(pv, flips), 1)
         assert (Fraction(offsets[bit], den), Fraction(weights[bit], den)) == (v, w)
-    # the alternating table over D: letter d at an odd position, where the
-    # correction p[d] joins the offset, and letter q + d at an even one
-    den, offsets, weights = pv._nega_table
+    # the flip table over D, which eval_flip and eval_nega read: letter d is
+    # digit d at an unflipped position, letter q + d at a flipped one, read
+    # per digit from FlipSystem at position 1
+    den, offsets, weights = pv._flip_table
     assert den == pv.den and len(offsets) == len(weights) == 2 * pv.q
-    for d in range(pv.q):
-        assert Fraction(offsets[d], den) == _alt_offset(pv, 1, d) + _alt_weight(pv, 1, d)
-        assert Fraction(weights[d], den) == _alt_weight(pv, 1, d)
-        assert Fraction(offsets[pv.q + d], den) == _alt_offset(pv, 2, d)
-        assert Fraction(weights[pv.q + d], den) == _alt_weight(pv, 2, d)
+    for letter, flips in ((0, FlipSet.none()), (pv.q, FlipSet.all())):
+        system = FlipSystem(pv, flips)
+        for d in range(pv.q):
+            assert Fraction(offsets[letter + d], den) == system.offset(1, d)
+            assert Fraction(weights[letter + d], den) == system.weight(1, d)
 
 
 def jump_outcome(jump, x, system, max_depth):
