@@ -13,9 +13,9 @@ rank-r cylinder partition.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import cycle, product
+from itertools import cycle, islice
 from math import ceil, log
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     DEFAULT_BUDGET,
@@ -23,7 +23,6 @@ from .core import (
     DigitSeq,
     Enclosure,
     PointKind,
-    ProbVector,
     _as_int,
     _as_point,
     _as_record,
@@ -45,7 +44,7 @@ from .errors import (
     NotShiftInvariant,
     PrefixTooShort,
 )
-from .flips import FlipSet, FlipSystem, _letters, eval_flip, flip_image
+from .flips import FlipSet, FlipSystem, eval_flip, flip_image
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +58,39 @@ class JumpReport(NamedTuple):
     jump: Fraction  # right_limit - left_limit; 0 iff continuous here
 
 
+def _tails(system: FlipSystem, n: int) -> tuple[int, int, int, int]:
+    """The flipped zero tail and max tail past position n, each closed by
+    core._closure to an integer pair: (z_num, z_den, m_num, m_den).  In
+    flip-table letters a zero digit is letter 0, or q where its position is
+    flipped, and a max digit is that letter plus q - 1."""
+    q = system.pv.q
+    table = system.pv._flip_table
+    zero = [[q * bit for bit in bits] for bits in system.flips.pattern_from(n + 1)]
+    return (*_closure(table, *zero), *_closure(table, *[[c + q - 1 for c in part] for part in zero]))
+
+
+def _limits(system: FlipSystem, point: Fraction, head: int, weight: int, last: int, scale: int, tails) -> JumpReport:
+    """The JumpReport of a two-expansion point of rank n, over the
+    system's flip table: letters 1..n-1 of its zero-tail address fold to
+    (T, W) over D**(n-1), head = T*D and weight = W, last is its letter l at
+    position n, scale = D**n and tails = _tails(system, n).
+
+    The max-tail address has letter l - 1 at position n and the max tail
+    past it.  Over D**n the right limit is
+    (T*D + beta[l]*W)/D**n + W*p[l]/D**n * z/Z, and the left limit its like
+    at l - 1 with m/M.  In the jump the head term T*D cancels:
+    jump = W(prefix) * J_n(d) with W(prefix) = W / D**(n-1) and
+    J_n(d) = (beta[l] - beta[l-1] + p[l]*z/Z - p[l-1]*m/M) / D, one integer
+    over D**n * Z * M, reduced once like each limit."""
+    _, beta, p = system.pv._flip_table
+    z_num, z_den, m_num, m_den = tails
+    right = _lowest_terms((head + beta[last] * weight) * z_den + weight * p[last] * z_num, scale * z_den)
+    left = _lowest_terms((head + beta[last - 1] * weight) * m_den + weight * p[last - 1] * m_num, scale * m_den)
+    cross = z_den * m_den
+    jump = weight * ((beta[last] - beta[last - 1]) * cross + p[last] * z_num * m_den - p[last - 1] * m_num * z_den)
+    return JumpReport(point, left, right, _lowest_terms(jump, scale * cross))
+
+
 def jump_at(x0, system: FlipSystem, max_depth: int = 128) -> JumpReport:
     """One-sided limits of the flip map at a point with two expansions.
 
@@ -68,21 +100,10 @@ def jump_at(x0, system: FlipSystem, max_depth: int = 128) -> JumpReport:
     One walk of the integer shift orbit reads the zero-tail digits and
     decides the point as classify does: two expansions once the orbit
     reaches 0, one once a state repeats, and undetermined after max_depth
-    steps.
-
-    The two addresses share their first n - 1 digits, n the rank of the
-    last zero-tail digit d; there the max-tail address has d - 1, and q - 1
-    where the zero tail has 0.  In flip-table letters (digit + q * bit) the
-    max-tail letters are the zero-tail ones minus 1 at position n and plus
-    q - 1 past it, so the zero-tail address is spelled once.  Its letters
-    1..n-1 fold once to (T, W) over D**(n-1), and each tail past position n
-    closes to a pair z/Z and m/M.  Over D**n the limits are then
-    (T*D + beta[l]*W)/D**n + W*p[l]/D**n * z/Z at the letter l of position
-    n and its like at l - 1 with m/M, and in the jump the head term T*D
-    cancels: jump = W(prefix) * J_n(d) with W(prefix) = W / D**(n-1) and
-    J_n(d) = (beta[l] - beta[l-1] + p[l]*z/Z - p[l-1]*m/M) / D, one
-    integer over D**n * Z * M, reduced once like each limit.
-    """
+    steps.  The digits become flip-table letters (digit + q * bit), the
+    first n - 1 of them, n the rank of the last digit, fold once, and
+    _limits gives both limits and the jump from that fold, the last letter
+    and the two tails of _tails."""
     max_depth = _as_int(max_depth, "max_depth", 0)
     x0 = _as_point(x0)
     system = _as_record(system, FlipSystem, "system")
@@ -95,20 +116,46 @@ def jump_at(x0, system: FlipSystem, max_depth: int = 128) -> JumpReport:
         raise NotPRational(f"{_shown(x0)} is {end.value} at depth {_shown(max_depth)}")
     q, n = pv.q, len(digits)
     table = pv._flip_table
-    den, beta, p = table
-    prefix, period = _letters(DigitSeq._trusted(tuple(digits), q, (0,)), system.flips.pattern_from(1))
-    head, weight = _forward(table, prefix[:n - 1])
-    last, tail = prefix[n - 1], prefix[n:]
-    z_num, z_den = _closure(table, tail, period)
-    shift = q - 1  # from a zero-tail letter to the max-tail letter past position n
-    m_num, m_den = _closure(table, [c + shift for c in tail], [c + shift for c in period])
-    head *= den  # T*D, the head over D**n
-    scale = den ** n
-    right = _lowest_terms((head + beta[last] * weight) * z_den + weight * p[last] * z_num, scale * z_den)
-    left = _lowest_terms((head + beta[last - 1] * weight) * m_den + weight * p[last - 1] * m_num, scale * m_den)
-    cross = z_den * m_den
-    jump = weight * ((beta[last] - beta[last - 1]) * cross + p[last] * z_num * m_den - p[last - 1] * m_num * z_den)
-    return JumpReport(point=x0, left_limit=left, right_limit=right, jump=_lowest_terms(jump, scale * cross))
+    letters = [d + q * bit for d, bit in zip(digits, system.flips.bits())]
+    head, weight = _forward(table, letters[:-1])
+    return _limits(system, x0, head * table.den, weight, letters[-1], table.den ** n, _tails(system, n))
+
+
+def _points(system: FlipSystem, count) -> Iterator[tuple]:
+    """The first `count` interior two-expansion points, rank-major then
+    lexicographic, each as the arguments of _limits after the system:
+    (point, head, weight, last, scale, tails), the point a Fraction.
+
+    Each such point has a unique terminating address, a head and a last
+    digit d >= 1, so enumerating (rank, head, d) never repeats.  The heads
+    of rank n are those of rank n - 1, each extended by one digit in
+    lexicographic order, and only as many as the count still needs.  A
+    head of length n - 1 carries its two folds, (x, xw) over int_table and
+    (T, W) over the flip table, with x and T over D**(n-1) and kept times
+    D, so one Horner step of each table extends it.  The point is
+    (x*D + beta[d]*xw) / D**n, one _lowest_terms, and the two tails are
+    closed once per rank: O(1) integer work per point.  The count is
+    checked when the first point is asked for: a count above
+    DEFAULT_BUDGET is BudgetExceeded."""
+    count = _as_int(count, "count", 0)
+    if count > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"{_shown(count)} points exceed budget {DEFAULT_BUDGET}")
+    den, beta, p = system.pv.int_table
+    _, f_beta, f_p = system.pv._flip_table
+    q = len(p)
+    heads = [(0, 1, 0, 1)]  # (x*D, xw, T*D, W) of the empty head
+    for n, bit in enumerate(system.flips.bits(), start=1):
+        scale = den ** n
+        shift = q * bit
+        tails = _tails(system, n)
+        yield from islice(((_lowest_terms(x + beta[d] * xw, scale), t, w, d + shift, scale, tails)
+                           for x, xw, t, w in heads for d in range(1, q)), count)
+        count -= len(heads) * (q - 1)
+        if count <= 0:
+            return
+        # the count points left need count / (q - 1) heads, made from count / (q * (q - 1)) of these
+        heads = [((x + beta[d] * xw) * den, xw * p[d], (t + f_beta[d + shift] * w) * den, w * f_p[d + shift])
+                 for x, xw, t, w in heads[:-(-count // (q * q - q))] for d in range(q)]
 
 
 class ContinuityClass(NamedTuple):
@@ -128,26 +175,14 @@ def continuity_class(flips: FlipSet) -> ContinuityClass:
 
 
 def p_rationals(pv, count: int) -> list[Fraction]:
-    """The first `count` interior two-expansion points, rank-major then lexicographic.
+    """The first `count` interior two-expansion points, rank-major then
+    lexicographic: the points of _points, without their limits.
 
-    Each such point has a unique terminating address whose last digit is
-    nonzero; enumerating (rank, head, last digit) therefore never repeats.
     The list holds `count` Fractions, so a count above DEFAULT_BUDGET is
-    BudgetExceeded before any point is built."""
+    BudgetExceeded before any point is built.  The count is checked before
+    the vector."""
     count = _as_int(count, "count", 0)
-    pv = _as_record(pv, ProbVector, "pv")
-    if count > DEFAULT_BUDGET:
-        raise BudgetExceeded(f"{_shown(count)} points exceed budget {DEFAULT_BUDGET}")
-    out: list[Fraction] = []
-    rank = 1
-    while len(out) < count:
-        for head in product(range(pv.q), repeat=rank - 1):
-            for last in range(1, pv.q):
-                out.append(eval_digits(DigitSeq(head + (last,), pv.q), pv))
-                if len(out) == count:
-                    return out
-        rank += 1
-    return out
+    return [item[0] for item in _points(FlipSystem(pv, FlipSet.none()), count)]
 
 
 # ---------------------------------------------------------------------------

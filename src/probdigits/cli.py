@@ -113,18 +113,14 @@ def cmd_integral(args):
 
 
 def cmd_jumps(args):
-    from .analysis import jump_at, p_rationals
+    from .analysis import _limits, _points
 
     system = _system(args)
     header = ["point", "left_limit", "right_limit", "jump", "point_float", "jump_float"]
-    rows = []
-    for x0 in p_rationals(args.p, args.count):
-        rep = jump_at(x0, system, max_depth=args.depth)
-        rows.append([
-            q_str(rep.point), q_str(rep.left_limit), q_str(rep.right_limit),
-            q_str(rep.jump), float(rep.point), float(rep.jump),
-        ])
-    return "csv", (header, rows)
+    # streamed: no list of points, reports or rows is built
+    reports = (_limits(system, *item) for item in _points(system, args.count))
+    return "csv", (header, ([q_str(rep.point), q_str(rep.left_limit), q_str(rep.right_limit), q_str(rep.jump),
+                             float(rep.point), float(rep.jump)] for rep in reports))
 
 
 def _exact_cells(nums, scale):
@@ -162,10 +158,15 @@ def cmd_scan_derivative(args):
     import random
 
     from .analysis import derivative_estimate
-    from .core import _as_int, sample_digits
+    from .core import _as_int, _shown, sample_digits
+    from .errors import BudgetExceeded
 
     _as_int(args.points, "--points", 0)
     system = _system(args)
+    # one row per point and rank: the rows are budgeted before any point is sampled
+    if (size := args.points * args.rank) > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"{_shown(args.points)} points x rank {_shown(args.rank)} = {_shown(size)} rows "
+                             f"exceed budget {DEFAULT_BUDGET}")
     rng = random.Random(args.seed)
     header = ["sample", "m", "ratio", "ratio_float"]
     rows = []
@@ -212,7 +213,7 @@ SUBCOMMANDS = {
     "integral": (cmd_integral, "the Lebesgue integral three ways",
                  {"--flips": "none", "--rank": 10, "--tol": Fraction(1, 10**12)}),
     "jumps": (cmd_jumps, "jump reports at the first COUNT two-expansion points",
-              {"--flips": "none", "--depth": 64, "--count": dict(type=int, default=10)}),
+              {"--flips": "none", "--count": dict(type=int, default=10)}),
     "graph": (cmd_graph, "exact points on the graph of the flip map",
               {"--flips": "none", "--depth": 6,
                "--exact": dict(action="store_true", help="emit exact rationals instead of floats")}),

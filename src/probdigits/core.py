@@ -833,11 +833,15 @@ def bernoulli_cdf(x, pv: ProbVector) -> Fraction:
 def sample_digits(pv: ProbVector, length: int, rng: random.Random) -> tuple[int, ...]:
     """Digit prefix drawn i.i.d. with law p exactly (i.e. a Lebesgue-random point):
     a uniform integer in [0, D) picks the digit whose cell holds it, D = pv.den.
-    An rng with no randrange method is InvalidArgument."""
+    An rng with no randrange method is InvalidArgument.  The tuple holds
+    `length` digits, so a length above DEFAULT_BUDGET is BudgetExceeded
+    before any is drawn."""
     length = _as_int(length, "length", 0)
     if not callable(getattr(rng, "randrange", None)):
         raise InvalidArgument(f"rng must have a randrange method, got {_shown(rng)!r}")
     den, beta, _ = _as_record(pv, ProbVector, "pv").int_table
+    if length > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"{_shown(length)} digits exceed budget {DEFAULT_BUDGET}")
     thresholds = beta[1:-1]
     return tuple(bisect_right(thresholds, rng.randrange(den)) for _ in range(length))
 

@@ -531,7 +531,12 @@ def _run_sums(automaton: list[list[tuple[int, int]]], rank: int, budget: int, we
     """The run-length recurrence over rank positions: per end run, the sum
     over the consistent bases ending there of the product of weight[digit].
     It counts the bases alongside and refuses more than `budget` at the
-    first level over it: every state has a step, so the count never falls."""
+    first level over it: every state has a step, so the count never falls.
+    With one block digit the count stays 1 while the one base and the
+    levels grow with the rank, so the rank is budgeted on its own, as a
+    length: a rank above DEFAULT_BUDGET is refused before any level."""
+    if rank > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"rank {_shown(rank)} exceeds budget {DEFAULT_BUDGET}")
     counts = [1] + [0] * (len(automaton) - 1)
     sums = counts[:]
     for _ in range(rank):
@@ -584,7 +589,7 @@ def moran_set_cylinders(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET
     A base is consistent iff it is a prefix of some block concatenation, i.e.
     a path of the run-length automaton from run length 0.  The bases are
     counted first, so more than `budget` of them are refused before any is
-    built.  Paths are then built by halving their length (see _moran_paths),
+    built, and so is a rank above DEFAULT_BUDGET (see _run_sums).  Paths are then built by halving their length (see _moran_paths),
     so with one block digit, where the one base grows with the rank, the
     cost stays linear in the rank.  The bases hold no reference cycle, so
     they are built with the cyclic collector paused (see _paused)."""
@@ -605,8 +610,8 @@ def covering_measure(spec: MoranSpec, rank: int, budget: int = DEFAULT_BUDGET) -
     step weighted by its digit's weight: per run length, the total width of
     the consistent bases ending there as an integer over D**k (D = pv.den),
     so no base is built.  Refuses more than `budget` consistent bases, as
-    `moran_set_cylinders` does.  The work is O(rank * q), but the cap is
-    kept: with two or more block digits the base count grows geometrically
+    `moran_set_cylinders` does, and a rank above DEFAULT_BUDGET.  The work
+    is O(rank * q), but the cap is kept: with two or more block digits the base count grows geometrically
     with the rank, so the cap bounds the rank and with it the D**rank
     denominator of the result."""
     rank = _as_int(rank, "rank", 1)

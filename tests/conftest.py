@@ -477,3 +477,18 @@ def jump_at_by_two_walks(x0, system, max_depth: int = 128) -> JumpReport:
     right = eval_flip(zero_rep, system).value
     left = eval_flip(max_rep, system).value
     return JumpReport(point=x0, left_limit=left, right_limit=right, jump=right - left)
+
+
+def p_rationals_by_eval(pv, count: int) -> list[Fraction]:
+    """p_rationals one address at a time: each rank's heads in lexicographic
+    order, each with every nonzero last digit, evaluated by eval_digits."""
+    out: list[Fraction] = []
+    rank = 1
+    while len(out) < count:
+        for head in product(range(pv.q), repeat=rank - 1):
+            for last in range(1, pv.q):
+                out.append(eval_digits(DigitSeq(head + (last,), pv.q), pv))
+                if len(out) == count:
+                    return out
+        rank += 1
+    return out

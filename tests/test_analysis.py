@@ -18,6 +18,7 @@ from probdigits import (
     NotPRational,
     NotShiftInvariant,
     PrefixTooShort,
+    ProbVector,
     continuity_class,
     derivative_estimate,
     encode,
@@ -34,7 +35,7 @@ from probdigits import (
 from probdigits.core import _horner
 from conftest import (
     ASYM_VECTORS, expected_terms, integral_by_horner_sum, integral_series_by_fractions, jump_at_by_two_walks,
-    series_by_fractions,
+    p_rationals_by_eval, series_by_fractions,
 )
 
 
@@ -111,6 +112,19 @@ def rank_jump_mass(jump, system, rank):
                for head in product(range(pv.q), repeat=rank - 1) for last in range(1, pv.q))
 
 
+def walk_reports(system, count):
+    """JumpReports of the first `count` points of the rank-major walk, each
+    with the limits _limits computes from the walk's folds."""
+    return [analysis._limits(system, *item) for item in analysis._points(system, count)]
+
+
+def walk_jump_mass(system, rank):
+    """rank_jump_mass from the walk: its points of ranks 1..rank, of which
+    the last (q - 1) * q**(rank - 1) have rank `rank`."""
+    q = system.pv.q
+    return sum(abs(rep.jump) for rep in walk_reports(system, q**rank - 1)[q**(rank - 1) - 1:])
+
+
 @pytest.mark.parametrize("flips, masses", [
     # the paper's map: the same mass at every rank, so the total is infinite
     ("mask:;01", [Fraction(6, 13)] * 7),
@@ -121,6 +135,29 @@ def test_jump_mass_per_rank(flips, masses):
     system = FlipSystem(make_prob_vector(["1/4", "3/4"]), FlipSet.parse(flips))
     for jump in (jump_at, jump_at_by_two_walks):
         assert [rank_jump_mass(jump, system, rank) for rank in range(1, 8)] == masses
+    assert [walk_jump_mass(system, rank) for rank in range(1, 8)] == masses
+
+
+#: (vector, flips, top rank): the walk is checked at every point of ranks 1..top
+WALK_SYSTEMS = [
+    (["1/4", "3/4"], "mask:;01", 7),  # the paper's map
+    (["1/5", "3/10", "1/2"], "mask:1;011", 4),
+    (["1/3"] * 3, "finite:2,5", 6),  # rank 6 is past its last flipped position, 5
+    (["1/4", "3/4"], "none", 7),
+    (["1/5", "3/10", "1/2"], "all", 4),
+    (["1/12", "5/12", "1/2"], "mask:;01", 4),  # D = 12
+    (["1/12", "5/12", "1/2"], "finite:2,5", 4),
+]
+
+
+@pytest.mark.parametrize("p, flips, top", WALK_SYSTEMS, ids=[f"{','.join(p)}-{f}" for p, f, _ in WALK_SYSTEMS])
+def test_walk_limits_match_jump_at_and_the_two_walks(p, flips, top):
+    pv = make_prob_vector(p)
+    system = FlipSystem(pv, FlipSet.parse(flips))
+    reports = walk_reports(system, pv.q**top - 1)
+    assert [rep.point for rep in reports] == p_rationals_by_eval(pv, pv.q**top - 1)
+    for rep in reports:
+        assert rep == jump_at(rep.point, system) == jump_at_by_two_walks(rep.point, system)
 
 
 def test_continuity_class():
@@ -142,6 +179,19 @@ def test_p_rationals_enumeration(uniform2):
     assert p_rationals(uniform2, 0) == []
     with pytest.raises(InvalidArgument):
         p_rationals(uniform2, -3)
+
+
+#: q = 2, 3, 5 and a 17-letter vector, with weights 1/153 .. 17/153
+RATIONALS_VECTORS = [ProbVector.uniform(2), ASYM_VECTORS[3], ASYM_VECTORS[5],
+                     make_prob_vector([Fraction(d, 153) for d in range(1, 18)])]
+
+
+@pytest.mark.parametrize("pv", RATIONALS_VECTORS, ids=lambda pv: f"q{pv.q}")
+def test_p_rationals_matches_the_eval_oracle(pv):
+    # counts that end a rank (q**k - 1), start one (q**k), or fall inside one
+    k = 2 if pv.q > 5 else 3
+    for count in (0, 1, pv.q**k - 1, pv.q**k, 4096):
+        assert p_rationals(pv, count) == p_rationals_by_eval(pv, count)
 
 
 # ---------------------------------------------------------------------------

@@ -170,13 +170,6 @@ def test_jumps_csv(capsys):
     assert [r[3] for r in rows[1:]] == ["0", "0"]
 
 
-def test_jumps_reads_depth_below_64(capsys):
-    # 1/4 needs two digits, so depth 1 leaves it undetermined
-    code, out, err = run_cli(capsys, "jumps", "--p", "1/2,1/2", "--flips", "finite:1", "--count", "4", "--depth", "1")
-    assert code == 2 and out == ""
-    assert err.startswith("error: NotPRational: ")
-
-
 def test_jumps_zero_everywhere_for_all(capsys):
     _, rows = run_csv(capsys, "jumps", "--p", "1/2,1/2", "--flips", "all", "--count", "8")
     assert all(r[3] == "0" for r in rows)
@@ -351,6 +344,17 @@ def test_jumps_refuses_a_huge_count_by_its_budget(capsys):
     assert time.perf_counter() - start < 2.0
 
 
+@pytest.mark.parametrize("points, rank", [("1000000000000", "16"), ("1", "1000000000000")])
+def test_scan_derivative_refuses_its_rows_by_the_budget(capsys, points, rank):
+    # one row per point and rank, refused before any point is sampled
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "scan-derivative", "--p", "1/2,1/2", "--points", points, "--rank", rank)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: BudgetExceeded: {points} points x rank {rank} = {int(points) * int(rank)} rows "
+                   "exceed budget 1048576\n")
+
+
 def test_a_refusal_quoting_a_huge_tol_is_one_short_line(capsys):
     # the CLI lifts the int to str digit limit, but the 400 001-digit
     # denominator of tol is quoted by its digit count, not printed
@@ -383,7 +387,7 @@ UNREAD_OPTIONS = [
     ("convert", "--seed", "3"),
     ("eval", "--rank", "12"), ("eval", "--tol", "1/1000"), ("eval", "--seed", "3"),
     ("integral", "--depth", "8"), ("integral", "--seed", "3"),
-    ("jumps", "--rank", "12"), ("jumps", "--tol", "1/1000"), ("jumps", "--seed", "3"),
+    ("jumps", "--rank", "12"), ("jumps", "--tol", "1/1000"), ("jumps", "--seed", "3"), ("jumps", "--depth", "8"),
     ("graph", "--rank", "12"), ("graph", "--tol", "1/1000"), ("graph", "--seed", "3"),
     ("dimension", "--depth", "8"), ("dimension", "--seed", "3"),
     ("scan-derivative", "--depth", "8"), ("scan-derivative", "--tol", "1/1000"),
@@ -553,7 +557,7 @@ def parser_options() -> dict[str, list[tuple[str, str]]]:
 
 def test_readme_option_table_matches_parser():
     assert readme_option_table() == parser_options()
-    assert sum(len(opts) + 3 for opts in parser_options().values()) == 43  # 3: --p, --out, --format
+    assert sum(len(opts) + 3 for opts in parser_options().values()) == 42  # 3: --p, --out, --format
 
 
 def test_readme_command_examples(capsys, tmp_path):

@@ -733,6 +733,8 @@ def test_digitseq_tail_block_reduces_to_primitive():
 
 
 PV4 = ProbVector.uniform(4)
+#: one block digit (the block 1, 2): its base count stays 1 at every rank
+MORAN_ONE_BLOCK = MoranSpec(make_prob_vector(["1/5", "3/10", "1/2"]), 1)
 
 #: (id, refused call, exception class, message): each argument rule's exact
 #: refusal, for every site that applies it, and the order of the checks
@@ -1009,6 +1011,14 @@ REFUSALS = [
     # the p_rationals list holds `count` Fractions: its count is budgeted
     ("p-rationals-budget", lambda: p_rationals(PLAIN2.pv, DEFAULT_BUDGET + 1), BudgetExceeded,
      "1048577 points exceed budget 1048576"),
+    # the sample tuple holds `length` digits: its length is budgeted before any is drawn
+    ("sample-digits-budget", lambda: sample_digits(PLAIN2.pv, 10**30, random.Random(0)), BudgetExceeded,
+     "1000000000000000000000000000000 digits exceed budget 1048576"),
+    # one block digit: one base at every rank, so the rank is budgeted on its own
+    ("moran-cylinders-rank-budget", lambda: moran_set_cylinders(MORAN_ONE_BLOCK, 10**30), BudgetExceeded,
+     "rank 1000000000000000000000000000000 exceeds budget 1048576"),
+    ("covering-rank-budget", lambda: covering_measure(MORAN_ONE_BLOCK, 10**30), BudgetExceeded,
+     "rank 1000000000000000000000000000000 exceeds budget 1048576"),
 ]
 
 #: Every refusal message above is one short line
