@@ -5,9 +5,10 @@ the map takes different limits along the zero-tail and max-tail addresses.
 Monotonicity witnesses certify order reversal inside a cylinder whose rank
 hits the flip set.  The derivative scan tracks the ratio of flipped to
 plain cylinder widths, whose decay is the almost-everywhere-zero-derivative
-mechanism.  The integral is computed three independent ways: the stationary
-closed form, the positional-expectation series, and Riemann sums over the
-rank-r cylinder partition.
+mechanism.  The integral is computed three ways: the stationary closed
+form, the positional-expectation series, and Riemann sums over the rank-r
+cylinder partition.  The series and the Riemann sums both read
+_partial_sum, so the closed form is the only independent route.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from .core import (
     _as_point,
     _as_record,
     _check_digits,
-    _closure,
+    _decide,
     _forward,
     _lowest_terms,
     _shown,
-    _walk,
     as_fraction,
     cylinder_bounds,
     eval_digits,
@@ -44,7 +44,7 @@ from .errors import (
     NotShiftInvariant,
     PrefixTooShort,
 )
-from .flips import FlipSet, FlipSystem, eval_flip, flip_image
+from .flips import FlipSet, FlipSystem, _tails, eval_flip, flip_image
 
 
 # ---------------------------------------------------------------------------
@@ -58,22 +58,11 @@ class JumpReport(NamedTuple):
     jump: Fraction  # right_limit - left_limit; 0 iff continuous here
 
 
-def _tails(system: FlipSystem, n: int) -> tuple[int, int, int, int]:
-    """The flipped zero tail and max tail past position n, each closed by
-    core._closure to an integer pair: (z_num, z_den, m_num, m_den).  In
-    flip-table letters a zero digit is letter 0, or q where its position is
-    flipped, and a max digit is that letter plus q - 1."""
-    q = system.pv.q
-    table = system.pv._flip_table
-    zero = [[q * bit for bit in bits] for bits in system.flips.pattern_from(n + 1)]
-    return (*_closure(table, *zero), *_closure(table, *[[c + q - 1 for c in part] for part in zero]))
-
-
 def _limits(system: FlipSystem, point: Fraction, head: int, weight: int, last: int, scale: int, tails) -> JumpReport:
     """The JumpReport of a two-expansion point of rank n, over the
     system's flip table: letters 1..n-1 of its zero-tail address fold to
     (T, W) over D**(n-1), head = T*D and weight = W, last is its letter l at
-    position n, scale = D**n and tails = _tails(system, n).
+    position n, scale = D**n and tails = flips._tails(system, n).
 
     The max-tail address has letter l - 1 at position n and the max tail
     past it.  Over D**n the right limit is
@@ -97,13 +86,13 @@ def jump_at(x0, system: FlipSystem, max_depth: int = 128) -> JumpReport:
     The right limit is the flipped value of the zero-tail address, the left
     limit that of the max-tail address; both close in rational arithmetic.
 
-    One walk of the integer shift orbit reads the zero-tail digits and
-    decides the point as classify does: two expansions once the orbit
-    reaches 0, one once a state repeats, and undetermined after max_depth
-    steps.  The digits become flip-table letters (digit + q * bit), the
-    first n - 1 of them, n the rank of the last digit, fold once, and
-    _limits gives both limits and the jump from that fold, the last letter
-    and the two tails of _tails."""
+    core._decide, the procedure of classify, decides the point and reads
+    its zero-tail digits: two expansions once the orbit reaches 0, one once
+    a state repeats, and undetermined after max_depth steps.  The digits
+    become flip-table letters (digit + q * bit), the first n - 1 of them,
+    n the rank of the last digit, fold once, and _limits gives both limits
+    and the jump from that fold, the last letter and the two tails of
+    flips._tails."""
     max_depth = _as_int(max_depth, "max_depth", 0)
     x0 = _as_point(x0)
     system = _as_record(system, FlipSystem, "system")
@@ -111,7 +100,7 @@ def jump_at(x0, system: FlipSystem, max_depth: int = 128) -> JumpReport:
     if a == 0 or a == b:
         raise EndpointOneSided(f"{_shown(x0)} admits only a one-sided limit")
     pv = system.pv
-    digits, end, _, _ = _walk(a, b, pv.int_table, max_depth, watch=True)
+    end, digits = _decide(a, b, pv, max_depth)
     if end is not PointKind.P_RATIONAL:
         raise NotPRational(f"{_shown(x0)} is {end.value} at depth {_shown(max_depth)}")
     q, n = pv.q, len(digits)

@@ -740,13 +740,10 @@ class PointClass(NamedTuple):
     depth: int | None = None
 
 
-def classify(x, pv: ProbVector, max_depth: int = 64) -> PointClass:
-    """Decide whether x has two expansions (orbit hits 0 or 1) or one.
-
-    A repeated shift state means the digit tail is periodic; any cycle not
-    through 0 is a non-constant period, hence a unique expansion.  Rational
-    shift states need not repeat (weights can grow the denominators), so
-    UNDETERMINED with the reached depth is a legitimate outcome.
+def _decide(a: int, b: int, pv: ProbVector, max_depth: int) -> tuple[PointKind, Sequence[int]]:
+    """The kind of the reduced point a/b in [0, 1) within max_depth steps,
+    and the digits its walk read: when the kind is P_RATIONAL, exactly the
+    digits of its zero-tail address.
 
     The answer is that of the watched walk over the states s_0 .. s_N,
     N = max_depth: P_RATIONAL at the first state 0, P_IRRATIONAL at the
@@ -759,11 +756,37 @@ def classify(x, pv: ProbVector, max_depth: int = 64) -> PointClass:
     within N steps it is periodic from a step m <= N - 1, so b_t' is the
     same for every t >= N - 1 and no state is 0.  So the walk goes without
     a watch to the first block end T >= N - 1 of _advance, then one block
-    further.  A state 0 on the way is reached at a known step: P_RATIONAL
-    if that step is at most N, UNDETERMINED past it.  Otherwise a prime
-    outside D in b/gcd(b, b_T) proves UNDETERMINED.  In every other case
-    the watched walk runs: the test skips it only when it has proved the
-    outcome.
+    further, and the digits of both blocks are joined.  A state 0 on the
+    way is reached at a known step: P_RATIONAL if that step is at most N,
+    UNDETERMINED past it.  Otherwise a prime outside D in b/gcd(b, b_T)
+    proves UNDETERMINED.  In every other case the watched walk runs, the
+    one walk with a seen-set: the test skips it only when it has proved
+    the outcome."""
+    if max_depth:
+        digits, s, last = _advance(a, b, pv, max_depth - 1)
+        t = last
+        if s:
+            more, s, t = _advance(s, last, pv, 1)
+            digits += more
+        if s == 0 and len(digits) <= max_depth:
+            return PointKind.P_RATIONAL, digits
+        grown = t // gcd(t, last)
+        if s == 0 or pow(pv.den, grown.bit_length(), grown):
+            return PointKind.UNDETERMINED, digits
+    digits, end, _, _ = _walk(a, b, pv.int_table, max_depth, watch=True)
+    return end, digits
+
+
+def classify(x, pv: ProbVector, max_depth: int = 64) -> PointClass:
+    """Decide whether x has two expansions (orbit hits 0 or 1) or one.
+
+    A repeated shift state means the digit tail is periodic; any cycle not
+    through 0 is a non-constant period, hence a unique expansion.  Rational
+    shift states need not repeat (weights can grow the denominators), so
+    UNDETERMINED with the reached depth is a legitimate outcome.  The kind
+    is that of _decide, which proves most UNDETERMINED answers from the
+    denominator and watches the orbit only when it must (see README,
+    "Cost").
     """
     max_depth = _as_int(max_depth, "max_depth", 0)
     x = _as_point(x)
@@ -771,21 +794,8 @@ def classify(x, pv: ProbVector, max_depth: int = 64) -> PointClass:
     a, b = x.numerator, x.denominator
     if a == b:
         return PointClass(PointKind.P_RATIONAL)
-    if max_depth:
-        digits, s, last = _advance(a, b, pv, max_depth - 1)
-        steps, t = len(digits), last
-        if s:
-            digits, s, t = _advance(s, last, pv, 1)
-            steps += len(digits)
-        if s == 0 and steps <= max_depth:
-            return PointClass(PointKind.P_RATIONAL)
-        grown = t // gcd(t, last)
-        if s == 0 or pow(pv.den, grown.bit_length(), grown):
-            return PointClass(PointKind.UNDETERMINED, depth=max_depth)
-    end = _walk(a, b, pv.int_table, max_depth, watch=True)[1]
-    if end is PointKind.UNDETERMINED:
-        return PointClass(end, depth=max_depth)
-    return PointClass(end)
+    kind = _decide(a, b, pv, max_depth)[0]
+    return PointClass(kind, depth=max_depth if kind is PointKind.UNDETERMINED else None)
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, cycle, islice
 from math import lcm
 from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, ProbVector, _as_int, _as_position, _ends, _horner
-from .core import _as_record, _Checked, _same_alphabet, _shown
+from .core import DEFAULT_BUDGET, DigitSeq, Enclosure, ProbVector, _as_int, _as_position, _check_digits, _closure
+from .core import _ends, _horner, _as_record, _Checked, _same_alphabet, _shown
 from .errors import BudgetExceeded, FlipSpecError
 
 #: Flip bits as (preperiod, period): bit k is preperiod[k-1], then period repeats.
@@ -260,11 +259,15 @@ def _letters(seq: DigitSeq, pattern: _Pattern) -> tuple[list[int], list[int]]:
     (prefix, cycle): digit d is letter d, or q + d where the bit of pattern
     is set (see core._letter_tables).  Both streams are eventually periodic,
     so the word is its prefix through both preperiods, then one common
-    period of the digit tail and the flip bits repeated."""
+    period of the digit tail and the flip bits repeated.  That period is
+    the lcm of the two lengths, which can reach their product, so one above
+    DEFAULT_BUDGET is BudgetExceeded before any letter is made."""
     preperiod, period = pattern
     q = seq.q
     n = max(len(seq.digits), len(preperiod))
     span = lcm(len(seq.tail), len(period))
+    if span > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"common period {span} of the tail and the flip bits exceeds budget {DEFAULT_BUDGET}")
     digits = islice(chain(seq.digits, cycle(seq.tail)), n + span)
     letters = [d + q if flipped else d for d, flipped in zip(digits, chain(preperiod, cycle(period)))]
     return letters[:n], letters[n:]
@@ -272,19 +275,14 @@ def _letters(seq: DigitSeq, pattern: _Pattern) -> tuple[list[int], list[int]]:
 
 def flip_digits(seq: DigitSeq, flips: FlipSet) -> DigitSeq:
     """Complement the digits of seq at the flipped positions, exactly: each
-    letter of _letters becomes the digit whose entries it reads.  A flips
+    letter c of _letters becomes the digit whose entries it reads, c itself
+    below q and q - 1 - d for the letter q + d, that is 2q - 1 - c.  A flips
     that is not a FlipSet, then a seq that is not a DigitSeq, is
     InvalidArgument."""
     pattern = _as_record(flips, FlipSet, "flips").pattern_from(1)
-    prefix, tail = _letters(_as_record(seq, DigitSeq, "seq"), pattern)
-    digit = _letter_digits(seq.q)
-    return DigitSeq([digit[c] for c in prefix], seq.q, [digit[c] for c in tail])
-
-
-@lru_cache
-def _letter_digits(q: int) -> tuple[int, ...]:
-    """The digit each of the 2q letters reads: the offset over q of the uniform vector's letter."""
-    return ProbVector.uniform(q)._flip_table.beta
+    q = _as_record(seq, DigitSeq, "seq").q
+    prefix, tail = ([c if c < q else 2 * q - 1 - c for c in part] for part in _letters(seq, pattern))
+    return DigitSeq(prefix, q, tail)
 
 
 def nega_to_digits(seq: DigitSeq) -> DigitSeq:
@@ -321,15 +319,27 @@ def eval_flip(seq: DigitSeq, system: FlipSystem, offset: int = 0) -> Enclosure:
 
 def flip_image(base: Sequence[int], system: FlipSystem, offset: int = 0) -> Enclosure:
     """Interval hull of the flip map over the cylinder with the given base:
-    the cylinder of the base's flip-table letters; offset is as in eval_flip.
-    A system that is not a FlipSystem is InvalidArgument, before the base
-    and the offset are checked."""
+    the cylinder of the base's flip-table letters, digit d read with the
+    flip bit of its position from offset + 1 on (offset is as in
+    eval_flip).  A system that is not a FlipSystem is InvalidArgument,
+    before the base and the offset are checked."""
     pv = _as_record(system, FlipSystem, "system").pv
-    seq = DigitSeq(base, pv.q)
+    q = pv.q
+    digits = _check_digits(base, q)
     preperiod, period = system.flips.pattern_from(_as_int(offset, "offset", 0) + 1)
-    m = len(seq.digits)
-    # no bit past the base counts: with both cut to m, at most 2m letters are made, used unchecked
-    return Enclosure._ordered(*_ends(pv._flip_table, _letters(seq, (preperiod[:m], period[:m]))[0]))
+    letters = [d + q if bit else d for d, bit in zip(digits, chain(preperiod, cycle(period)))]
+    return Enclosure._ordered(*_ends(pv._flip_table, letters))
+
+
+def _tails(system: FlipSystem, n: int) -> tuple[int, int, int, int]:
+    """The flipped zero tail and max tail past position n, each closed by
+    core._closure to an integer pair: (z_num, z_den, m_num, m_den).  In
+    flip-table letters a zero digit is letter 0, or q where its position is
+    flipped, and a max digit is that letter plus q - 1."""
+    q = system.pv.q
+    table = system.pv._flip_table
+    zero = [[q * bit for bit in bits] for bits in system.flips.pattern_from(n + 1)]
+    return (*_closure(table, *zero), *_closure(table, *[[c + q - 1 for c in part] for part in zero]))
 
 
 # ---------------------------------------------------------------------------

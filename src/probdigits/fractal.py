@@ -19,10 +19,10 @@ from itertools import accumulate, islice, repeat
 from operator import mul
 from typing import NamedTuple
 
-from .core import DEFAULT_BUDGET, DigitSeq, ProbVector, _as_int, _as_record, _Checked, _lowest_terms
+from .core import DEFAULT_BUDGET, ProbVector, _as_int, _as_record, _Checked, _lowest_terms
 from .core import _lowest_terms_over, _shown
 from .errors import BudgetExceeded, EmptyAlphabet, InvalidArgument, NotShiftInvariant, RankTooLarge
-from .flips import FlipSystem, eval_flip
+from .flips import FlipSystem, _tails
 
 #: Fixed crossing level for the dimension bisection.  At alpha = 1 the
 #: entropy sum is exactly sqrt(2) whenever the horizontal and vertical
@@ -116,8 +116,9 @@ def _pair_points(system: FlipSystem, depth: int, coords) -> list[tuple]:
     suffix recurrence lo(d1...dn) = beta[d1] * D**(n-1) + p[d1] * lo(d2...dn),
     one position at a time from the last.  A point's y is base j's lower end
     plus its width times t = t_num / t_den, the flipped zero tail past the
-    depth, j the index of base i's flipped base.  The cylinders are adjacent,
-    so that is ends[j] * (t_den - t_num) + ends[j+1] * t_num over
+    depth (the zero-tail pair of flips._tails, reduced once), j the index
+    of base i's flipped base.  The cylinders are adjacent, so that is
+    ends[j] * (t_den - t_num) + ends[j+1] * t_num over
     scale * t_den, or, when t is 0 or 1, the x of ends[j + t]: then the one
     call over ends makes each distinct value once, and y is ys[j + t] with
     ys the x list.  Otherwise a second call makes the q**depth y values ys,
@@ -130,7 +131,7 @@ def _pair_points(system: FlipSystem, depth: int, coords) -> list[tuple]:
     digit order reversed at a flipped position."""
     pv = system.pv
     q = pv.q
-    tail = eval_flip(DigitSeq((), q), system, offset=depth).value
+    tail = _lowest_terms(*_tails(system, depth)[:2])
     t_num, t_den = tail.numerator, tail.denominator
     shift = t_num if t_den == 1 else 0
     bits = [system.flips.contains(k) for k in range(1, depth + 1)]

@@ -17,12 +17,11 @@ from probdigits import (
     JumpReport,
     MonotoneWitness,
     NotPRational,
+    OutOfUnitInterval,
     PointKind,
     ProbDigitsError,
     ProbVector,
     as_fraction,
-    classify,
-    encode,
     eval_digits,
     eval_flip,
     flip_digits,
@@ -463,17 +462,28 @@ def flip_outcome(evaluate, seq: DigitSeq, system, offset):
 
 
 def jump_at_by_two_walks(x0, system, max_depth: int = 128) -> JumpReport:
-    """jump_at from two walks of the orbit: classify decides the point, then
-    encode reads its zero-tail address, and eval_flip evaluates both addresses."""
+    """jump_at by another route: the Fraction orbit of orbit_by_fractions,
+    with no integer walk and no certificate, decides the point over its
+    states s_0 .. s_N, N = max_depth (p-rational at the first state 0,
+    p-irrational at the first state that repeats an earlier one, else
+    undetermined) and reads its zero-tail address, and eval_flip evaluates
+    both addresses.  The endpoints are refused first, as jump_at does."""
     x0 = as_fraction(x0)
-    pc = classify(x0, system.pv, max_depth)
-    if pc.kind is not PointKind.P_RATIONAL:
-        raise NotPRational(f"{x0} is {pc.kind.value} at depth {max_depth}")
+    if not 0 <= x0 <= 1:
+        raise OutOfUnitInterval(f"{x0} not in [0, 1]")
     if x0 == 0 or x0 == 1:
         raise EndpointOneSided(f"{x0} admits only a one-sided limit")
-    zero_rep = encode(x0, system.pv, max_depth)
-    digits = zero_rep.digits
-    max_rep = DigitSeq(digits[:-1] + (digits[-1] - 1,), system.pv.q, "max")
+    digits, states = orbit_by_fractions(x0, system.pv, max_depth)
+    kind, seen = PointKind.UNDETERMINED, set()
+    for rank, state in enumerate(states):
+        if state == 0 or state in seen:
+            kind = PointKind.P_RATIONAL if state == 0 else PointKind.P_IRRATIONAL
+            break
+        seen.add(state)
+    if kind is not PointKind.P_RATIONAL:
+        raise NotPRational(f"{x0} is {kind.value} at depth {max_depth}")
+    zero_rep = DigitSeq(digits[:rank], system.pv.q)
+    max_rep = DigitSeq(digits[:rank - 1] + [digits[rank - 1] - 1], system.pv.q, "max")
     right = eval_flip(zero_rep, system).value
     left = eval_flip(max_rep, system).value
     return JumpReport(point=x0, left_limit=left, right_limit=right, jump=right - left)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
@@ -736,6 +737,10 @@ PV4 = ProbVector.uniform(4)
 #: one block digit (the block 1, 2): its base count stays 1 at every rank
 MORAN_ONE_BLOCK = MoranSpec(make_prob_vector(["1/5", "3/10", "1/2"]), 1)
 
+#: primitive periods of 1031 digits and 1033 flip bits, both prime lengths
+LONG_TAIL = DigitSeq((), 2, (1,) + (0,) * 1030)
+LONG_MASK = FlipSet.mask((), (True,) + (False,) * 1032)
+
 #: (id, refused call, exception class, message): each argument rule's exact
 #: refusal, for every site that applies it, and the order of the checks
 #: when two arguments are bad
@@ -1019,6 +1024,11 @@ REFUSALS = [
      "rank 1000000000000000000000000000000 exceeds budget 1048576"),
     ("covering-rank-budget", lambda: covering_measure(MORAN_ONE_BLOCK, 10**30), BudgetExceeded,
      "rank 1000000000000000000000000000000 exceeds budget 1048576"),
+    # a 1031-digit tail under a 1033-bit mask period: the flipped word repeats only after their product
+    ("eval-flip-period-budget", lambda: eval_flip(LONG_TAIL, FlipSystem(PLAIN2.pv, LONG_MASK)), BudgetExceeded,
+     "common period 1065023 of the tail and the flip bits exceeds budget 1048576"),
+    ("flip-digits-period-budget", lambda: flip_digits(LONG_TAIL, LONG_MASK), BudgetExceeded,
+     "common period 1065023 of the tail and the flip bits exceeds budget 1048576"),
 ]
 
 #: Every refusal message above is one short line
@@ -1031,6 +1041,16 @@ def test_refusal_class_and_message(call, error, message):
         call()
     assert (type(raised.value), str(raised.value)) == (error, message)
     assert len(message) <= REFUSAL_MESSAGE_MAX
+
+
+@pytest.mark.parametrize("row", ["eval-flip-period-budget", "flip-digits-period-budget"])
+def test_flip_word_budget_refuses_before_any_letter(row):
+    # the word would hold 1 065 023 letters: refused from the two lengths alone
+    call = dict((case[0], case[1]) for case in REFUSALS)[row]
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        call()
+    assert time.perf_counter() - start < 0.1
 
 
 def test_shown_quotes_up_to_8_entries_in_full():

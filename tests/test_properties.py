@@ -603,6 +603,8 @@ def jump_points(draw, pv):
 V10 = make_prob_vector([Fraction(c + 1, 55) for c in range(10)])
 # a rank-64 point of V14: the walk reaches 0 at step 64
 V14_RANK64 = eval_digits(DigitSeq((1, 0) * 31 + (1, 1), 2), V14)
+V14_RANK9 = eval_digits(DigitSeq((0,) * 8 + (1,), 2), V14)
+V14_LATE_REPEAT = eval_digits(DigitSeq((1,) * 20, 2, (0, 1)), V14)
 
 
 @settings(max_examples=300)
@@ -621,6 +623,16 @@ V14_RANK64 = eval_digits(DigitSeq((1, 0) * 31 + (1, 1), 2), V14)
 # the refusals: 1/13 repeats (p-irrational), 1/7 is not decided by step 64
 @example((V14, Fraction(1, 13)), FlipSet.parse("mask:;01"), ORBIT_DEPTH)
 @example((V14, Fraction(1, 7)), FlipSet.parse("mask:;01"), ORBIT_DEPTH)
+# state 0 at step 9, in the second 8-digit block of classify's walk: a report at depth 9, undetermined at 8
+@example((V14, V14_RANK9), FlipSet.parse("mask:;01"), 9)
+@example((V14, V14_RANK9), FlipSet.parse("mask:;01"), 8)
+# q = 17: no block table, one digit per step
+@example((V17, eval_digits(DigitSeq((3, 16, 0, 5), 17), V17)), FlipSet.parse("finite:2,5"), ORBIT_DEPTH)
+# 1/7 at depth 10 000: the denominator certificate decides it, with no seen-set
+@example((V14, Fraction(1, 7)), FlipSet.parse("mask:;01"), 10_000)
+# twenty digits 1, then the 2-cycle of 1/13 and 4/13: the first repeat is state s_21, past depth 20
+@example((V14, V14_LATE_REPEAT), FlipSet.parse("mask:;01"), 20)
+@example((V14, V14_LATE_REPEAT), FlipSet.parse("mask:;01"), 21)
 def test_one_walk_jump_at_matches_the_two_walk_oracle(case, flips, max_depth):
     pv, x = case
     system = FlipSystem(pv, flips)
