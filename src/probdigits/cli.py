@@ -162,6 +162,7 @@ def cmd_scan_derivative(args):
     from .errors import BudgetExceeded
 
     _as_int(args.points, "--points", 0)
+    _as_int(args.rank, "--rank", 1)
     system = _system(args)
     # one row per point and rank: the rows are budgeted before any point is sampled
     if (size := args.points * args.rank) > DEFAULT_BUDGET:

@@ -554,15 +554,11 @@ def eval_digits(seq: DigitSeq, pv: ProbVector) -> Fraction:
 # Encoding and the shift map
 # ---------------------------------------------------------------------------
 
-def _walk(a: int, b: int, table: IntTable, steps: int, watch: bool = False):
+def _walk(a: int, b: int, table: IntTable, steps: int):
     """The shift orbit of the reduced state a/b in [0, 1): at most `steps`
-    steps, stopping at state 0 or, when `watch` is set, at the first state
-    that repeats an earlier one.
-
-    Returns (digits, end, a, b): the digits read, the last state a/b
-    reached, and how the walk ended: PointKind.P_RATIONAL when that state
-    is 0, P_IRRATIONAL when it repeats, UNDETERMINED when the steps ran out.
-    States s_0 .. s_steps are looked at, in that order.
+    steps, stopping at state 0.  Returns (digits, a, b): the digits read
+    and the last state a/b reached, which is 0 exactly when the walk
+    stopped there.
 
     One step reads the digit c of a/b (the largest with beta[c] <= a/b,
     clamped to q-1), which over D = table.den is beta[c] <= a*D // b since
@@ -576,14 +572,9 @@ def _walk(a: int, b: int, table: IntTable, steps: int, watch: bool = False):
     den, beta, p = table
     q = len(p)
     digits = []
-    seen = set()
     for _ in range(steps):
         if a == 0:
-            return digits, PointKind.P_RATIONAL, a, b
-        if watch:
-            if (a, b) in seen:
-                return digits, PointKind.P_IRRATIONAL, a, b
-            seen.add((a, b))
+            break
         scaled = a * den
         # beta[0] = 0 is below every state, and searching only up to beta[q-1]
         # is the clamp: min(bisect_right(beta, s) - 1, q - 1) without the min
@@ -592,21 +583,16 @@ def _walk(a: int, b: int, table: IntTable, steps: int, watch: bool = False):
         w = p[c]
         m = gcd(den, b % den) * w
         g = gcd(m, n % m)
-        a = n // g
-        b = b * w // g
+        a, b = n // g, b * w // g
         digits.append(c)
-    if a == 0:
-        return digits, PointKind.P_RATIONAL, a, b
-    if watch and (a, b) in seen:
-        return digits, PointKind.P_IRRATIONAL, a, b
-    return digits, PointKind.UNDETERMINED, a, b
+    return digits, a, b
 
 
 def _advance(a: int, b: int, pv: ProbVector, steps: int):
-    """The shift orbit of the reduced state a/b, walked by _walk with no
-    watch for at least `steps` steps: k digits per step over the vector's
-    block table, to the first block end at or past `steps` (exactly `steps`
-    single steps when the vector has no block table), or to state 0.
+    """The shift orbit of the reduced state a/b, walked by _walk for at
+    least `steps` steps: k digits per step over the vector's block table,
+    to the first block end at or past `steps` (exactly `steps` single steps
+    when the vector has no block table), or to state 0.
     Returns (digits, a, b): the digits read and the state reached.
 
     A walk that lands on state 0 drops the trailing zero digits of its last
@@ -616,11 +602,10 @@ def _advance(a: int, b: int, pv: ProbVector, steps: int):
     len(digits)."""
     if blocks := pv._block_table():
         k, table, words = blocks
-        cells, _, a, b = _walk(a, b, table, -(-steps // k))
+        cells, a, b = _walk(a, b, table, -(-steps // k))
         digits = b"".join([words[i * k:i * k + k] for i in cells])
         return (digits.rstrip(b"\0") if a == 0 else digits), a, b
-    digits, _, a, b = _walk(a, b, pv.int_table, steps)
-    return digits, a, b
+    return _walk(a, b, pv.int_table, steps)
 
 
 def encode(x, pv: ProbVector, depth: int = 32) -> DigitSeq:
@@ -657,7 +642,7 @@ def shift_value(x, pv: ProbVector) -> Fraction:
     a, b = x.numerator, x.denominator
     if a == b:
         return _lowest_terms(1, 1)
-    _, _, a, b = _walk(a, b, pv.int_table, 1)
+    _, a, b = _walk(a, b, pv.int_table, 1)
     return _lowest_terms(a, b)
 
 
@@ -745,36 +730,48 @@ def _decide(a: int, b: int, pv: ProbVector, max_depth: int) -> tuple[PointKind, 
     and the digits its walk read: when the kind is P_RATIONAL, exactly the
     digits of its zero-tail address.
 
-    The answer is that of the watched walk over the states s_0 .. s_N,
-    N = max_depth: P_RATIONAL at the first state 0, P_IRRATIONAL at the
-    first state that repeats, else UNDETERMINED.  Two facts prove most
-    UNDETERMINED answers without the watch.  Let D = pv.den, s_t = a/b_t
-    in lowest terms, and b_t' the part of b_t prime to D.  First, b_t'
-    divides b_(t+1)': a prime l of b_t outside D does not divide
-    n = a*D - beta[c]*b_t (l divides b_t but not a*D), so reducing
-    n / (b_t*p[c]) cancels no factor l.  Second, if the orbit repeats
-    within N steps it is periodic from a step m <= N - 1, so b_t' is the
-    same for every t >= N - 1 and no state is 0.  So the walk goes without
-    a watch to the first block end T >= N - 1 of _advance, then one block
-    further, and the digits of both blocks are joined.  A state 0 on the
-    way is reached at a known step: P_RATIONAL if that step is at most N,
-    UNDETERMINED past it.  Otherwise a prime outside D in b/gcd(b, b_T)
-    proves UNDETERMINED.  In every other case the watched walk runs, the
-    one walk with a seen-set: the test skips it only when it has proved
-    the outcome."""
-    if max_depth:
-        digits, s, last = _advance(a, b, pv, max_depth - 1)
-        t = last
-        if s:
-            more, s, t = _advance(s, last, pv, 1)
-            digits += more
-        if s == 0 and len(digits) <= max_depth:
-            return PointKind.P_RATIONAL, digits
-        grown = t // gcd(t, last)
-        if s == 0 or pow(pv.den, grown.bit_length(), grown):
-            return PointKind.UNDETERMINED, digits
-    digits, end, _, _ = _walk(a, b, pv.int_table, max_depth, watch=True)
-    return end, digits
+    The answer is decided over the states s_0 .. s_N, N = max_depth:
+    P_RATIONAL at the first state 0, P_IRRATIONAL at the first state that
+    repeats, else UNDETERMINED.  At N = 0 the state alone answers.  Two
+    facts prove most UNDETERMINED answers without looking for a repeat.
+    Let D = pv.den, s_t = a/b_t in lowest terms, and b_t' the part of b_t
+    prime to D.  First, b_t' divides b_(t+1)': a prime l of b_t outside D
+    does not divide n = a*D - beta[c]*b_t (l divides b_t but not a*D), so
+    reducing n / (b_t*p[c]) cancels no factor l.  Second, if the orbit
+    repeats within N steps it is periodic from a step m <= N - 1, so b_t'
+    is the same for every t >= N - 1 and no state is 0.  So _advance walks
+    to the first block end T >= N - 1, then one block further, and the
+    digits of both blocks are joined.  A state 0 on the way is reached at a
+    known step: P_RATIONAL if that step is at most N, UNDETERMINED past it.
+    Otherwise a prime outside D in b/gcd(b, b_T) proves UNDETERMINED.  In
+    every other case the walk has read at least N digits and no state 0,
+    and the repeat test replays the first N of them: _walk's reduction with
+    the digit given, no digit search, and a seen-set of s_0 .. s_N, the one
+    set of orbit states in the package."""
+    if not max_depth:
+        return (PointKind.UNDETERMINED if a else PointKind.P_RATIONAL), ()
+    digits, s, last = _advance(a, b, pv, max_depth - 1)
+    t = last
+    if s:
+        more, s, t = _advance(s, last, pv, 1)
+        digits += more
+    if s == 0 and len(digits) <= max_depth:
+        return PointKind.P_RATIONAL, digits
+    grown = t // gcd(t, last)
+    if s == 0 or pow(pv.den, grown.bit_length(), grown):
+        return PointKind.UNDETERMINED, digits
+    den, beta, p = pv.int_table
+    seen = set()
+    for c in digits[:max_depth]:
+        seen.add((a, b))
+        n = a * den - beta[c] * b
+        w = p[c]
+        m = gcd(den, b % den) * w
+        g = gcd(m, n % m)
+        a, b = n // g, b * w // g
+        if (a, b) in seen:
+            return PointKind.P_IRRATIONAL, digits
+    return PointKind.UNDETERMINED, digits
 
 
 def classify(x, pv: ProbVector, max_depth: int = 64) -> PointClass:
@@ -785,8 +782,8 @@ def classify(x, pv: ProbVector, max_depth: int = 64) -> PointClass:
     shift states need not repeat (weights can grow the denominators), so
     UNDETERMINED with the reached depth is a legitimate outcome.  The kind
     is that of _decide, which proves most UNDETERMINED answers from the
-    denominator and watches the orbit only when it must (see README,
-    "Cost").
+    denominator and looks for a repeated state only when it must (see
+    README, "Cost").
     """
     max_depth = _as_int(max_depth, "max_depth", 0)
     x = _as_point(x)

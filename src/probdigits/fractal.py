@@ -420,10 +420,9 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
     threshold = ENTROPY_THRESHOLD
     out: dict[int, float] = {}
     # the largest rank has the largest multiplicity and the smallest diagonal:
-    # refuse there before estimating any rank
-    top = _float_groups(system, ranks[-1], budget) if ranks else None
-    for rank in ranks:
-        mults, d2s = top if rank == ranks[-1] else _float_groups(system, rank, budget)
+    # estimating it first refuses it before any other rank is estimated
+    for rank in reversed(ranks):
+        mults, d2s = _float_groups(system, rank, budget)
         below, above = _bracket(mults, d2s, threshold)
 
         def exceeds(alpha: float) -> bool:
@@ -441,7 +440,7 @@ def graph_dimension_estimate(system: FlipSystem, ranks, budget: int = DEFAULT_BU
             else:
                 hi = mid
         out[rank] = (lo + hi) / 2.0
-    return out
+    return dict(reversed(out.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -305,12 +305,17 @@ def test_scan_derivative_seeded(capsys):
     ["jumps", "--p", "1/2,1/2", "--flips", "finite:1", "--count", "-3"],
     ["scan-derivative", "--p", "1/4,3/4", "--flips", "all", "--points", "-2"],
     ["scan-derivative", "--p", "1/4,3/4", "--flips", "all", "--rank", "0"],
+    # no row is written, but the rank is still out of its domain
+    ["scan-derivative", "--p", "1/2,1/2", "--points", "0", "--rank", "-5"],
 ], ids=lambda argv: " ".join(argv))
 def test_argument_out_of_domain_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: InvalidArgument: ")
+    if argv[0] == "scan-derivative" and "--rank" in argv:
+        # the option, not a library parameter, is named
+        assert "--rank must be >= 1" in lines[0]
 
 
 def test_dimension_refuses_the_groups_of_all_ranks_at_once(capsys):

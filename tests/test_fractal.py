@@ -439,6 +439,9 @@ def test_dimension_estimates(uniform2, asym2):
     assert graph_dimension_estimate(FlipSystem(asym2, FlipSet.none()), [10])[10] == pytest.approx(1.0, abs=1e-6)
     est = graph_dimension_estimate(FlipSystem(asym2, FlipSet.all()), [6, 10, 14])
     assert est[6] > est[10] > est[14] > 1.0  # trend toward 1 from above
+    # the ranks come back in the order given, each estimated as it is alone
+    assert list(est) == [6, 10, 14]
+    assert est == {rank: graph_dimension_estimate(FlipSystem(asym2, FlipSet.all()), [rank])[rank] for rank in est}
     assert est[14] < 1.05
     for ranks in ([0, 2], [4, 2]):
         with pytest.raises(InvalidArgument):

@@ -396,6 +396,13 @@ V252 = make_prob_vector(["2/5", "1/5", "2/5"])
 # depths N ends past N: P_RATIONAL only where that step is at most N
 @example((V252, eval_digits(DigitSeq((1,) * 59 + (2,), 3), V252)))
 @example((V252, eval_digits(DigitSeq((1,) * 64 + (2,), 3), V252)))
+# a D-smooth vector whose certificate cannot answer for 1/48: the repeat test
+# replays all 64 states and finds no repeat
+@example((make_prob_vector(["2/3", "1/4", "1/12"]), Fraction(1, 48)))
+# 2 has order 332 mod 997: the first repeat is at step 332, past 64
+@example((ProbVector.uniform(2), Fraction(1, 997)))
+# state 0 from the start: decided at depth 0
+@example((V14, Fraction(0)))
 def test_kernel_orbit_matches_the_fraction_orbit(case):
     pv, x = case
     digits, states = orbit_by_fractions(x, pv, ORBIT_DEPTH)
@@ -445,15 +452,16 @@ def test_walk_states_are_the_reduced_fraction_orbit(case):
     for k in range(WALK_DEPTH):
         if a == 0:
             break
-        step, _, a, b = _walk(a, b, table, 1)
+        step, a, b = _walk(a, b, table, 1)
         assert step == [digits[k]]
         state = states[k + 1]
         assert a == 0 if state == 0 else (a, b) == (state.numerator, state.denominator)
     # the whole walk reads the same digits and ends on the same pair
-    walked, end, *last = _walk(x.numerator, x.denominator, table, WALK_DEPTH)
+    walked, *last = _walk(x.numerator, x.denominator, table, WALK_DEPTH)
     assert walked == digits[:len(walked)] and last == [a, b]
-    assert end is (PointKind.P_RATIONAL if a == 0 else PointKind.UNDETERMINED)
-    # watching for repeats, it ends at the first state that is 0 or repeats
+    # it stops at state 0, and otherwise runs out of steps
+    assert len(walked) == (states.index(0) if a == 0 else WALK_DEPTH)
+    # classify decides at the first state that is 0 or repeats, and not before
     first = {}
     for k, s in enumerate(states):
         if s == 0 or s in first:
@@ -462,8 +470,10 @@ def test_walk_states_are_the_reduced_fraction_orbit(case):
         first[s] = k
     else:
         expected = (WALK_DEPTH, PointKind.UNDETERMINED)
-    walked, end, _, _ = _walk(x.numerator, x.denominator, table, WALK_DEPTH, watch=True)
-    assert (len(walked), end) == expected
+    k, kind = expected
+    assert classify(x, pv, k).kind is kind
+    if k:
+        assert classify(x, pv, k - 1) == PointClass(PointKind.UNDETERMINED, k - 1)
 
 
 # the bench's alphabets, over dyadic denominators and products of two odd primes
@@ -500,7 +510,7 @@ def test_block_walk_matches_single_steps_and_the_fraction_orbit(case):
     a, b = x.numerator, x.denominator
     stepped, pairs = [], [(a, b)]
     while len(stepped) < depth and a != 0:
-        step, _, a, b = _walk(a, b, table, 1)
+        step, a, b = _walk(a, b, table, 1)
         stepped += step
         pairs.append((a, b))
     # a block step is k single steps: j of them read the first j*k digits and
@@ -509,7 +519,7 @@ def test_block_walk_matches_single_steps_and_the_fraction_orbit(case):
         n = j * k
         if n >= len(pairs) or pairs[n][0] == 0:
             break
-        cells, _, *pair = _walk(x.numerator, x.denominator, block_table, j)
+        cells, *pair = _walk(x.numerator, x.denominator, block_table, j)
         assert b"".join([words[i * k:i * k + k] for i in cells]) == bytes(stepped[:n])
         assert tuple(pair) == pairs[n]
     assert encode(x, pv, depth).digits == tuple(stepped)
